@@ -12,9 +12,16 @@ Subcommands:
   closed-form detection noise over a parameter grid next to the simulated
   value where defined.
 
-Exit codes: 0 success, 2 parse failure (malformed JSON or argument lists),
-3 validation failure (well-formed input with invalid content), 4 internal
-contract violation.
+Exit codes: 0 success, 2 parse failure (malformed JSON or argument lists,
+missing or non-UTF-8 files), 3 validation failure, 4 any other failure;
+nothing exits with 1. Each input rule lives in the type or function that
+owns the field and raises a :class:`~modecomb.gaussian.FieldError`; this
+module only prepends the section (``comb.``, ``wire.``, ``detection.``,
+``network.elements[i].``, ``sweep.values[i].``, ``gains[i].``, ...), so a
+validation failure always names a dotted field. Every sweep point and grid
+value is validated before anything is computed. Any other exception is an
+internal error: exit 4, with ``internal error: ...`` as the first stderr
+line.
 
 Everything here is deterministic; the scenario ``seed`` is only echoed into
 reports so that downstream tooling can record provenance.
@@ -27,11 +34,14 @@ import csv
 import json
 import math
 import sys
+import traceback
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
+from . import elements
 from .blochmessiah import decompose as bloch_messiah_decompose
 from .blochmessiah import recompose
 from .cluster import (
@@ -44,18 +54,14 @@ from .cluster import (
 )
 from .comb import (
     OverlapSpec,
+    SpatialComb,
     amplify_comb,
     build_comb,
     pair_witnesses,
 )
 from .detection import ideal_epr_noise, measure_witness, misaligned_noise
-from .elements import (
-    AmplifierSpec,
-    beamsplitter,
-    phase_shift,
-    two_mode_squeezer,
-)
-from .gaussian import SymplecticTransform, apply_symplectic, vacuum_state
+from .elements import AmplifierSpec, _fraction
+from .gaussian import FieldError, SymplecticTransform, _integer, vacuum_state
 
 CONFIG_VERSION = "v1"
 
@@ -63,141 +69,137 @@ CONFIG_VERSION = "v1"
 FLOAT_FORMAT = ".12g"
 
 
-class ScenarioError(ValueError):
-    """A structurally valid config with invalid content.
-
-    Attributes:
-        field: dotted path of the offending field, e.g. ``"comb.M"``.
-    """
-
-    def __init__(self, field, message):
-        super().__init__(f"{field}: {message}")
-        self.field = field
-
-
-@dataclass(frozen=True)
-class CombConfig:
-    m: int
-    cells: int
-    gain: float
-    r: float
+#: Validation errors of scenario and network files; ``.field`` is the dotted
+#: path of the offending field, e.g. ``"comb.M"``.
+ScenarioError = FieldError
 
 
 @dataclass(frozen=True)
 class DetectionConfig:
+    """Detector efficiency and LO misalignment of a scenario.
+
+    The fields are checked as the :class:`OverlapSpec` they describe at unit
+    LO power, so ``eta_d`` lies in (0, 1], ``misalignment`` in [0, 1], each
+    of ``stray_etas`` in [0, eta_d), and ``misalignment > 0`` needs at least
+    one stray mode.
+    """
+
     eta_d: float = 1.0
     misalignment: float = 0.0
     stray_etas: tuple = ()
 
+    def __post_init__(self):
+        if not isinstance(self.stray_etas, (list, tuple)):
+            raise FieldError("stray_etas", "must be a list of numbers")
+        try:
+            spec = self.overlap()
+        except FieldError as exc:
+            field = "eta_d" if exc.field == "detector_eta" else exc.field
+            raise FieldError(field, exc.reason) from exc
+        object.__setattr__(self, "eta_d", spec.detector_eta)
+        object.__setattr__(self, "misalignment", float(self.misalignment))
+        object.__setattr__(self, "stray_etas", spec.stray_etas)
+
+    def overlap(self):
+        """The LO power bookkeeping at unit total power."""
+        return OverlapSpec.from_misalignment(
+            1.0, self.misalignment, self.eta_d, self.stray_etas
+        )
+
 
 @dataclass(frozen=True)
 class SweepConfig:
+    """A swept field and its concrete scenarios.
+
+    Attributes:
+        parameter (str): dotted name of the swept field
+        points (tuple): ``(value, Scenario)`` pairs sorted by value
+    """
+
     parameter: str
-    values: tuple
+    points: tuple
 
 
 @dataclass(frozen=True)
 class Scenario:
     name: str
-    comb: CombConfig | None
+    comb: SpatialComb | None
     wire: DualRailSpec | None
     detection: DetectionConfig
     sweep: SweepConfig | None
     seed: int | None
 
 
-def _require(mapping, field, kind, path):
-    value = mapping.get(field)
-    if not isinstance(value, kind) or isinstance(value, bool):
-        kinds = kind if isinstance(kind, tuple) else (kind,)
-        names = "/".join(k.__name__ for k in kinds)
-        raise ScenarioError(f"{path}.{field}", f"must be a {names}")
-    return value
+@contextmanager
+def _within(prefix):
+    """Prepend ``prefix`` to the field of a FieldError raised inside."""
+    try:
+        yield
+    except FieldError as exc:
+        raise FieldError(f"{prefix}.{exc.field}", exc.reason) from exc
+
+
+def _checked(field, values, build):
+    """Build every entry of a nonempty list, naming a bad one by position;
+    return the ``(value, build(value))`` pairs sorted by value."""
+    if not values:
+        raise FieldError(field, "needs at least one value")
+    built = []
+    for i, value in enumerate(values):
+        with _within(f"{field}[{i}]"):
+            built.append((value, build(value)))
+    return sorted(built, key=lambda pair: pair[0])
+
+
+def _section(raw, name, parse):
+    """Parse the object ``raw[name]`` with its fields prefixed by ``name``."""
+    if name not in raw:
+        return None
+    if not isinstance(raw[name], dict):
+        raise FieldError(name, "must be an object")
+    with _within(name):
+        return parse(raw[name])
 
 
 def _parse_comb(raw):
-    m = _require(raw, "M", int, "comb")
-    cells = raw.get("cells", 1)
-    if not isinstance(cells, int) or isinstance(cells, bool):
-        raise ScenarioError("comb.cells", "must be an integer")
-    has_gain = "gain" in raw
-    has_r = "r" in raw
-    if has_gain == has_r:
-        raise ScenarioError("comb", "exactly one of 'gain' or 'r' is required")
-    try:
-        if has_gain:
-            amp = AmplifierSpec.from_gain(float(raw["gain"]))
-        else:
-            amp = AmplifierSpec.from_squeezing(float(raw["r"]))
-        build_comb(m, amp, cells)
-    except (TypeError, ValueError) as exc:
-        field = "comb.gain" if has_gain else "comb.r"
-        if isinstance(exc, ValueError) and ("mode count" in str(exc) or "cell" in str(exc)):
-            field = "comb.M" if "mode count" in str(exc) else "comb.cells"
-        raise ScenarioError(field, str(exc)) from exc
-    return CombConfig(m=m, cells=cells, gain=amp.gain, r=amp.r)
+    if ("gain" in raw) == ("r" in raw):
+        raise FieldError("gain", "exactly one of 'gain' or 'r' is required")
+    if "gain" in raw:
+        amp = AmplifierSpec.from_gain(raw["gain"])
+    else:
+        amp = AmplifierSpec.from_squeezing(raw["r"])
+    return build_comb(raw.get("M"), amp, raw.get("cells", 1))
 
 
 def _parse_wire(raw):
-    n_pairs = _require(raw, "n_pairs", int, "wire")
-    r = _require(raw, "r", (int, float), "wire")
-    convention = raw.get("phase_convention", "odd_mode_minus_half_pi")
-    try:
-        return DualRailSpec(
-            n_pairs=n_pairs, r=float(r), phase_convention=convention
-        )
-    except ValueError as exc:
-        message = str(exc)
-        if "sources" in message:
-            field = "wire.n_pairs"
-        elif "squeezing" in message:
-            field = "wire.r"
-        else:
-            field = "wire.phase_convention"
-        raise ScenarioError(field, message) from exc
+    return DualRailSpec(
+        n_pairs=raw.get("n_pairs"),
+        r=raw.get("r"),
+        phase_convention=raw.get(
+            "phase_convention", "odd_mode_minus_half_pi"
+        ),
+    )
 
 
 def _parse_detection(raw):
-    eta_d = raw.get("eta_d", 1.0)
-    misalignment = raw.get("misalignment", 0.0)
-    stray_etas = raw.get("stray_etas", [])
-    if not isinstance(eta_d, (int, float)) or not 0.0 < float(eta_d) <= 1.0:
-        raise ScenarioError("detection.eta_d", "must be a number in (0, 1]")
-    if (
-        not isinstance(misalignment, (int, float))
-        or not 0.0 <= float(misalignment) <= 1.0
-    ):
-        raise ScenarioError(
-            "detection.misalignment", "must be a number in [0, 1]"
-        )
-    if not isinstance(stray_etas, list):
-        raise ScenarioError("detection.stray_etas", "must be a list of numbers")
-    etas = []
-    for e in stray_etas:
-        if not isinstance(e, (int, float)) or not 0.0 <= float(e) < float(eta_d):
-            raise ScenarioError(
-                "detection.stray_etas",
-                f"each entry must lie in [0, eta_d = {eta_d})",
-            )
-        etas.append(float(e))
-    if float(misalignment) > 0.0 and not etas:
-        raise ScenarioError(
-            "detection.stray_etas",
-            "at least one stray mode is required when misalignment > 0",
-        )
     return DetectionConfig(
-        eta_d=float(eta_d),
-        misalignment=float(misalignment),
-        stray_etas=tuple(etas),
+        eta_d=raw.get("eta_d", 1.0),
+        misalignment=raw.get("misalignment", 0.0),
+        stray_etas=raw.get("stray_etas", []),
     )
+
+
+def _with_amplifier(scenario, amp):
+    comb = scenario.comb
+    return replace(scenario, comb=comb.with_amplifiers([amp] * comb.n_pairs))
 
 
 #: Sweepable dotted field paths mapped to scenario updaters.
 _SWEEP_FIELDS = {
-    "comb.gain": lambda sc, v: replace(
-        sc, comb=_comb_with_gain(sc.comb, gain=v)
+    "comb.gain": lambda sc, v: _with_amplifier(sc, AmplifierSpec.from_gain(v)),
+    "comb.r": lambda sc, v: _with_amplifier(
+        sc, AmplifierSpec.from_squeezing(v)
     ),
-    "comb.r": lambda sc, v: replace(sc, comb=_comb_with_gain(sc.comb, r=v)),
     "wire.r": lambda sc, v: replace(sc, wire=replace(sc.wire, r=v)),
     "detection.eta_d": lambda sc, v: replace(
         sc, detection=replace(sc.detection, eta_d=v)
@@ -208,124 +210,86 @@ _SWEEP_FIELDS = {
 }
 
 
-def _comb_with_gain(comb_config, gain=None, r=None):
-    amp = (
-        AmplifierSpec.from_gain(gain)
-        if gain is not None
-        else AmplifierSpec.from_squeezing(r)
-    )
-    return CombConfig(
-        m=comb_config.m, cells=comb_config.cells, gain=amp.gain, r=amp.r
-    )
-
-
 def _parse_sweep(raw, scenario):
-    parameter = _require(raw, "parameter", str, "sweep")
-    values = raw.get("values")
-    if (
-        not isinstance(values, list)
-        or not values
-        or not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool)
-            for v in values
-        )
-    ):
-        raise ScenarioError("sweep.values", "must be a nonempty number list")
-    if parameter not in _SWEEP_FIELDS:
-        raise ScenarioError(
-            "sweep.parameter",
+    """Build and so validate every sweep point of ``scenario``."""
+    parameter = raw.get("parameter")
+    if not isinstance(parameter, str) or parameter not in _SWEEP_FIELDS:
+        raise FieldError(
+            "parameter",
             f"unknown field {parameter!r}; expected one of "
             f"{sorted(_SWEEP_FIELDS)}",
         )
     section = parameter.split(".", 1)[0]
-    if getattr(scenario, section, None) is None:
-        raise ScenarioError(
-            "sweep.parameter", f"scenario has no {section!r} section to sweep"
+    if getattr(scenario, section) is None:
+        raise FieldError(
+            "parameter", f"scenario has no {section!r} section to sweep"
         )
-    return SweepConfig(parameter=parameter, values=tuple(float(v) for v in values))
+    values = raw.get("values")
+    if not isinstance(values, list):
+        raise FieldError("values", "must be a nonempty number list")
+    update = _SWEEP_FIELDS[parameter]
+
+    def point(value):
+        with _within(section):
+            return update(scenario, value)
+
+    points = _checked("values", values, point)
+    return SweepConfig(
+        parameter=parameter,
+        points=tuple((float(value), sc) for value, sc in points),
+    )
 
 
 def parse_scenario(raw):
     """Validate a decoded config dict into a :class:`Scenario`.
 
+    Every sweep point is built, and so validated, here.
+
     Raises:
-        ScenarioError: naming the offending field.
+        FieldError: naming the offending field.
     """
     if not isinstance(raw, dict):
-        raise ScenarioError("config", "top level must be an object")
+        raise FieldError("config", "top level must be an object")
     version = raw.get("version", CONFIG_VERSION)
     if version != CONFIG_VERSION:
-        raise ScenarioError(
+        raise FieldError(
             "version", f"unsupported config version {version!r}"
         )
-    name = _require(raw, "name", str, "config")
-    if not name or any(c in name for c in "/\\"):
-        raise ScenarioError("config.name", "must be a nonempty path-safe string")
+    name = raw.get("name")
+    if not isinstance(name, str) or not name or set(name) & set("/\\"):
+        raise FieldError("config.name", "must be a nonempty path-safe string")
     seed = raw.get("seed")
     if seed is not None and (not isinstance(seed, int) or isinstance(seed, bool)):
-        raise ScenarioError("config.seed", "must be an integer")
-    comb = _parse_comb(raw["comb"]) if "comb" in raw else None
-    wire = _parse_wire(raw["wire"]) if "wire" in raw else None
+        raise FieldError("config.seed", "must be an integer")
+    comb = _section(raw, "comb", _parse_comb)
+    wire = _section(raw, "wire", _parse_wire)
     if comb is None and wire is None:
-        raise ScenarioError(
+        raise FieldError(
             "config", "at least one of 'comb' or 'wire' is required"
         )
-    detection = _parse_detection(raw.get("detection", {}))
+    detection = _section(raw, "detection", _parse_detection)
     scenario = Scenario(
         name=name,
         comb=comb,
         wire=wire,
-        detection=detection,
+        detection=detection or DetectionConfig(),
         sweep=None,
         seed=seed,
     )
-    if "sweep" in raw:
-        sweep_raw = raw["sweep"]
-        if not isinstance(sweep_raw, dict):
-            raise ScenarioError("sweep", "must be an object")
-        scenario = replace(scenario, sweep=_parse_sweep(sweep_raw, scenario))
-    return scenario
-
-
-def _sweep_points(scenario):
-    """Yield (value-or-None, concrete scenario) pairs, sorted by value."""
-    if scenario.sweep is None:
-        yield None, scenario
-        return
-    update = _SWEEP_FIELDS[scenario.sweep.parameter]
-    for value in sorted(scenario.sweep.values):
-        try:
-            yield value, update(scenario, value)
-        except ValueError as exc:
-            raise ScenarioError(
-                "sweep.values", f"value {value}: {exc}"
-            ) from exc
+    sweep = _section(raw, "sweep", lambda sweep: _parse_sweep(sweep, scenario))
+    return replace(scenario, sweep=sweep)
 
 
 def _witness_rows(scenario):
     """Evaluate all witnesses of one concrete (non-sweep) scenario."""
     det = scenario.detection
+    comb = scenario.comb
     rows = []
-    if scenario.comb is not None:
-        cfg = scenario.comb
-        comb = build_comb(
-            cfg.m, AmplifierSpec.from_squeezing(cfg.r), cfg.cells
-        )
+    if comb is not None:
         if det.misalignment > 0.0:
             # Closed-form misaligned detection; identical for every pair.
-            spec = OverlapSpec(
-                total_power=1.0,
-                aligned_power=1.0 - det.misalignment,
-                stray_powers=tuple(
-                    [det.misalignment / len(det.stray_etas)]
-                    * len(det.stray_etas)
-                ),
-                detector_eta=det.eta_d,
-                stray_etas=det.stray_etas,
-            )
-            report = misaligned_noise(spec, cfg.gain)
-            for i in range(comb.n_pairs):
-                rows.append((f"pair{i}_xdiff", report))
+            report = misaligned_noise(det.overlap(), comb.amps[0].gain)
+            rows += [(f"pair{i}_xdiff", report) for i in range(comb.n_pairs)]
         else:
             state = amplify_comb(vacuum_state(comb.n_modes), comb)
             for i, (wx, _) in enumerate(pair_witnesses(comb)):
@@ -347,11 +311,7 @@ def _graph_report(scenario):
         residual = nullifier_residual(state, graph)
         source = "wire"
     else:
-        cfg = scenario.comb
-        comb = build_comb(
-            cfg.m, AmplifierSpec.from_squeezing(cfg.r), cfg.cells
-        )
-        graph = bipartite_graph(comb)
+        graph = bipartite_graph(scenario.comb)
         residual = None
         source = "comb"
     return {
@@ -382,14 +342,17 @@ def run_scenario(config_path, out_dir=".", fmt="csv"):
     text = Path(config_path).read_text(encoding="utf-8")
     scenario = parse_scenario(json.loads(text))
 
+    sweep = scenario.sweep
+    parameter, points = (
+        (sweep.parameter, sweep.points) if sweep else ("", ((None, scenario),))
+    )
     rows = []
-    for value, point in _sweep_points(scenario):
-        parameter = scenario.sweep.parameter if scenario.sweep else None
+    for value, point in points:
         for witness_id, report in _witness_rows(point):
             rows.append(
                 {
                     "scenario": scenario.name,
-                    "parameter": parameter or "",
+                    "parameter": parameter,
                     "value": _format_value(value),
                     "witness_id": witness_id,
                     "variance": format(report.variance, FLOAT_FORMAT),
@@ -397,91 +360,91 @@ def run_scenario(config_path, out_dir=".", fmt="csv"):
                 }
             )
 
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    written = []
-
+    out, name = Path(out_dir), scenario.name
     header = ["scenario", "parameter", "value", "witness_id", "variance", "dB"]
-    if fmt == "csv":
-        witness_path = out / f"{scenario.name}_witness.csv"
-        with witness_path.open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.DictWriter(fh, fieldnames=header)
-            writer.writeheader()
-            writer.writerows(rows)
-    else:
-        witness_path = out / f"{scenario.name}_witness.json"
-        witness_path.write_text(
-            json.dumps(rows, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
-    written.append(witness_path)
+    table = _write_table(out, f"{name}_witness", header, rows, fmt)
+    graph = _graph_report(scenario)
+    return [table, _write_json(out / f"{name}_graph.json", graph)]
 
-    graph_path = out / f"{scenario.name}_graph.json"
-    graph_path.write_text(
-        json.dumps(_graph_report(scenario), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
+
+def _write_json(path, obj):
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(
+        json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
-    written.append(graph_path)
-    return written
+    return path
 
 
-_ELEMENT_BUILDERS = {
-    "two_mode_squeezer": (
-        2,
-        lambda spec: two_mode_squeezer(
-            float(spec.get("r", 0.0)), float(spec.get("phase", 0.0))
-        ),
-    ),
-    "beamsplitter": (
-        2,
-        lambda spec: beamsplitter(
-            float(spec.get("theta", math.pi / 4)), float(spec.get("phi", 0.0))
-        ),
-    ),
-    "phase_shift": (1, lambda spec: phase_shift(float(spec.get("phi", 0.0)))),
+def _write_table(out, stem, header, rows, fmt):
+    """Write ``rows`` to ``out/<stem>.csv``, or ``.json`` unless fmt is csv."""
+    if fmt != "csv":
+        return _write_json(out / f"{stem}.json", rows)
+    out.mkdir(parents=True, exist_ok=True)
+    path = out / f"{stem}.csv"
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.DictWriter(fh, fieldnames=header)
+        writer.writeheader()
+        writer.writerows(rows)
+    return path
+
+
+#: Network element types, each named after its factory in
+#: :mod:`modecomb.elements`: mode count and parameter defaults.
+_ELEMENT_TYPES = {
+    "two_mode_squeezer": (2, {"r": 0.0, "phase": 0.0}),
+    "beamsplitter": (2, {"theta": math.pi / 4, "phi": 0.0}),
+    "phase_shift": (1, {"phi": 0.0}),
 }
 
 
 def _parse_network(raw):
     """Compose a network file into one SymplecticTransform."""
     if not isinstance(raw, dict):
-        raise ScenarioError("network", "top level must be an object")
-    n_modes = _require(raw, "n_modes", int, "network")
-    if n_modes < 1:
-        raise ScenarioError("network.n_modes", "must be >= 1")
-    elements = raw.get("elements", [])
-    if not isinstance(elements, list):
-        raise ScenarioError("network.elements", "must be a list")
+        raise FieldError("network", "top level must be an object")
+    n_modes = _integer("network.n_modes", raw.get("n_modes"), 1)
+    entries = raw.get("elements", [])
+    if not isinstance(entries, list):
+        raise FieldError("network.elements", "must be a list")
     total = SymplecticTransform.identity(n_modes)
-    for i, spec in enumerate(elements):
+    for i, spec in enumerate(entries):
         path = f"network.elements[{i}]"
         if not isinstance(spec, dict) or "type" not in spec:
-            raise ScenarioError(path, "must be an object with a 'type'")
+            raise FieldError(path, "must be an object with a 'type'")
         kind = spec["type"]
-        if kind not in _ELEMENT_BUILDERS:
-            raise ScenarioError(
+        if not isinstance(kind, str) or kind not in _ELEMENT_TYPES:
+            raise FieldError(
                 f"{path}.type",
                 f"unknown element {kind!r}; expected one of "
-                f"{sorted(_ELEMENT_BUILDERS)}",
+                f"{sorted(_ELEMENT_TYPES)}",
             )
-        arity, builder = _ELEMENT_BUILDERS[kind]
+        arity, defaults = _ELEMENT_TYPES[kind]
         modes = spec.get("modes")
         if (
             not isinstance(modes, list)
             or len(modes) != arity
-            or not all(isinstance(m, int) and 0 <= m < n_modes for m in modes)
+            or not all(type(m) is int and 0 <= m < n_modes for m in modes)
             or len(set(modes)) != len(modes)
         ):
-            raise ScenarioError(
+            raise FieldError(
                 f"{path}.modes",
                 f"must list {arity} distinct mode indices below {n_modes}",
             )
-        try:
-            element = builder(spec)
-        except (TypeError, ValueError) as exc:
-            raise ScenarioError(path, str(exc)) from exc
+        with _within(path):
+            element = getattr(elements, kind)(
+                **{name: spec.get(name, v) for name, v in defaults.items()}
+            )
         # Embed the element and left-multiply onto the running product.
         embedded = apply_symplectic_matrix(total.n_modes, element, modes)
-        total = SymplecticTransform(embedded @ total.matrix, n_modes)
+        product = embedded @ total.matrix
+        # Squeezing every mode by MAX_SQUEEZING gives |S|_F^2 =
+        # 2N cosh(2 MAX_SQUEEZING) < 4N MAX_GAIN; passive elements keep it.
+        if np.linalg.norm(product) ** 2 > 4 * n_modes * elements.MAX_GAIN:
+            raise FieldError(
+                path,
+                f"the network up to here squeezes beyond the reach of "
+                f"r = {elements.MAX_SQUEEZING} per mode",
+            )
+        total = SymplecticTransform(product, n_modes)
     return total
 
 
@@ -497,11 +460,8 @@ def cmd_decompose(network_path, out_dir="."):
     """Decompose a network file; write and return the JSON report path."""
     text = Path(network_path).read_text(encoding="utf-8")
     total = _parse_network(json.loads(text))
-    try:
-        result = bloch_messiah_decompose(total)
-        error = float(np.linalg.norm(recompose(result).matrix - total.matrix))
-    except ValueError as exc:
-        raise InternalContractError(str(exc)) from exc
+    result = bloch_messiah_decompose(total)
+    error = float(np.linalg.norm(recompose(result).matrix - total.matrix))
     report = {
         "n_modes": total.n_modes,
         "squeeze": [float(r) for r in result.squeeze],
@@ -509,17 +469,8 @@ def cmd_decompose(network_path, out_dir="."):
         "passive_out": result.passive_out.matrix.tolist(),
         "passive_in": result.passive_in.matrix.tolist(),
     }
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / f"{Path(network_path).stem}_decomposition.json"
-    path.write_text(
-        json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    return path
-
-
-class InternalContractError(RuntimeError):
-    """A violated internal invariant (exit code 4)."""
+    stem = Path(network_path).stem
+    return _write_json(Path(out_dir) / f"{stem}_decomposition.json", report)
 
 
 #: Reduced efficiency assumed for the single stray mode of noise-table rows.
@@ -532,34 +483,33 @@ def cmd_noise_table(gains, etas, misalignments, out_dir=".", fmt="csv"):
     One row per (gain, eta, misalignment) triple, sorted ascending. The
     simulated column drives an explicit amplified pair through loss channels
     and is only defined at zero misalignment; misaligned rows use the
-    closed form with one stray mode at ``eta_i = eta / 2``.
+    closed form with one stray mode at ``eta_i = eta / 2``. Every value is
+    validated before any row is computed.
 
     Returns:
         Path: the written table path
     """
-    for name, values in (("gains", gains), ("etas", etas),
-                         ("misalignments", misalignments)):
-        if not values:
-            raise ScenarioError(name, "needs at least one value")
+    combs = _checked(
+        "gains", gains, lambda g: build_comb(2, AmplifierSpec.from_gain(g))
+    )
+    misalignments = [m for m, _ in _checked(
+        "misalignments", misalignments, lambda m: _fraction("misalignment", m)
+    )]
+    etas = _checked(
+        "etas", etas, lambda eta: _misaligned_specs(eta, misalignments)
+    )
     rows = []
-    for gain in sorted(gains):
-        for eta in sorted(etas):
-            for misalignment in sorted(misalignments):
+    for gain, comb in combs:
+        for eta, specs in etas:
+            for misalignment in misalignments:
                 if misalignment == 0.0:
                     closed = ideal_epr_noise(gain, eta)
-                    simulated = _simulated_pair_noise(gain, eta)
+                    simulated = _simulated_pair_noise(comb, eta)
                     difference = abs(closed.variance - simulated)
                     sim_text = format(simulated, FLOAT_FORMAT)
                     diff_text = format(difference, FLOAT_FORMAT)
                 else:
-                    spec = OverlapSpec(
-                        total_power=1.0,
-                        aligned_power=1.0 - misalignment,
-                        stray_powers=(misalignment,),
-                        detector_eta=eta,
-                        stray_etas=(eta * STRAY_ETA_FRACTION,),
-                    )
-                    closed = misaligned_noise(spec, gain)
+                    closed = misaligned_noise(specs[misalignment], gain)
                     sim_text = ""
                     diff_text = ""
                 rows.append(
@@ -573,29 +523,28 @@ def cmd_noise_table(gains, etas, misalignments, out_dir=".", fmt="csv"):
                     }
                 )
 
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     header = [
         "gain", "eta", "misalignment", "closed_form", "simulated",
         "abs_difference",
     ]
-    if fmt == "csv":
-        path = out / "noise_table.csv"
-        with path.open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.DictWriter(fh, fieldnames=header)
-            writer.writeheader()
-            writer.writerows(rows)
-    else:
-        path = out / "noise_table.json"
-        path.write_text(
-            json.dumps(rows, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    return _write_table(Path(out_dir), "noise_table", header, rows, fmt)
+
+
+def _misaligned_specs(eta, misalignments):
+    """Check one noise-table efficiency; map each nonzero misalignment to the
+    LO power bookkeeping of its row."""
+    _fraction("eta", eta)
+    return {
+        m: OverlapSpec.from_misalignment(
+            1.0, m, eta, (eta * STRAY_ETA_FRACTION,)
         )
-    return path
+        for m in misalignments
+        if m != 0.0
+    }
 
 
-def _simulated_pair_noise(gain, eta):
+def _simulated_pair_noise(comb, eta):
     """Drive one amplified pair through loss and measure the x-difference."""
-    comb = build_comb(2, AmplifierSpec.from_gain(gain))
     state = amplify_comb(vacuum_state(2), comb)
     (wx, _), = pair_witnesses(comb)
     return measure_witness(state, wx, eta).variance
@@ -663,17 +612,15 @@ def main(argv=None):
             file=sys.stderr,
         )
         return 2
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, UnicodeDecodeError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except ScenarioError as exc:
+    except FieldError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return 3
-    except InternalContractError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
+    except Exception as exc:  # every other failure is the program's own
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc()
         return 4
     for path in written:
         print(path)

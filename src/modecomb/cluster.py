@@ -22,10 +22,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .elements import balanced_beamsplitter, phase_shift, two_mode_squeezer
+from .elements import (
+    _squeezing,
+    balanced_beamsplitter,
+    phase_shift,
+    two_mode_squeezer,
+)
 from .gaussian import (
+    FieldError,
     GaussianState,
     Witness,
+    _integer,
     apply_symplectic,
     purity,
     vacuum_state,
@@ -42,6 +49,10 @@ PHASE_CONVENTIONS = ("odd_mode_minus_half_pi", "none")
 
 #: Allowed sign-pattern readings for the four-mode wire witnesses.
 SIGN_CONVENTIONS = ("decaying", "mirrored", "grouped")
+
+#: Signs of the squeezed (x, p) combinations of an interior wire link on its
+#: modes (2k-1, 2k, 2k+1, 2k+2).
+_INTERIOR_SIGNS = ((1.0, 1.0, -1.0, 1.0), (1.0, 1.0, 1.0, -1.0))
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -95,7 +106,8 @@ class DualRailSpec:
 
     Attributes:
         n_pairs (int): number of EPR sources, at least 2
-        r (float): squeezing parameter shared by all sources
+        r (float): squeezing parameter shared by all sources, in
+            [0, MAX_SQUEEZING]
         phase_convention (str): "odd_mode_minus_half_pi" applies the -pi/2
             rotation that brings the wire to cluster (graph) form; "none"
             leaves the raw beam-splitter outputs
@@ -106,16 +118,14 @@ class DualRailSpec:
     phase_convention: str = "odd_mode_minus_half_pi"
 
     def __post_init__(self):
-        if self.n_pairs < 2:
-            raise ValueError(
-                f"a wire needs at least two EPR sources, got {self.n_pairs}"
-            )
-        if not math.isfinite(self.r) or self.r < 0:
-            raise ValueError(f"squeezing parameter must be >= 0, got {self.r}")
+        n_pairs = _integer("n_pairs", self.n_pairs, 2)
+        object.__setattr__(self, "n_pairs", n_pairs)
+        object.__setattr__(self, "r", _squeezing(self.r))
         if self.phase_convention not in PHASE_CONVENTIONS:
-            raise ValueError(
-                f"phase convention must be one of {PHASE_CONVENTIONS}, "
-                f"got {self.phase_convention!r}"
+            raise FieldError(
+                "phase_convention",
+                f"must be one of {PHASE_CONVENTIONS}, "
+                f"got {self.phase_convention!r}",
             )
 
 
@@ -138,10 +148,10 @@ def _wire_patterns(n_pairs):
     Returns ``(label, x_coeffs, p_coeffs)`` triples over the 2*n_pairs modes,
     before any phase relabeling. Each combination has vacuum variance 4 and
     variance ``4 e^{-2r}`` on the wire, so the normalized witness variance is
-    ``e^{-2r}``. Interior source k contributes a four-mode x-combination
-    (+1, +1, -1, +1) and p-combination (+1, +1, +1, -1) on modes
-    (2k-1 .. 2k+2); the chain ends contribute three-mode combinations with a
-    sqrt(2) weight on the unmixed end modes.
+    ``e^{-2r}``. Interior source k contributes the four-mode x- and
+    p-combinations of :data:`_INTERIOR_SIGNS` on modes (2k-1 .. 2k+2); the
+    chain ends contribute three-mode combinations with a sqrt(2) weight on
+    the unmixed end modes.
     """
     n_modes = 2 * n_pairs
     patterns = []
@@ -157,14 +167,11 @@ def _wire_patterns(n_pairs):
 
     pattern("left_x", [(0, _SQRT2), (1, -1.0), (2, 1.0)], [])
     pattern("left_p", [], [(0, _SQRT2), (1, 1.0), (2, -1.0)])
+    x_signs, p_signs = _INTERIOR_SIGNS
     for k in range(1, n_pairs - 1):
         ms = (2 * k - 1, 2 * k, 2 * k + 1, 2 * k + 2)
-        pattern(
-            f"interior{k - 1}_x", list(zip(ms, (1.0, 1.0, -1.0, 1.0))), []
-        )
-        pattern(
-            f"interior{k - 1}_p", [], list(zip(ms, (1.0, 1.0, 1.0, -1.0)))
-        )
+        pattern(f"interior{k - 1}_x", list(zip(ms, x_signs)), [])
+        pattern(f"interior{k - 1}_p", [], list(zip(ms, p_signs)))
     last = n_modes - 1
     pattern("right_x", [(last - 2, 1.0), (last - 1, 1.0), (last, -_SQRT2)], [])
     pattern("right_p", [], [(last - 2, 1.0), (last - 1, 1.0), (last, _SQRT2)])
@@ -302,21 +309,16 @@ def witness_pair(wire_position, n_pairs, sign_convention="decaying"):
             f"sign convention must be one of {SIGN_CONVENTIONS}, "
             f"got {sign_convention!r}"
         )
-    if n_pairs < 2:
-        raise ValueError(f"a wire needs at least two EPR sources, got {n_pairs}")
     if not 0 <= wire_position <= n_pairs - 3:
         raise ValueError(
             f"wire position {wire_position} is not an interior link of a "
             f"{n_pairs}-source wire (valid: 0 .. {n_pairs - 3})"
         )
-    x_signs = (1.0, 1.0, -1.0, 1.0)
-    p_signs = {
-        "decaying": (1.0, 1.0, 1.0, -1.0),
-        "mirrored": (1.0, 1.0, -1.0, 1.0),
-        "grouped": (1.0, 1.0, -1.0, -1.0),
+    x_signs, p_signs = {
+        "decaying": _INTERIOR_SIGNS,
+        "mirrored": (_INTERIOR_SIGNS[0],) * 2,
+        "grouped": ((1.0, 1.0, -1.0, -1.0),) * 2,
     }[sign_convention]
-    if sign_convention == "grouped":
-        x_signs = (1.0, 1.0, -1.0, -1.0)
     k = wire_position + 1
     modes = (2 * k - 1, 2 * k, 2 * k + 1, 2 * k + 2)
     n_modes = 2 * n_pairs

@@ -11,12 +11,19 @@ summarized by an :class:`OverlapSpec`, consumed by the detection module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .elements import AmplifierSpec, two_mode_squeezer
-from .gaussian import GaussianState, Witness, apply_symplectic
+from .elements import _fraction, two_mode_squeezer
+from .gaussian import (
+    FieldError,
+    GaussianState,
+    Witness,
+    _integer,
+    _real,
+    apply_symplectic,
+)
 
 #: Bands a comb mode can belong to.
 BANDS = ("probe", "conjugate")
@@ -132,10 +139,10 @@ def build_comb(M, amp, cells=1):
     Returns:
         SpatialComb: the comb, ``M * cells`` modes total
     """
-    if M < 2 or M % 2 != 0:
-        raise ValueError(f"mode count per cell must be even and >= 2, got {M}")
-    if cells < 1:
-        raise ValueError(f"cell count must be >= 1, got {cells}")
+    M = _integer("M", M, 2)
+    if M % 2 != 0:
+        raise FieldError("M", f"mode count per cell must be even, got {M}")
+    cells = _integer("cells", cells, 1)
     half = M // 2
     modes = []
     pairs = []
@@ -279,43 +286,59 @@ class OverlapSpec:
     stray_etas: tuple
 
     def __post_init__(self):
-        stray_powers = tuple(float(p) for p in self.stray_powers)
-        stray_etas = tuple(float(e) for e in self.stray_etas)
-        if self.total_power <= 0.0:
-            raise ValueError(f"total power must be positive, got {self.total_power}")
-        if self.aligned_power < 0.0:
-            raise ValueError(
-                f"aligned power must be >= 0, got {self.aligned_power}"
-            )
-        if self.aligned_power > self.total_power * (1 + POWER_BUDGET_TOL):
-            raise ValueError("aligned power exceeds total power")
-        if any(p < 0.0 for p in stray_powers):
-            raise ValueError("stray powers must be >= 0")
+        total = _real("total_power", self.total_power, 0.0, open_low=True)
+        aligned = _real("aligned_power", self.aligned_power, 0.0)
+        stray_powers = tuple(
+            _real("stray_powers", p, 0.0) for p in self.stray_powers
+        )
+        eta = _real("detector_eta", self.detector_eta, 0.0, 1.0, open_low=True)
+        stray_etas = tuple(
+            _real("stray_etas", e, 0.0, eta, open_high=True)
+            for e in self.stray_etas
+        )
+        if aligned > total * (1 + POWER_BUDGET_TOL):
+            raise FieldError("aligned_power", "exceeds total power")
         if len(stray_powers) != len(stray_etas):
-            raise ValueError(
+            raise FieldError(
+                "stray_etas",
                 f"need one efficiency per stray mode: {len(stray_etas)} "
-                f"efficiencies for {len(stray_powers)} stray powers"
+                f"efficiencies for {len(stray_powers)} stray powers",
             )
-        budget = self.total_power - self.aligned_power
+        budget = total - aligned
         if abs(sum(stray_powers) - budget) > POWER_BUDGET_TOL * max(
-            1.0, self.total_power
+            1.0, total
         ):
-            raise ValueError(
-                f"stray powers sum to {sum(stray_powers)}, expected "
-                f"{budget} (total minus aligned)"
+            raise FieldError(
+                "stray_powers",
+                f"sum to {sum(stray_powers)}, expected {budget} (total minus "
+                "aligned)",
             )
-        if not 0.0 < self.detector_eta <= 1.0:
-            raise ValueError(
-                f"detector efficiency must be in (0, 1], got {self.detector_eta}"
-            )
-        for e in stray_etas:
-            if not 0.0 <= e < self.detector_eta:
-                raise ValueError(
-                    f"stray efficiency {e} must lie in [0, detector "
-                    f"efficiency = {self.detector_eta})"
-                )
         object.__setattr__(self, "stray_powers", stray_powers)
         object.__setattr__(self, "stray_etas", stray_etas)
+
+    @classmethod
+    def from_misalignment(cls, total_power, misalignment, detector_eta,
+                          stray_etas):
+        """Keep ``1 - misalignment`` (in [0, 1]) of ``total_power`` on the
+        target mode and split the rest equally over the stray modes, which
+        must exist when ``misalignment > 0``; the budget holds by
+        construction."""
+        misalignment = _fraction("misalignment", misalignment)
+        stray_etas = tuple(stray_etas)
+        if misalignment > 0.0 and not stray_etas:
+            raise FieldError(
+                "stray_etas",
+                "at least one stray mode is required when misalignment > 0",
+            )
+        k = len(stray_etas)
+        share = misalignment * total_power / k if k else 0.0
+        return cls(
+            total_power=total_power,
+            aligned_power=(1.0 - misalignment) * total_power,
+            stray_powers=(share,) * k,
+            detector_eta=detector_eta,
+            stray_etas=stray_etas,
+        )
 
 
 def overlap_spec_from_alignment(
@@ -340,8 +363,6 @@ def overlap_spec_from_alignment(
     Returns:
         OverlapSpec: the resulting power bookkeeping
     """
-    if not 0.0 <= misalignment <= 1.0:
-        raise ValueError(f"misalignment must be in [0, 1], got {misalignment}")
     if not 0 <= target_mode < lo.comb.n_modes:
         raise ValueError(
             f"target mode {target_mode} out of range for {lo.comb.n_modes} modes"
@@ -350,22 +371,6 @@ def overlap_spec_from_alignment(
         raise ValueError(
             f"local oscillator has no weight on target mode {target_mode}"
         )
-    stray_etas = tuple(float(e) for e in stray_etas)
-    if misalignment > 0.0 and not stray_etas:
-        raise ValueError(
-            "misaligned power needs at least one declared stray mode"
-        )
-    total = lo.power
-    aligned = (1.0 - misalignment) * total
-    if stray_etas:
-        share = misalignment * total / len(stray_etas)
-        stray_powers = tuple([share] * len(stray_etas))
-    else:
-        stray_powers = ()
-    return OverlapSpec(
-        total_power=total,
-        aligned_power=aligned,
-        stray_powers=stray_powers,
-        detector_eta=detector_eta,
-        stray_etas=stray_etas,
+    return OverlapSpec.from_misalignment(
+        lo.power, misalignment, detector_eta, stray_etas
     )

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .elements import loss_channel
+from .elements import _fraction, _gain, loss_channel
 from .gaussian import witness_variance
 
 #: Self-consistency budget of a NoiseReport (dB vs variance, component sum).
@@ -72,8 +72,7 @@ def _report(components):
 
 def _gain_correlation(gain):
     """The per-unit-efficiency correlation term ``G - 1 - sqrt(G(G-1))``."""
-    if gain < 1.0:
-        raise ValueError(f"amplifier gain must be >= 1, got {gain}")
+    gain = _gain(gain)
     return gain - 1.0 - math.sqrt(gain * (gain - 1.0))
 
 
@@ -86,16 +85,14 @@ def ideal_epr_noise(gain, eta):
     efficiency ``eta``.
 
     Args:
-        gain (float): intensity gain, at least 1
+        gain (float): intensity gain, in [1, MAX_GAIN]
         eta (float): detector efficiency, in [0, 1]
 
     Returns:
         NoiseReport: variance with components ``shot_noise`` (1) and
         ``gain_correlation`` (the negative squeezing term)
     """
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"efficiency must be in [0, 1], got {eta}")
-    correlation = 2.0 * eta * _gain_correlation(gain)
+    correlation = 2.0 * _fraction("eta", eta) * _gain_correlation(gain)
     return _report({"shot_noise": 1.0, "gain_correlation": correlation})
 
 
@@ -119,7 +116,7 @@ def misaligned_noise(spec, gain):
     Args:
         spec (OverlapSpec): power bookkeeping (its power budget is enforced
             at construction)
-        gain (float): intensity gain, at least 1
+        gain (float): intensity gain, in [1, MAX_GAIN]
 
     Returns:
         NoiseReport: variance with components ``aligned``, ``overlap{i}``

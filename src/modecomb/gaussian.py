@@ -14,6 +14,8 @@ object, so scenarios can be evaluated concurrently without shared state.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,11 +24,65 @@ import numpy as np
 #: beyond this budget indicates a bug upstream, not numerical drift.
 SYMMETRY_TOL = 1e-12
 
-#: Frobenius-norm tolerance on ``S Omega S^T - Omega``.
+#: Frobenius-norm tolerance on ``S Omega S^T - Omega``, per unit of
+#: ``max(1, |S|_F^2)``.
 SYMPLECTIC_TOL = 1e-10
 
 #: Lower bound on the minimum eigenvalue of ``cov + i Omega``.
 PHYSICALITY_TOL = -1e-10
+
+
+class FieldError(ValueError):
+    """Invalid input, raised by the type or function that owns the field.
+
+    Attributes:
+        field (str): dotted path of the offending field, e.g. ``"r"``, to
+            which the owner of an enclosing section prepends its name
+        reason (str): what is wrong with the value
+    """
+
+    def __init__(self, field, reason):
+        super().__init__(f"{field}: {reason}")
+        self.field = field
+        self.reason = reason
+
+
+def _real(field, value, low=-math.inf, high=math.inf, *, open_low=False,
+          open_high=False):
+    """Return ``value`` as a float if it is a finite number, not a bool, in
+    ``[low, high]`` (opened at an end by ``open_low`` / ``open_high``);
+    raise a FieldError naming ``field`` otherwise."""
+    number = math.nan
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:  # an int beyond the float range
+            pass
+    if (
+        math.isfinite(number)
+        and (low < number if open_low else low <= number)
+        and (number < high if open_high else number <= high)
+    ):
+        return number
+    interval = "" if math.isinf(low) and math.isinf(high) else (
+        f" in {'(' if open_low else '['}{low:g}, "
+        f"{high:g}{')' if open_high else ']'}"
+    )
+    raise FieldError(
+        field, f"must be a finite number{interval}, got {value!r}"
+    )
+
+
+def _integer(field, value, low):
+    """Return ``value`` as an int if it is an integer, not a bool, >= ``low``;
+    raise a FieldError naming ``field`` otherwise."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Integral)
+        or value < low
+    ):
+        raise FieldError(field, f"must be an integer >= {low}, got {value!r}")
+    return int(value)
 
 
 def symplectic_form(n_modes):
@@ -115,7 +171,10 @@ class SymplecticTransform:
 
     Raises:
         ValueError: if ``S Omega S^T`` deviates from ``Omega`` by more than
-            :data:`SYMPLECTIC_TOL` in Frobenius norm.
+            :data:`SYMPLECTIC_TOL` times ``max(1, |S|_F^2)`` in Frobenius
+            norm. The bound scales with the matrix because rounding its
+            entries moves ``S Omega S^T`` by about ``eps |S|^2``: a squeezer
+            of strength ``r`` has ``|S|^2 ~ e^{2r}``.
     """
 
     matrix: np.ndarray
@@ -133,9 +192,11 @@ class SymplecticTransform:
             )
         omega = symplectic_form(self.n_modes)
         defect = np.linalg.norm(matrix @ omega @ matrix.T - omega)
-        if defect > SYMPLECTIC_TOL:
+        scale = max(1.0, float(np.linalg.norm(matrix)) ** 2)
+        if not defect <= SYMPLECTIC_TOL * scale:
             raise ValueError(
                 f"matrix is not symplectic: |S Omega S^T - Omega| = {defect:.3e}"
+                f" against |S|^2 = {scale:.3e}"
             )
         object.__setattr__(self, "matrix", matrix)
 

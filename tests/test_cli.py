@@ -2,12 +2,15 @@
 
 import csv
 import json
+import math
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
-from modecomb.cli import main, parse_scenario, ScenarioError
+import modecomb.cli
+from modecomb.cli import DetectionConfig, main, parse_scenario, ScenarioError
 
 
 def write_config(path, payload):
@@ -160,6 +163,12 @@ def test_missing_file_is_a_parse_failure(tmp_path):
     assert main(["simulate", str(tmp_path / "nope.json")]) == 2
 
 
+def test_file_that_is_not_utf8_is_a_parse_failure(tmp_path):
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes(b'{"name": "caf\xe9"}')
+    assert main(["simulate", str(bad)]) == 2
+
+
 @pytest.mark.parametrize(
     "payload, field",
     [
@@ -210,6 +219,75 @@ def test_missing_file_is_a_parse_failure(tmp_path):
         ),
         ({"name": "x"}, "config"),
         ({"name": "x", "comb": {"M": 2, "r": 0.5}, "version": "v2"}, "version"),
+        (
+            {
+                "name": "x",
+                "comb": {"M": 2, "r": 0.5},
+                "sweep": {
+                    "parameter": "detection.misalignment",
+                    "values": [0.0, 0.1],
+                },
+            },
+            "sweep.values[1].detection.stray_etas",
+        ),
+        ({"name": "x", "comb": [1]}, "comb"),
+        (
+            {"name": "x", "comb": {"M": 2, "r": 0.5}, "detection": [1]},
+            "detection",
+        ),
+        ({"name": "x", "wire": {"n_pairs": 2, "r": 1000}}, "wire.r"),
+        ({"name": "x", "comb": {"M": 2, "r": 1000}}, "comb.r"),
+        (
+            {
+                "name": "x",
+                "comb": {"M": 2, "r": 0.5},
+                "sweep": {"parameter": "comb.r", "values": [0.5, 1000]},
+            },
+            "sweep.values[1].comb.r",
+        ),
+        (
+            {
+                "name": "x",
+                "comb": {"M": 2, "r": 0.5},
+                "sweep": {"parameter": "detection.eta_d", "values": [0.5, 0]},
+            },
+            "sweep.values[1].detection.eta_d",
+        ),
+        ({"name": "x", "comb": {"M": 2, "gain": math.inf}}, "comb.gain"),
+        ({"name": "x", "comb": {"M": 2, "r": math.nan}}, "comb.r"),
+        (
+            {
+                "name": "x",
+                "comb": {"M": 2, "r": 0.5},
+                "sweep": {"parameter": "detection.eta_d", "values": [2.0]},
+            },
+            "sweep.values[0].detection.eta_d",
+        ),
+        (
+            {
+                "name": "x",
+                "comb": {"M": 2, "r": 0.5},
+                "detection": {
+                    "eta_d": 0.9,
+                    "misalignment": 0.1,
+                    "stray_etas": [0.5],
+                },
+                "sweep": {"parameter": "detection.eta_d", "values": [0.4]},
+            },
+            "sweep.values[0].detection.stray_etas",
+        ),
+        ({"name": "x", "wire": {"n_pairs": 2, "r": 7.5}}, "wire.r"),
+        ({"name": "x", "comb": {"M": 2, "r": "0.5"}}, "comb.r"),
+        ({"name": "x", "comb": {"M": 2, "gain": True}}, "comb.gain"),
+        (
+            {
+                "name": "x",
+                "comb": {"M": 2, "r": 0.5},
+                "detection": {"eta_d": True},
+            },
+            "detection.eta_d",
+        ),
+        ({"name": "x", "wire": {"n_pairs": 2, "r": True}}, "wire.r"),
     ],
 )
 def test_validation_errors_name_the_offending_field(
@@ -217,13 +295,121 @@ def test_validation_errors_name_the_offending_field(
 ):
     config = write_config(tmp_path / "scenario.json", payload)
     assert main(["simulate", config, "--out-dir", str(tmp_path)]) == 3
-    assert field in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert field in err.splitlines()[0]
+    assert "Traceback" not in err
+
+
+#: A scenario with every numeric field set to a valid value.
+EVERY_FIELD = {
+    "name": "x",
+    "seed": 1,
+    "comb": {"M": 2, "cells": 1, "r": 0.5},
+    "wire": {"n_pairs": 2, "r": 0.5},
+    "detection": {"eta_d": 0.9, "misalignment": 0.0, "stray_etas": [0.5]},
+    "sweep": {"parameter": "wire.r", "values": [0.5]},
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "section, key, field",
+    [
+        ("comb", "M", "comb.M"),
+        ("comb", "cells", "comb.cells"),
+        ("comb", "r", "comb.r"),
+        ("comb", "gain", "comb.gain"),
+        ("wire", "n_pairs", "wire.n_pairs"),
+        ("wire", "r", "wire.r"),
+        ("detection", "eta_d", "detection.eta_d"),
+        ("detection", "misalignment", "detection.misalignment"),
+        ("detection", "stray_etas", "detection.stray_etas"),
+        ("sweep", "values", "sweep.values[0].wire.r"),
+        (None, "seed", "config.seed"),
+    ],
+)
+def test_non_finite_numbers_are_rejected_by_field(
+    tmp_path, capsys, section, key, field, bad
+):
+    payload = json.loads(json.dumps(EVERY_FIELD))
+    target = payload if section is None else payload[section]
+    if key == "gain":
+        del target["r"]
+    target[key] = [bad] if key in ("stray_etas", "values") else bad
+    # JSON as Python writes and reads it: NaN, Infinity and -Infinity.
+    config = write_config(tmp_path / "scenario.json", payload)
+    assert main(["simulate", config, "--out-dir", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert field in err.splitlines()[0]
+    assert "Traceback" not in err
+
+
+def test_every_sweep_point_is_validated_before_any_compute(
+    tmp_path, capsys, monkeypatch
+):
+    measured = []
+    monkeypatch.setattr(
+        modecomb.cli, "measure_witness", lambda *args: measured.append(args)
+    )
+    config = write_config(
+        tmp_path / "scenario.json",
+        {
+            "name": "late",
+            "wire": {"n_pairs": 2, "r": 0.5},
+            "sweep": {"parameter": "wire.r", "values": [0.1, 0.2, 7.5]},
+        },
+    )
+    assert main(["simulate", config, "--out-dir", str(tmp_path)]) == 3
+    assert "sweep.values[2].wire.r" in capsys.readouterr().err
+    assert measured == []
+    assert not (tmp_path / "late_witness.csv").exists()
+
+
+def test_internal_fault_exits_4_not_as_user_error(
+    tmp_path, capsys, monkeypatch
+):
+    def broken(*args):
+        raise ValueError("broken invariant")
+
+    monkeypatch.setattr(modecomb.cli, "measure_witness", broken)
+    config = write_config(tmp_path / "scenario.json", MINIMAL)
+    assert main(["simulate", config, "--out-dir", str(tmp_path)]) == 4
+    first = capsys.readouterr().err.splitlines()[0]
+    assert first.startswith("internal error")
+    assert "broken invariant" in first
+
+
+def test_wire_at_a_formerly_rejected_squeezing_simulates(tmp_path):
+    # r = 6.375 is the first r on a 0.001 grid whose squeezer failed an
+    # absolute symplectic tolerance.
+    config = write_config(
+        tmp_path / "wire.json",
+        {"name": "wire", "wire": {"n_pairs": 3, "r": 6.375}},
+    )
+    assert main(["simulate", config, "--out-dir", str(tmp_path)]) == 0
+    graph = json.loads((tmp_path / "wire_graph.json").read_text())
+    assert graph["nullifier_residual"] < 1e-8
 
 
 def test_parse_scenario_error_carries_field_attribute():
     with pytest.raises(ScenarioError) as excinfo:
         parse_scenario({"name": "x", "comb": {"M": 3, "r": 0.5}})
     assert excinfo.value.field == "comb.M"
+
+
+def test_detection_config_checks_every_replacement():
+    base = DetectionConfig(eta_d=0.9, misalignment=0.1, stray_etas=[0.5])
+    assert base.stray_etas == (0.5,)
+    for change, field in (
+        ({"eta_d": 0.0}, "eta_d"),
+        ({"eta_d": 0.4}, "stray_etas"),
+        ({"misalignment": 1.5}, "misalignment"),
+        ({"stray_etas": ()}, "stray_etas"),
+        ({"stray_etas": 0.5}, "stray_etas"),
+    ):
+        with pytest.raises(ScenarioError) as excinfo:
+            replace(base, **change)
+        assert excinfo.value.field == field
 
 
 def test_decompose_network_roundtrip(tmp_path):
@@ -278,6 +464,61 @@ def test_decompose_rejects_invalid_elements(tmp_path, elements):
     assert main(["decompose", network, "--out-dir", str(tmp_path)]) == 3
 
 
+SQUEEZER = {"type": "two_mode_squeezer", "modes": [0, 1], "r": 0.5}
+SPLITTER = {"type": "beamsplitter", "modes": [0, 1], "theta": 0.5, "phi": 0.1}
+
+
+@pytest.mark.parametrize(
+    "n_modes, element, field",
+    [
+        (2, [dict(SQUEEZER, r=6.9)] * 5, "network.elements[1]"),
+        (2, [dict(SQUEEZER, r=6.9)] * 30, "network.elements[1]"),
+        (2, dict(SQUEEZER, r=1000), "network.elements[0].r"),
+        (2, dict(SQUEEZER, r="0.5"), "network.elements[0].r"),
+        (2, dict(SQUEEZER, modes=[True, 1]), "network.elements[0].modes"),
+        (2, dict(SPLITTER, theta=math.inf), "network.elements[0].theta"),
+        (2, dict(SQUEEZER, r=math.nan), "network.elements[0].r"),
+        (2, dict(SQUEEZER, phase=-math.inf), "network.elements[0].phase"),
+        (2, dict(SPLITTER, phi=math.nan), "network.elements[0].phi"),
+        (
+            2,
+            {"type": "phase_shift", "modes": [1], "phi": math.inf},
+            "network.elements[0].phi",
+        ),
+        (math.nan, SQUEEZER, "network.n_modes"),
+        (True, SQUEEZER, "network.n_modes"),
+    ],
+)
+def test_decompose_errors_name_the_offending_field(
+    tmp_path, capsys, n_modes, element, field
+):
+    elements = element if isinstance(element, list) else [element]
+    network = write_config(
+        tmp_path / "network.json",
+        {"version": "v1", "n_modes": n_modes, "elements": elements},
+    )
+    assert main(["decompose", network, "--out-dir", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert field in err.splitlines()[0]
+    assert "Traceback" not in err
+
+
+def test_decompose_accepts_networks_within_the_squeezing_reach(tmp_path):
+    strongest = dict(SQUEEZER, r=6.9)
+    for name, elements, squeeze in (
+        ("one", [strongest], [6.9, 6.9]),
+        ("undone", [strongest, dict(strongest, phase=math.pi)], [0.0, 0.0]),
+    ):
+        network = write_config(
+            tmp_path / f"{name}.json", {"n_modes": 2, "elements": elements}
+        )
+        assert main(["decompose", network, "--out-dir", str(tmp_path)]) == 0
+        report = json.loads(
+            (tmp_path / f"{name}_decomposition.json").read_text()
+        )
+        assert report["squeeze"] == pytest.approx(squeeze, abs=1e-6)
+
+
 def test_noise_table_diff_column_is_tiny(tmp_path):
     assert main(
         [
@@ -299,6 +540,41 @@ def test_noise_table_diff_column_is_tiny(tmp_path):
             assert row["abs_difference"] == ""
     gains = [float(row["gain"]) for row in rows]
     assert gains == sorted(gains)
+
+
+@pytest.mark.parametrize(
+    "gains, etas, misalignments, field",
+    [
+        ("0.5", "1", "0", "gains[0].gain"),
+        ("2,1e308", "1", "0", "gains[1].gain"),
+        ("nan", "1", "0", "gains[0].gain"),
+        ("inf", "1", "0", "gains[0].gain"),
+        ("2", "1.5", "0", "etas[0].eta"),
+        ("2", "0.5,-0.1", "0", "etas[1].eta"),
+        ("2", "0.5,-inf", "0", "etas[1].eta"),
+        ("2", "0", "0,0.1", "etas[0].detector_eta"),
+        ("2", "1", "1.5", "misalignments[0].misalignment"),
+        ("2", "1", "0,-0.2", "misalignments[1].misalignment"),
+        ("2", "1", "nan", "misalignments[0].misalignment"),
+    ],
+)
+def test_noise_table_rejects_out_of_range_values(
+    tmp_path, capsys, gains, etas, misalignments, field
+):
+    code = main(
+        [
+            "noise-table",
+            "--gains", gains,
+            "--etas", etas,
+            "--misalignments", misalignments,
+            "--out-dir", str(tmp_path),
+        ]
+    )
+    assert code == 3
+    err = capsys.readouterr().err
+    assert field in err.splitlines()[0]
+    assert "Traceback" not in err
+    assert not (tmp_path / "noise_table.csv").exists()
 
 
 def test_noise_table_json_format(tmp_path):

@@ -8,6 +8,7 @@ import pytest
 from modecomb import (
     AmplifierSpec,
     DualRailSpec,
+    FieldError,
     GraphSpec,
     NotAGraphStateError,
     amplify_comb,
@@ -90,6 +91,22 @@ def test_dual_rail_spec_validation():
         DualRailSpec(n_pairs=4, r=-0.5)
     with pytest.raises(ValueError):
         DualRailSpec(n_pairs=4, r=1.0, phase_convention="swap")
+
+
+def test_dual_rail_spec_names_the_offending_field():
+    cases = [
+        ({"n_pairs": 1, "r": 1.0}, "n_pairs"),
+        ({"n_pairs": True, "r": 1.0}, "n_pairs"),
+        ({"n_pairs": 4, "r": 7.5}, "r"),
+        ({"n_pairs": 4, "r": True}, "r"),
+        ({"n_pairs": 4, "r": float("inf")}, "r"),
+        ({"n_pairs": 4, "r": 1.0, "phase_convention": ["none"]},
+         "phase_convention"),
+    ]
+    for kwargs, field in cases:
+        with pytest.raises(FieldError) as excinfo:
+            DualRailSpec(**kwargs)
+        assert excinfo.value.field == field
 
 
 def test_interior_witness_pair_conventions():

@@ -5,6 +5,7 @@ import pytest
 
 from modecomb import (
     AmplifierSpec,
+    FieldError,
     ModeLabel,
     OverlapSpec,
     SpatialComb,
@@ -69,6 +70,17 @@ def test_build_comb_rejects_bad_shapes():
         build_comb(0, amp)
     with pytest.raises(ValueError):
         build_comb(4, amp, cells=0)
+
+
+def test_build_comb_names_the_offending_field():
+    amp = AmplifierSpec.from_gain(2.0)
+    for m, cells, field in (
+        (3, 1, "M"), (True, 1, "M"), (2.0, 1, "M"), (None, 1, "M"),
+        (4, 0, "cells"), (4, "1", "cells"),
+    ):
+        with pytest.raises(FieldError) as excinfo:
+            build_comb(m, amp, cells)
+        assert excinfo.value.field == field
 
 
 def test_spatial_comb_rejects_broken_pairing():
@@ -183,6 +195,25 @@ def test_overlap_spec_enforces_power_budget():
         OverlapSpec(1.0, 0.9, (0.1,), 0.0, (0.0,))  # detector eta zero
     with pytest.raises(ValueError):
         OverlapSpec(0.0, 0.0, (), 0.95, ())  # no power at all
+
+
+def test_overlap_spec_from_misalignment_splits_power_exactly():
+    spec = OverlapSpec.from_misalignment(1.0, 0.3, 0.9, (0.2, 0.4, 0.6))
+    assert spec.aligned_power == 1.0 - 0.3
+    assert spec.stray_powers == (0.3 / 3,) * 3
+    assert spec.stray_etas == (0.2, 0.4, 0.6)
+    cases = [
+        ((1.0, 0.1, 0.9, ()), "stray_etas"),
+        ((1.0, 1.5, 0.9, (0.5,)), "misalignment"),
+        ((1.0, 0.1, 0.0, (0.0,)), "detector_eta"),
+        ((1.0, 0.1, 0.9, (0.95,)), "stray_etas"),
+        ((1.0, 0.1, float("nan"), (0.5,)), "detector_eta"),
+        ((0.0, 0.0, 0.9, ()), "total_power"),
+    ]
+    for args, field in cases:
+        with pytest.raises(FieldError) as excinfo:
+            OverlapSpec.from_misalignment(*args)
+        assert excinfo.value.field == field
 
 
 def test_overlap_spec_from_alignment_splits_power_equally(comb8):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from modecomb import (
     AmplifierSpec,
+    FieldError,
     Witness,
     apply_symplectic,
     balanced_beamsplitter,
@@ -22,6 +23,7 @@ from modecomb import (
     vacuum_state,
     witness_variance,
 )
+from modecomb.elements import MAX_GAIN, MAX_SQUEEZING
 
 # exp(-2r) for r = 1, the two-mode squeezed witness floor
 EXP_MINUS_TWO = 0.1353352832366127
@@ -84,6 +86,41 @@ def test_two_mode_squeezer_rejects_bad_strength():
         two_mode_squeezer(-0.5)
     with pytest.raises(ValueError):
         two_mode_squeezer(float("nan"))
+
+
+def test_squeezing_and_gain_rules_end_at_the_documented_reach():
+    assert two_mode_squeezer(MAX_SQUEEZING).n_modes == 2
+    assert AmplifierSpec.from_gain(MAX_GAIN).r == pytest.approx(
+        MAX_SQUEEZING, abs=1e-12
+    )
+    for bad in (MAX_SQUEEZING * (1 + 1e-12), 1000, -0.1, math.nan, math.inf,
+                True, "0.5", None):
+        for build in (two_mode_squeezer, squeezing_to_gain,
+                      AmplifierSpec.from_squeezing):
+            with pytest.raises(FieldError) as excinfo:
+                build(bad)
+            assert excinfo.value.field == "r"
+    for bad in (MAX_GAIN * (1 + 1e-12), 1e308, 0.5, math.nan, -math.inf,
+                True, "2"):
+        for build in (gain_to_squeezing, AmplifierSpec.from_gain):
+            with pytest.raises(FieldError) as excinfo:
+                build(bad)
+            assert excinfo.value.field == "gain"
+
+
+def test_element_angles_and_efficiencies_are_finite_numbers():
+    cases = [
+        (beamsplitter, "theta"),
+        (lambda v: beamsplitter(0.1, v), "phi"),
+        (phase_shift, "phi"),
+        (lambda v: two_mode_squeezer(0.5, v), "phase"),
+        (lambda v: loss_channel(vacuum_state(1), 0, v), "eta"),
+    ]
+    for build, field in cases:
+        for bad in (math.nan, math.inf, -math.inf, True, "0.1"):
+            with pytest.raises(FieldError) as excinfo:
+                build(bad)
+            assert excinfo.value.field == field
 
 
 def test_two_mode_squeezer_pump_phase_rotates_correlation():

@@ -75,6 +75,24 @@ def test_symplectic_transform_rejects_non_symplectic():
         SymplecticTransform(bad, 2)
 
 
+def test_squeezer_defect_stays_at_rounding_level_relative_to_its_scale():
+    # The rounding of cosh^2 - sinh^2 grows as eps e^{2r}; an absolute bound
+    # rejected 53 of these r, the first at 6.375.
+    omega = symplectic_form(2)
+    for r in [i / 1000 for i in range(6901)]:
+        s = two_mode_squeezer(r).matrix
+        defect = np.linalg.norm(s @ omega @ s.T - omega)
+        assert defect <= 1e-15 * max(1.0, np.linalg.norm(s) ** 2), r
+
+
+@pytest.mark.parametrize("r", [0.5, 3.0, 6.5])
+def test_relative_symplectic_check_still_rejects_a_perturbed_squeezer(r):
+    matrix = two_mode_squeezer(r).matrix.copy()
+    matrix[0, 1] *= 1.0 + 1e-8
+    with pytest.raises(ValueError, match="symplectic"):
+        SymplecticTransform(matrix, 2)
+
+
 def test_inverse_composes_to_identity():
     rng = np.random.default_rng(11)
     for _ in range(20):
