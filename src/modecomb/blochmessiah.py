@@ -10,7 +10,9 @@ The construction runs in the complex (annihilation-operator) picture, where
 S corresponds to the Bogoliubov pair ``a' = E a + F conj(a)``. A singular
 value decomposition ``E = A cosh(r) B^+`` supplies the passive factors and
 the squeeze spectrum; a Takagi gauge rotation inside each degenerate
-singular-value group aligns the anomalous block ``F`` with ``sinh(r)``.
+singular-value group aligns the anomalous block ``F`` with ``sinh(r)``;
+the Takagi factor is completed by a square root of a symmetric unitary
+(:func:`_unitary_sqrt`), so numpy's SVD and eigenvalues are all it needs.
 Because the passive factors are built directly from unitary matrices, they
 are orthogonal symplectic to machine precision even when the spectrum is
 degenerate or nearly so.
@@ -21,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .gaussian import SymplecticTransform
 
@@ -127,12 +128,29 @@ def _real_orthogonal(unitary):
     return np.block([[x, -y], [y, x]])
 
 
+def _unitary_sqrt(x):
+    """A square root of a unitary matrix that is a function of it.
+
+    The spectrum is turned by ``e^{-i alpha}`` so that -1 sits in the middle
+    of its widest gap on the unit circle; the unitary polar factor of
+    ``I + e^{-i alpha} x`` is then the principal root of the turned matrix,
+    and is well conditioned. Being a function of ``x``, the root is
+    symmetric whenever ``x`` is, also with eigenvalues at +-1.
+    """
+    angles = np.sort(np.angle(np.linalg.eigvals(x)))
+    gaps = np.diff(angles, append=angles[0] + 2 * np.pi)
+    widest = np.argmax(gaps)
+    alpha = angles[widest] + 0.5 * gaps[widest] - np.pi
+    u, _, vh = np.linalg.svd(np.eye(len(x)) + np.exp(-1j * alpha) * x)
+    return np.exp(0.5j * alpha) * (u @ vh)
+
+
 def _takagi(block):
     """Autonne-Takagi factorization of a complex symmetric matrix.
 
     Returns (W, d) with W unitary and d nonnegative descending such that
     ``block = W diag(d) W^T``. Within degenerate singular-value subspaces
-    the factor is completed via a matrix square root.
+    the factor is completed by the square root of a symmetric unitary.
     """
     if block.shape == (1, 1):
         value = block[0, 0]
@@ -140,12 +158,11 @@ def _takagi(block):
         return unitary, np.array([abs(value)])
     v, svals, wh = np.linalg.svd(block)
     w = wh.conj().T
-    roots = []
+    root = np.zeros(block.shape, dtype=complex)
     for start, count in _degenerate_groups(svals):
         sub = slice(start, start + count)
-        roots.append(scipy.linalg.sqrtm(v[:, sub].T @ w[:, sub]))
-    unitary = v @ np.conj(scipy.linalg.block_diag(*roots))
-    return unitary, svals
+        root[sub, sub] = _unitary_sqrt(v[:, sub].T @ w[:, sub])
+    return v @ np.conj(root), svals
 
 
 def decompose(transform):
@@ -186,14 +203,11 @@ def decompose(transform):
     # of sqrt(machine-epsilon) noise, and resolves the spectrum correctly
     # even when nearly-equal values fall into one group.
     sinh_vals = np.zeros(n)
-    gauge_blocks = []
+    gauge = np.zeros((n, n), dtype=complex)
     for start, count in _degenerate_groups(e_svals):
         sub = slice(start, start + count)
         block = coupling[sub, sub]
-        unitary, values = _takagi(0.5 * (block + block.T))
-        gauge_blocks.append(unitary)
-        sinh_vals[sub] = values
-    gauge = scipy.linalg.block_diag(*gauge_blocks)
+        gauge[sub, sub], sinh_vals[sub] = _takagi(0.5 * (block + block.T))
 
     squeeze = np.arcsinh(sinh_vals)
     squeeze[squeeze < SQUEEZE_CLAMP] = 0.0

@@ -13,10 +13,11 @@ Subcommands:
   value where defined.
 
 Exit codes: 0 success, 2 parse failure (malformed JSON or argument lists,
-missing or non-UTF-8 files), 3 validation failure, 4 any other failure;
-nothing exits with 1. Each input rule lives in the type or function that
-owns the field and raises a :class:`~modecomb.gaussian.FieldError`; this
-module only prepends the section (``comb.``, ``wire.``, ``detection.``,
+missing, unreadable or non-UTF-8 files, integer literals too long to
+convert), 3 validation failure, 4 any other failure; nothing exits with 1.
+Each input rule lives in the type or function that owns the field and
+raises a :class:`~modecomb.gaussian.FieldError`; this module only prepends
+the section (``comb.``, ``wire.``, ``detection.``,
 ``network.elements[i].``, ``sweep.values[i].``, ``gains[i].``, ...), so a
 validation failure always names a dotted field. Every sweep point and grid
 value is validated before anything is computed. Any other exception is an
@@ -61,7 +62,13 @@ from .comb import (
 )
 from .detection import ideal_epr_noise, measure_witness, misaligned_noise
 from .elements import AmplifierSpec, _fraction
-from .gaussian import FieldError, SymplecticTransform, _integer, vacuum_state
+from .gaussian import (
+    MAX_MODES,
+    FieldError,
+    SymplecticTransform,
+    _integer,
+    vacuum_state,
+)
 
 CONFIG_VERSION = "v1"
 
@@ -72,6 +79,28 @@ FLOAT_FORMAT = ".12g"
 #: Validation errors of scenario and network files; ``.field`` is the dotted
 #: path of the offending field, e.g. ``"comb.M"``.
 ScenarioError = FieldError
+
+
+class ParseError(Exception):
+    """An input file that cannot be read or decoded as JSON (exit 2)."""
+
+
+def _load_json(path):
+    """Read and decode a UTF-8 JSON input file.
+
+    Raises:
+        ParseError: the file is missing or unreadable, is not UTF-8 or not
+            JSON, nests too deeply, or holds an integer literal longer than
+            Python converts (``sys.get_int_max_str_digits()``).
+    """
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ParseError(
+            f"line {exc.lineno} column {exc.colno}: {exc.msg}"
+        ) from exc
+    except (OSError, ValueError, RecursionError) as exc:
+        raise ParseError(str(exc)) from exc
 
 
 @dataclass(frozen=True)
@@ -339,8 +368,7 @@ def run_scenario(config_path, out_dir=".", fmt="csv"):
     Returns:
         list[Path]: the written file paths
     """
-    text = Path(config_path).read_text(encoding="utf-8")
-    scenario = parse_scenario(json.loads(text))
+    scenario = parse_scenario(_load_json(config_path))
 
     sweep = scenario.sweep
     parameter, points = (
@@ -401,7 +429,7 @@ def _parse_network(raw):
     """Compose a network file into one SymplecticTransform."""
     if not isinstance(raw, dict):
         raise FieldError("network", "top level must be an object")
-    n_modes = _integer("network.n_modes", raw.get("n_modes"), 1)
+    n_modes = _integer("network.n_modes", raw.get("n_modes"), 1, MAX_MODES)
     entries = raw.get("elements", [])
     if not isinstance(entries, list):
         raise FieldError("network.elements", "must be a list")
@@ -458,8 +486,7 @@ def apply_symplectic_matrix(n_modes, transform, modes):
 
 def cmd_decompose(network_path, out_dir="."):
     """Decompose a network file; write and return the JSON report path."""
-    text = Path(network_path).read_text(encoding="utf-8")
-    total = _parse_network(json.loads(text))
+    total = _parse_network(_load_json(network_path))
     result = bloch_messiah_decompose(total)
     error = float(np.linalg.norm(recompose(result).matrix - total.matrix))
     report = {
@@ -606,13 +633,7 @@ def main(argv=None):
                     args.out_dir, args.format,
                 )
             ]
-    except json.JSONDecodeError as exc:
-        print(
-            f"parse error: line {exc.lineno} column {exc.colno}: {exc.msg}",
-            file=sys.stderr,
-        )
-        return 2
-    except (FileNotFoundError, UnicodeDecodeError) as exc:
+    except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
     except FieldError as exc:

@@ -29,6 +29,7 @@ from .elements import (
     two_mode_squeezer,
 )
 from .gaussian import (
+    MAX_MODES,
     FieldError,
     GaussianState,
     Witness,
@@ -105,7 +106,8 @@ class DualRailSpec:
     """Parameters of a dual-rail quantum wire.
 
     Attributes:
-        n_pairs (int): number of EPR sources, at least 2
+        n_pairs (int): number of EPR sources, at least 2 and at most
+            ``MAX_MODES / 2``
         r (float): squeezing parameter shared by all sources, in
             [0, MAX_SQUEEZING]
         phase_convention (str): "odd_mode_minus_half_pi" applies the -pi/2
@@ -118,7 +120,7 @@ class DualRailSpec:
     phase_convention: str = "odd_mode_minus_half_pi"
 
     def __post_init__(self):
-        n_pairs = _integer("n_pairs", self.n_pairs, 2)
+        n_pairs = _integer("n_pairs", self.n_pairs, 2, MAX_MODES // 2)
         object.__setattr__(self, "n_pairs", n_pairs)
         object.__setattr__(self, "r", _squeezing(self.r))
         if self.phase_convention not in PHASE_CONVENTIONS:

@@ -17,6 +17,7 @@ import numpy as np
 
 from .elements import _fraction, two_mode_squeezer
 from .gaussian import (
+    MAX_MODES,
     FieldError,
     GaussianState,
     Witness,
@@ -134,15 +135,16 @@ def build_comb(M, amp, cells=1):
     Args:
         M (int): modes per cell; even, at least 2
         amp (AmplifierSpec): shared amplifier operating point
-        cells (int): number of independent gain regions, at least 1
+        cells (int): number of independent gain regions, at least 1, with
+            ``M * cells`` at most ``MAX_MODES``
 
     Returns:
         SpatialComb: the comb, ``M * cells`` modes total
     """
-    M = _integer("M", M, 2)
+    M = _integer("M", M, 2, MAX_MODES)
     if M % 2 != 0:
         raise FieldError("M", f"mode count per cell must be even, got {M}")
-    cells = _integer("cells", cells, 1)
+    cells = _integer("cells", cells, 1, MAX_MODES // M)
     half = M // 2
     modes = []
     pairs = []

@@ -31,6 +31,11 @@ SYMPLECTIC_TOL = 1e-10
 #: Lower bound on the minimum eigenvalue of ``cov + i Omega``.
 PHYSICALITY_TOL = -1e-10
 
+#: Largest total mode count N of a comb, wire or network. A 2N x 2N float64
+#: matrix takes 32 N^2 bytes, so a state at the bound holds its covariance,
+#: its factor and one copy of each in 4 * 32 * 4096^2 bytes = 2.1 GB.
+MAX_MODES = 4096
+
 
 class FieldError(ValueError):
     """Invalid input, raised by the type or function that owns the field.
@@ -73,15 +78,22 @@ def _real(field, value, low=-math.inf, high=math.inf, *, open_low=False,
     )
 
 
-def _integer(field, value, low):
-    """Return ``value`` as an int if it is an integer, not a bool, >= ``low``;
-    raise a FieldError naming ``field`` otherwise."""
+def _integer(field, value, low, high=math.inf):
+    """Return ``value`` as an int if it is an integer, not a bool, in
+    ``[low, high]``; raise a FieldError naming ``field`` otherwise. ``high``
+    bounds a mode count, so its message cites :data:`MAX_MODES`."""
     if (
         isinstance(value, bool)
         or not isinstance(value, numbers.Integral)
         or value < low
     ):
         raise FieldError(field, f"must be an integer >= {low}, got {value!r}")
+    if value > high:
+        raise FieldError(
+            field,
+            f"must be at most {high}, got {value!r}: a state has at most "
+            f"MAX_MODES = {MAX_MODES} modes",
+        )
     return int(value)
 
 

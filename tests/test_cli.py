@@ -3,14 +3,18 @@
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
+import time
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 import modecomb.cli
 from modecomb.cli import DetectionConfig, main, parse_scenario, ScenarioError
+from modecomb.gaussian import MAX_MODES
 
 
 def write_config(path, payload):
@@ -167,6 +171,79 @@ def test_file_that_is_not_utf8_is_a_parse_failure(tmp_path):
     bad = tmp_path / "latin1.json"
     bad.write_bytes(b'{"name": "caf\xe9"}')
     assert main(["simulate", str(bad)]) == 2
+
+
+#: An integer literal longer than Python converts (4,300 digits by default).
+LONG_INTEGER = "1" * 5000
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("simulate", '{"name": "x", "comb": {"M": 2, "r": %s}}' % LONG_INTEGER),
+        ("decompose", '{"n_modes": %s, "elements": []}' % LONG_INTEGER),
+        ("simulate", "[" * 100_000 + "]" * 100_000),
+    ],
+    ids=["long-integer-simulate", "long-integer-decompose", "deep-nesting"],
+)
+def test_undecodable_json_is_a_parse_failure(tmp_path, capsys, command, text):
+    path = tmp_path / "input.json"
+    path.write_text(text, encoding="utf-8")
+    assert main([command, str(path), "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command, payload, field",
+    [
+        ("simulate", {"name": "x", "comb": {"M": 10**30, "r": 0.5}}, "comb.M"),
+        (
+            "simulate",
+            {"name": "x", "comb": {"M": 2, "cells": 10**30, "r": 0.5}},
+            "comb.cells",
+        ),
+        (
+            "simulate",
+            {"name": "x", "wire": {"n_pairs": 10**30, "r": 0.5}},
+            "wire.n_pairs",
+        ),
+        ("decompose", {"n_modes": 10**30, "elements": []}, "network.n_modes"),
+    ],
+)
+def test_huge_mode_counts_are_rejected_at_once(
+    tmp_path, capsys, command, payload, field
+):
+    path = write_config(tmp_path / "input.json", payload)
+    start = time.perf_counter()
+    assert main([command, path, "--out-dir", str(tmp_path)]) == 3
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert field in err.splitlines()[0]
+    assert "Traceback" not in err
+
+
+def test_mode_bound_counts_every_cell_and_admits_the_largest_sizes():
+    def comb(M, cells):
+        return {"name": "x", "comb": {"M": M, "cells": cells, "r": 0.5}}
+
+    assert parse_scenario(comb(1600, 1)).comb.n_modes == 1600
+    assert parse_scenario(comb(MAX_MODES, 1)).comb.n_modes == MAX_MODES
+    assert parse_scenario(comb(2, MAX_MODES // 2)).comb.n_modes == MAX_MODES
+    wire = parse_scenario({"name": "x", "wire": {"n_pairs": 256, "r": 0.5}})
+    assert wire.wire.n_pairs == 256
+    for payload, field in (
+        (comb(MAX_MODES + 2, 1), "comb.M"),
+        (comb(MAX_MODES // 2, 3), "comb.cells"),
+        (
+            {"name": "x", "wire": {"n_pairs": MAX_MODES // 2 + 1, "r": 0.5}},
+            "wire.n_pairs",
+        ),
+    ):
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(payload)
+        assert err.value.field == field
 
 
 @pytest.mark.parametrize(
@@ -591,6 +668,23 @@ def test_noise_table_json_format(tmp_path):
     rows = json.loads((tmp_path / "noise_table.json").read_text())
     assert len(rows) == 1
     assert float(rows[0]["closed_form"]) == pytest.approx(0.171573, abs=1e-6)
+
+
+def test_importing_the_cli_loads_no_scipy():
+    code = (
+        "import sys, modecomb.cli; print(sorted(m for m in sys.modules "
+        "if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    src = str(Path(modecomb.cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert result.stdout.strip() == "[]"
 
 
 def test_console_entry_point_runs(tmp_path):
