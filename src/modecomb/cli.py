@@ -67,6 +67,7 @@ from .gaussian import (
     FieldError,
     SymplecticTransform,
     _integer,
+    _quadrature_rows,
     vacuum_state,
 )
 
@@ -269,6 +270,14 @@ def _parse_sweep(raw, scenario):
     )
 
 
+def _check_version(raw, field):
+    """Reject an input file whose ``version`` is set to anything but
+    :data:`CONFIG_VERSION`; a missing one means that version."""
+    version = raw.get("version", CONFIG_VERSION)
+    if version != CONFIG_VERSION:
+        raise FieldError(field, f"unsupported config version {version!r}")
+
+
 def parse_scenario(raw):
     """Validate a decoded config dict into a :class:`Scenario`.
 
@@ -279,11 +288,7 @@ def parse_scenario(raw):
     """
     if not isinstance(raw, dict):
         raise FieldError("config", "top level must be an object")
-    version = raw.get("version", CONFIG_VERSION)
-    if version != CONFIG_VERSION:
-        raise FieldError(
-            "version", f"unsupported config version {version!r}"
-        )
+    _check_version(raw, "version")
     name = raw.get("name")
     if not isinstance(name, str) or not name or set(name) & set("/\\"):
         raise FieldError("config.name", "must be a nonempty path-safe string")
@@ -426,14 +431,15 @@ _ELEMENT_TYPES = {
 
 
 def _parse_network(raw):
-    """Compose a network file into one SymplecticTransform."""
+    """Compose a network file into one SymplecticTransform, checked once."""
     if not isinstance(raw, dict):
         raise FieldError("network", "top level must be an object")
+    _check_version(raw, "network.version")
     n_modes = _integer("network.n_modes", raw.get("n_modes"), 1, MAX_MODES)
     entries = raw.get("elements", [])
     if not isinstance(entries, list):
         raise FieldError("network.elements", "must be a list")
-    total = SymplecticTransform.identity(n_modes)
+    total = np.eye(2 * n_modes)
     for i, spec in enumerate(entries):
         path = f"network.elements[{i}]"
         if not isinstance(spec, dict) or "type" not in spec:
@@ -461,27 +467,22 @@ def _parse_network(raw):
             element = getattr(elements, kind)(
                 **{name: spec.get(name, v) for name, v in defaults.items()}
             )
-        # Embed the element and left-multiply onto the running product.
-        embedded = apply_symplectic_matrix(total.n_modes, element, modes)
-        product = embedded @ total.matrix
+        apply_symplectic_matrix(total, element, modes)
         # Squeezing every mode by MAX_SQUEEZING gives |S|_F^2 =
         # 2N cosh(2 MAX_SQUEEZING) < 4N MAX_GAIN; passive elements keep it.
-        if np.linalg.norm(product) ** 2 > 4 * n_modes * elements.MAX_GAIN:
+        if np.linalg.norm(total) ** 2 > 4 * n_modes * elements.MAX_GAIN:
             raise FieldError(
                 path,
                 f"the network up to here squeezes beyond the reach of "
                 f"r = {elements.MAX_SQUEEZING} per mode",
             )
-        total = SymplecticTransform(product, n_modes)
-    return total
+    return SymplecticTransform(total, n_modes)
 
 
-def apply_symplectic_matrix(n_modes, transform, modes):
-    """Embed a small transform as a full 2N x 2N matrix."""
-    full = np.eye(2 * n_modes)
-    idx = np.array([*modes, *(n_modes + m for m in modes)])
-    full[np.ix_(idx, idx)] = transform.matrix
-    return full
+def apply_symplectic_matrix(total, transform, modes):
+    """Left-multiply ``total`` in place by ``transform`` on ``modes``."""
+    idx = _quadrature_rows(total.shape[0] // 2, modes)
+    total[idx] = transform.matrix @ total[idx]
 
 
 def cmd_decompose(network_path, out_dir="."):

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import FieldError, GaussianState, SymplecticTransform, _real
+from .gaussian import (FieldError, GaussianState, SymplecticTransform,
+                       _quadrature_rows, _real)
 
 #: Tolerance on the internal consistency gain = cosh^2(r) of an AmplifierSpec.
 GAIN_CONSISTENCY_TOL = 1e-12
@@ -211,7 +212,7 @@ def loss_channel(state, mode, eta):
         raise ValueError(f"mode {mode} out of range for {n} modes")
 
     root = math.sqrt(eta)
-    idx = np.array([mode, n + mode])
+    idx = _quadrature_rows(n, (mode,))
     mean = state.mean.copy()
     mean[idx] *= root
     cov = state.cov.copy()

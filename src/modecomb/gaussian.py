@@ -97,6 +97,12 @@ def _integer(field, value, low, high=math.inf):
     return int(value)
 
 
+# The x, then the p, quadrature indices of ``modes`` among all 2N: the rows
+# and columns an element on ``modes`` touches.
+def _quadrature_rows(n_modes, modes):
+    return np.array([*modes, *(n_modes + m for m in modes)])
+
+
 def symplectic_form(n_modes):
     """Return the ``2N x 2N`` symplectic form in x-major ordering.
 
@@ -128,9 +134,11 @@ class GaussianState:
             its shape is checked; a caller passing one vouches that it
             factors ``cov``.
 
-    The covariance matrix is symmetrized on construction. Physicality
-    (``cov + i Omega >= 0``) is *not* enforced here so that deliberately
-    unphysical matrices can still be probed with :func:`check_physicality`.
+    A NaN or infinite entry of ``cov`` or ``mean`` is rejected with
+    ``ValueError``. The covariance matrix is symmetrized on construction.
+    Physicality (``cov + i Omega >= 0``) is *not* enforced here so that
+    deliberately unphysical matrices can still be probed with
+    :func:`check_physicality`.
     """
 
     n_modes: int
@@ -149,9 +157,11 @@ class GaussianState:
                 f"covariance must be {dim}x{dim} for {self.n_modes} modes, "
                 f"got {cov.shape}"
             )
+        largest = float(np.max(np.abs(cov)))
+        if not all(map(math.isfinite, [largest, *mean.tolist()])):
+            raise ValueError("covariance and mean must be finite")
         asymmetry = np.max(np.abs(cov - cov.T))
-        scale = max(1.0, float(np.max(np.abs(cov))) if cov.size else 1.0)
-        if asymmetry > SYMMETRY_TOL * scale:
+        if asymmetry > SYMMETRY_TOL * max(1.0, largest):
             raise ValueError(
                 f"covariance is not symmetric: |C - C^T| = {asymmetry:.3e}"
             )
@@ -234,7 +244,7 @@ class Witness:
     """A linear quadrature combination whose variance certifies entanglement.
 
     Attributes:
-        coeffs (array[float]): length ``2N`` coefficients over
+        coeffs (array[float]): length ``2N`` finite coefficients over
             ``(x_1..x_N, p_1..p_N)``
         normalization (float): vacuum variance of the combination, always
             ``coeffs . coeffs`` in shot-noise units
@@ -248,6 +258,10 @@ class Witness:
         if coeffs.size == 0 or coeffs.size % 2 != 0:
             raise ValueError("witness coefficients must have even length 2N")
         norm = float(coeffs @ coeffs)
+        if not math.isfinite(norm):
+            raise ValueError(
+                "witness coefficients must be finite, with a finite square sum"
+            )
         if norm == 0.0:
             raise ValueError("witness coefficient vector must be nonzero")
         object.__setattr__(self, "coeffs", coeffs)
@@ -322,7 +336,7 @@ def apply_symplectic(state, transform, modes=None):
         raise ValueError(f"mode indices {modes} out of range for {state.n_modes} modes")
 
     n = state.n_modes
-    idx = np.array([*modes, *(n + m for m in modes)])
+    idx = _quadrature_rows(n, modes)
     s = transform.matrix
 
     mean = state.mean.copy()

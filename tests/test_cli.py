@@ -10,11 +10,22 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import modecomb.cli
-from modecomb.cli import DetectionConfig, main, parse_scenario, ScenarioError
+from modecomb import elements
+from modecomb.cli import (
+    DetectionConfig,
+    ScenarioError,
+    _parse_network,
+    apply_symplectic_matrix,
+    main,
+    parse_scenario,
+)
 from modecomb.gaussian import MAX_MODES
+
+from conftest import embed
 
 
 def write_config(path, payload):
@@ -594,6 +605,78 @@ def test_decompose_accepts_networks_within_the_squeezing_reach(tmp_path):
             (tmp_path / f"{name}_decomposition.json").read_text()
         )
         assert report["squeeze"] == pytest.approx(squeeze, abs=1e-6)
+
+
+@pytest.mark.parametrize("version", ["v2", 1, None])
+def test_decompose_rejects_an_unsupported_version(tmp_path, capsys, version):
+    network = write_config(
+        tmp_path / "network.json",
+        {"version": version, "n_modes": 2, "elements": [SQUEEZER]},
+    )
+    assert main(["decompose", network, "--out-dir", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert "network.version" in err.splitlines()[0]
+    assert not (tmp_path / "network_decomposition.json").exists()
+
+
+#: Parameter draws of each network element type.
+_DRAWS = {
+    "two_mode_squeezer": lambda rng: {
+        "r": rng.uniform(0, 0.5), "phase": rng.uniform(0, 2 * math.pi)
+    },
+    "beamsplitter": lambda rng: {
+        "theta": rng.uniform(0, math.pi), "phi": rng.uniform(0, 2 * math.pi)
+    },
+    "phase_shift": lambda rng: {"phi": rng.uniform(0, 2 * math.pi)},
+}
+
+
+def _random_network(rng, n_modes, n_elements):
+    """A network file's contents and the product of its embedded elements."""
+    specs, product = [], np.eye(2 * n_modes)
+    for _ in range(n_elements):
+        kind = str(rng.choice(list(_DRAWS)))
+        arity = 1 if kind == "phase_shift" else 2
+        modes = [int(m) for m in rng.choice(n_modes, arity, replace=False)]
+        params = _DRAWS[kind](rng)
+        specs.append({"type": kind, "modes": modes, **params})
+        element = getattr(elements, kind)(**params)
+        product = embed(n_modes, element, modes) @ product
+    return {"n_modes": n_modes, "elements": specs}, product
+
+
+@pytest.mark.parametrize("n_modes, n_elements", [(2, 40), (8, 80), (96, 200)])
+def test_parse_network_matches_the_product_of_embedded_elements(
+    n_modes, n_elements
+):
+    rng = np.random.default_rng(n_modes)
+    raw, product = _random_network(rng, n_modes, n_elements)
+    total = _parse_network(raw)
+    assert total.n_modes == n_modes
+    gap = np.linalg.norm(total.matrix - product)
+    assert gap <= 1e-14 * np.linalg.norm(product)
+
+
+@pytest.mark.parametrize(
+    "element, modes",
+    [
+        (elements.two_mode_squeezer(0.7, 0.3), [4, 1]),
+        (elements.beamsplitter(0.4, 1.1), [0, 5]),
+        (elements.phase_shift(2.0), [3]),
+    ],
+)
+def test_apply_symplectic_matrix_touches_only_the_rows_of_its_modes(
+    element, modes
+):
+    n_modes = 6
+    before = np.random.default_rng(11).normal(size=(2 * n_modes,) * 2)
+    total = before.copy()
+    apply_symplectic_matrix(total, element, modes)
+    touched = [*modes, *(n_modes + m for m in modes)]
+    untouched = [i for i in range(2 * n_modes) if i not in touched]
+    assert np.array_equal(total[untouched], before[untouched])
+    expected = embed(n_modes, element, modes) @ before
+    assert np.allclose(total[touched], expected[touched], rtol=0, atol=1e-14)
 
 
 def test_noise_table_diff_column_is_tiny(tmp_path):

@@ -26,7 +26,7 @@ from modecomb import (
     witness_variance,
 )
 
-from conftest import random_network, random_passive
+from conftest import embed, random_network, random_passive
 
 
 def test_symplectic_form_squares_to_minus_identity():
@@ -66,6 +66,20 @@ def test_gaussian_state_rejects_bad_inputs():
         GaussianState(2, np.zeros(4), lopsided)
     with pytest.raises(ValueError, match="factor"):
         GaussianState(2, np.zeros(4), np.eye(4), np.eye(3))
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["diagonal", "off-diagonal", "mean"])
+def test_gaussian_state_rejects_non_finite_entries(entry, where):
+    mean, cov = np.zeros(4), np.eye(4)
+    if where == "diagonal":
+        cov[0, 0] = entry
+    elif where == "off-diagonal":
+        cov[1, 2] = cov[2, 1] = entry
+    else:
+        mean[3] = entry
+    with pytest.raises(ValueError, match="finite"):
+        GaussianState(2, mean, cov)
 
 
 def test_symplectic_transform_rejects_non_symplectic():
@@ -130,10 +144,8 @@ def test_apply_symplectic_on_mode_subset_matches_embedding():
 
     on_subset = apply_symplectic(state, tms, modes=(1, 3))
 
-    full = np.eye(8)
-    idx = np.array([1, 3, 5, 7])
-    full[np.ix_(idx, idx)] = tms.matrix
-    on_full = apply_symplectic(state, SymplecticTransform(full, 4))
+    full = SymplecticTransform(embed(4, tms, (1, 3)), 4)
+    on_full = apply_symplectic(state, full)
     assert np.allclose(on_subset.cov, on_full.cov, atol=1e-13)
     assert np.allclose(on_subset.mean, on_full.mean, atol=1e-13)
 
@@ -164,6 +176,14 @@ def test_witness_rejects_degenerate_or_out_of_range_terms():
         Witness.from_terms(2, {(0, "y"): 1.0})
     with pytest.raises(ValueError):
         Witness(np.zeros(4))
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+def test_witness_rejects_non_finite_coefficients(entry):
+    with pytest.raises(ValueError, match="finite"):
+        Witness([entry, 0.0])
+    with pytest.raises(ValueError, match="finite"):
+        Witness([1.0, 0.0, entry, 0.0])
 
 
 @settings(deadline=None, max_examples=50)
