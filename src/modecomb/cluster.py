@@ -33,10 +33,11 @@ from .gaussian import (
     FieldError,
     GaussianState,
     Witness,
+    _apply_rows,
+    _check_rows,
     _integer,
-    apply_symplectic,
+    _quadrature_rows,
     purity,
-    vacuum_state,
 )
 
 #: States with purity below 1 - PURITY_TOL have no pure-graph description.
@@ -52,7 +53,7 @@ PHASE_CONVENTIONS = ("odd_mode_minus_half_pi", "none")
 SIGN_CONVENTIONS = ("decaying", "mirrored", "grouped")
 
 #: Signs of the squeezed (x, p) combinations of an interior wire link on its
-#: modes (2k-1, 2k, 2k+1, 2k+2).
+#: modes, :func:`_interior_modes`.
 _INTERIOR_SIGNS = ((1.0, 1.0, -1.0, 1.0), (1.0, 1.0, 1.0, -1.0))
 
 _SQRT2 = math.sqrt(2.0)
@@ -144,6 +145,13 @@ def _rotated_modes(n_pairs):
     return tuple(m for m in range(2 * n_pairs) if m % 4 in (1, 2))
 
 
+def _interior_modes(wire_position):
+    """Modes ``(2k-1, 2k, 2k+1, 2k+2)``, ``k = wire_position + 1``, of
+    interior link ``wire_position`` of a wire."""
+    k = wire_position + 1
+    return (2 * k - 1, 2 * k, 2 * k + 1, 2 * k + 2)
+
+
 def _wire_patterns(n_pairs):
     """Squeezed quadrature combinations of the beam-splitter-output wire.
 
@@ -170,10 +178,10 @@ def _wire_patterns(n_pairs):
     pattern("left_x", [(0, _SQRT2), (1, -1.0), (2, 1.0)], [])
     pattern("left_p", [], [(0, _SQRT2), (1, 1.0), (2, -1.0)])
     x_signs, p_signs = _INTERIOR_SIGNS
-    for k in range(1, n_pairs - 1):
-        ms = (2 * k - 1, 2 * k, 2 * k + 1, 2 * k + 2)
-        pattern(f"interior{k - 1}_x", list(zip(ms, x_signs)), [])
-        pattern(f"interior{k - 1}_p", [], list(zip(ms, p_signs)))
+    for position in range(n_pairs - 2):
+        ms = _interior_modes(position)
+        pattern(f"interior{position}_x", list(zip(ms, x_signs)), [])
+        pattern(f"interior{position}_p", [], list(zip(ms, p_signs)))
     last = n_modes - 1
     pattern("right_x", [(last - 2, 1.0), (last - 1, 1.0), (last, -_SQRT2)], [])
     pattern("right_p", [], [(last - 2, 1.0), (last - 1, 1.0), (last, _SQRT2)])
@@ -214,18 +222,26 @@ def build_dual_rail(spec):
         tuple[GaussianState, GraphSpec]: the wire state and ideal graph
     """
     n_modes = 2 * spec.n_pairs
-    state = vacuum_state(n_modes)
+    steps = []
     if spec.r > 0:
         squeezer = two_mode_squeezer(spec.r)
-        for k in range(spec.n_pairs):
-            state = apply_symplectic(state, squeezer, (2 * k, 2 * k + 1))
+        steps += [(squeezer, (2 * k, 2 * k + 1)) for k in range(spec.n_pairs)]
     splitter = balanced_beamsplitter()
-    for k in range(spec.n_pairs - 1):
-        state = apply_symplectic(state, splitter, (2 * k + 1, 2 * k + 2))
+    steps += [(splitter, (2 * k + 1, 2 * k + 2))
+              for k in range(spec.n_pairs - 1)]
     if spec.phase_convention == "odd_mode_minus_half_pi":
         rotation = phase_shift(-math.pi / 2)
-        for m in _rotated_modes(spec.n_pairs):
-            state = apply_symplectic(state, rotation, (m,))
+        steps += [(rotation, (m,)) for m in _rotated_modes(spec.n_pairs)]
+    # One working copy. Each step checks and symmetrizes its rows as
+    # apply_symplectic does, so the state is bit-equal to folding
+    # apply_symplectic over the steps.
+    dim = 2 * n_modes
+    mean, cov, factor = np.zeros(dim), np.eye(dim), np.eye(dim)
+    for transform, modes in steps:
+        idx = _quadrature_rows(n_modes, modes)
+        _apply_rows(mean, cov, factor, transform.matrix, idx)
+        _check_rows(mean, cov, idx)
+    state = GaussianState(n_modes, mean, cov, factor)
     return state, ideal_wire_graph(spec.n_pairs)
 
 
@@ -321,8 +337,7 @@ def witness_pair(wire_position, n_pairs, sign_convention="decaying"):
         "mirrored": (_INTERIOR_SIGNS[0],) * 2,
         "grouped": ((1.0, 1.0, -1.0, -1.0),) * 2,
     }[sign_convention]
-    k = wire_position + 1
-    modes = (2 * k - 1, 2 * k, 2 * k + 1, 2 * k + 2)
+    modes = _interior_modes(wire_position)
     n_modes = 2 * n_pairs
     wx = Witness.from_terms(
         n_modes, {(m, "x"): c for m, c in zip(modes, x_signs)}

@@ -207,8 +207,10 @@ class LocalOscillator:
 
     Attributes:
         comb (SpatialComb): the comb the expansion refers to
-        coeffs (array[complex]): unit-normalized mode coefficients
-        power (float): total optical power, arbitrary units
+        coeffs (array[complex]): unit-normalized mode coefficients, given
+            finite and not all zero
+        power (float): total optical power, arbitrary units; a finite
+            positive number
     """
 
     comb: SpatialComb
@@ -222,12 +224,14 @@ class LocalOscillator:
                 f"need one coefficient per comb mode: {coeffs.size} given, "
                 f"{self.comb.n_modes} modes"
             )
+        if not np.isfinite(coeffs).all():
+            raise FieldError("coeffs", "must be finite")
         norm = np.linalg.norm(coeffs)
         if norm == 0.0:
             raise ValueError("local oscillator mode shape must be nonzero")
-        if self.power <= 0.0:
-            raise ValueError(f"power must be positive, got {self.power}")
+        power = _real("power", self.power, 0.0, open_low=True)
         object.__setattr__(self, "coeffs", coeffs / norm)
+        object.__setattr__(self, "power", power)
 
     @property
     def support(self):

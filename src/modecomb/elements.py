@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import (FieldError, GaussianState, SymplecticTransform,
+from .gaussian import (FieldError, SymplecticTransform, _derived_state,
                        _quadrature_rows, _real)
 
 #: Tolerance on the internal consistency gain = cosh^2(r) of an AmplifierSpec.
@@ -219,7 +219,7 @@ def loss_channel(state, mode, eta):
     cov[idx, :] *= root
     cov[:, idx] *= root
     cov[idx, idx] += 1.0 - eta
-    return GaussianState(n, mean, cov)
+    return _derived_state(n, mean, cov, None, idx)
 
 
 def gain_to_squeezing(gain):

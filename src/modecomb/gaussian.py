@@ -103,6 +103,22 @@ def _quadrature_rows(n_modes, modes):
     return np.array([*modes, *(n_modes + m for m in modes)])
 
 
+def _symmetrized(rows, cols, mean):
+    """Return ``(rows + cols) / 2``: covariance rows averaged with the
+    matching columns, ``cols`` holding them transposed. Raise ValueError if
+    ``rows`` or ``mean`` has a NaN or infinite entry, or if ``rows`` and
+    ``cols`` differ by more than ``SYMMETRY_TOL * max(1, max |rows|)``."""
+    largest = float(abs(rows).max())
+    if not all(map(math.isfinite, [largest, *mean.tolist()])):
+        raise ValueError("covariance and mean must be finite")
+    asymmetry = abs(rows - cols).max()
+    if asymmetry > SYMMETRY_TOL * max(1.0, largest):
+        raise ValueError(
+            f"covariance is not symmetric: |C - C^T| = {asymmetry:.3e}"
+        )
+    return 0.5 * (rows + cols)
+
+
 def symplectic_form(n_modes):
     """Return the ``2N x 2N`` symplectic form in x-major ordering.
 
@@ -112,9 +128,11 @@ def symplectic_form(n_modes):
     Returns:
         array[float]: the matrix ``[[0, I], [-I, 0]]``
     """
-    eye = np.eye(n_modes)
-    zero = np.zeros((n_modes, n_modes))
-    return np.block([[zero, eye], [-eye, zero]])
+    omega = np.zeros((2 * n_modes, 2 * n_modes))
+    diagonal = np.arange(n_modes)
+    omega[diagonal, n_modes + diagonal] = 1.0
+    omega[n_modes + diagonal, diagonal] = -1.0
+    return omega
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,6 +154,11 @@ class GaussianState:
 
     A NaN or infinite entry of ``cov`` or ``mean`` is rejected with
     ``ValueError``. The covariance matrix is symmetrized on construction.
+    States derived from a valid state by :func:`apply_symplectic` or
+    :func:`~modecomb.elements.loss_channel` differ from it only in the rows
+    and columns of the modes they touch, so they are checked and symmetrized
+    on those rows alone: the same rules in ``O(k * N)``, with an asymmetry
+    bound scaled by the largest entry of those rows.
     Physicality (``cov + i Omega >= 0``) is *not* enforced here so that
     deliberately unphysical matrices can still be probed with
     :func:`check_physicality`.
@@ -157,15 +180,7 @@ class GaussianState:
                 f"covariance must be {dim}x{dim} for {self.n_modes} modes, "
                 f"got {cov.shape}"
             )
-        largest = float(np.max(np.abs(cov)))
-        if not all(map(math.isfinite, [largest, *mean.tolist()])):
-            raise ValueError("covariance and mean must be finite")
-        asymmetry = np.max(np.abs(cov - cov.T))
-        if asymmetry > SYMMETRY_TOL * max(1.0, largest):
-            raise ValueError(
-                f"covariance is not symmetric: |C - C^T| = {asymmetry:.3e}"
-            )
-        cov = 0.5 * (cov + cov.T)
+        cov = _symmetrized(cov, cov.T, mean)
         if self.factor is not None:
             factor = np.asarray(self.factor, dtype=float)
             if factor.shape != (dim, dim):
@@ -304,14 +319,49 @@ def vacuum_state(n_modes):
     return GaussianState(n_modes, np.zeros(dim), np.eye(dim), np.eye(dim))
 
 
+def _apply_rows(mean, cov, factor, s, idx):
+    """Apply ``s`` in place to rows ``idx`` of ``mean``, ``cov`` and
+    ``factor`` (if not None), then to columns ``idx`` of ``cov``."""
+    mean[idx] = s @ mean.take(idx)
+    cov[idx] = s @ cov.take(idx, 0)
+    cov[:, idx] = cov.take(idx, 1) @ s.T
+    if factor is not None:
+        factor[idx] = s @ factor.take(idx, 0)
+
+
+def _check_rows(mean, cov, idx):
+    """Check and symmetrize, in place, rows and columns ``idx`` of arrays
+    copied from a valid state and changed only there.
+
+    The untouched entries passed the full check of that state and are
+    exactly symmetric, so :func:`_symmetrized` on the touched rows applies
+    the full check's rules and gives the full check's result.
+    """
+    rows = _symmetrized(cov.take(idx, 0), cov.take(idx, 1).T, mean.take(idx))
+    cov[idx] = rows
+    cov[:, idx] = rows.T
+
+
+def _derived_state(n_modes, mean, cov, factor, idx):
+    """The state of arrays copied from a valid state and changed only in
+    rows and columns ``idx``, checked on those rows by :func:`_check_rows`
+    instead of by a full ``O(N^2)`` pass."""
+    _check_rows(mean, cov, idx)
+    state = object.__new__(GaussianState)
+    for name, value in (("n_modes", n_modes), ("mean", mean), ("cov", cov),
+                        ("factor", factor)):
+        object.__setattr__(state, name, value)
+    return state
+
+
 def apply_symplectic(state, transform, modes=None):
     """Apply a symplectic transform to an ordered subset of modes.
 
-    The transform is embedded as the identity on all other modes. Only the
-    affected rows and columns of the covariance are recomputed, so applying
-    a fixed-size element to a large state costs ``O(k * N)`` rather than a
-    full ``2N x 2N`` matrix product. A symplectic factor, if the state
-    carries one, has the same rows updated.
+    The transform is embedded as the identity on all other modes. The call
+    makes one copy of the covariance, and of the symplectic factor if the
+    state carries one; beyond that copy only the ``k`` touched modes' rows
+    and columns are recomputed and checked, in ``O(k * N)`` rather than a
+    full ``2N x 2N`` matrix product or validation pass.
 
     Args:
         state (GaussianState): input state
@@ -337,18 +387,10 @@ def apply_symplectic(state, transform, modes=None):
 
     n = state.n_modes
     idx = _quadrature_rows(n, modes)
-    s = transform.matrix
-
-    mean = state.mean.copy()
-    mean[idx] = s @ mean[idx]
-    cov = state.cov.copy()
-    cov[idx, :] = s @ cov[idx, :]
-    cov[:, idx] = cov[:, idx] @ s.T
-    factor = state.factor
-    if factor is not None:
-        factor = factor.copy()
-        factor[idx, :] = s @ factor[idx, :]
-    return GaussianState(n, mean, cov, factor)
+    mean, cov = state.mean.copy(), state.cov.copy()
+    factor = None if state.factor is None else state.factor.copy()
+    _apply_rows(mean, cov, factor, transform.matrix, idx)
+    return _derived_state(n, mean, cov, factor, idx)
 
 
 def witness_variance(state, witness):

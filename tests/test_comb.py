@@ -1,5 +1,7 @@
 """Tests for the spatial mode comb: layout, amplification, LO bookkeeping."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -177,6 +179,24 @@ def test_synthesize_lo_rejects_degenerate_input(comb8):
         synthesize_lo(comb8, np.ones(4))
     with pytest.raises(ValueError):
         synthesize_lo(comb8, np.ones(8), power=0.0)
+
+
+@pytest.mark.parametrize("power", [math.nan, math.inf, -math.inf, True, 0.0,
+                                   -1.0, "1"])
+def test_local_oscillator_power_is_a_finite_positive_number(comb8, power):
+    with pytest.raises(FieldError) as info:
+        synthesize_lo(comb8, np.eye(8)[0], power)
+    assert info.value.field == "power"
+
+
+@pytest.mark.parametrize("entry", [math.nan, math.inf, complex(1.0, math.nan),
+                                   complex(-math.inf, 0.0)])
+def test_local_oscillator_rejects_non_finite_coefficients(comb8, entry):
+    coeffs = np.ones(8, dtype=complex)
+    coeffs[5] = entry
+    with pytest.raises(FieldError) as info:
+        synthesize_lo(comb8, coeffs)
+    assert info.value.field == "coeffs"
 
 
 def test_overlap_spec_enforces_power_budget():

@@ -36,6 +36,13 @@ def test_symplectic_form_squares_to_minus_identity():
         assert np.array_equal(omega.T, -omega)
 
 
+@pytest.mark.parametrize("n", [1, 2, 96])
+def test_symplectic_form_equals_its_block_definition(n):
+    eye, zero = np.eye(n), np.zeros((n, n))
+    expected = np.block([[zero, eye], [-eye, zero]])
+    assert np.array_equal(symplectic_form(n), expected)
+
+
 def test_vacuum_state_is_shot_noise_limited():
     state = vacuum_state(3)
     assert state.n_modes == 3
