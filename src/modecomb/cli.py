@@ -400,11 +400,60 @@ def run_scenario(config_path, out_dir=".", fmt="csv"):
     return [table, _write_json(out / f"{name}_graph.json", graph)]
 
 
+#: Encodes scalars and flat number lists; without ``indent`` it runs the C
+#: encoder.
+_ENCODER = json.JSONEncoder(sort_keys=True)
+_NUMBER_TYPES = {float, int}
+
+
+def _json_chunks(obj, chunks, indent="\n"):
+    """Append the text of ``json.dumps(obj, indent=2, sort_keys=True)`` to
+    ``chunks``; ``indent`` is the line break before ``obj``'s closing
+    bracket. Dict keys must be strings."""
+    inner = indent + "  "
+    if isinstance(obj, dict) and obj:
+        chunks.append("{")
+        sep = inner
+        for key, value in sorted(obj.items()):
+            if not isinstance(key, str):
+                raise TypeError(f"report keys must be str, not {key!r}")
+            chunks.append(f"{sep}{_ENCODER.encode(key)}: ")
+            _json_chunks(value, chunks, inner)
+            sep = "," + inner
+        chunks.append(indent + "}")
+    elif isinstance(obj, (list, tuple)) and obj:
+        if set(map(type, obj)) <= _NUMBER_TYPES:
+            # Numbers hold no ", ", so every one in the text is a separator.
+            items = _ENCODER.encode(obj)[1:-1].replace(", ", "," + inner)
+            chunks.append(f"[{inner}{items}{indent}]")
+            return
+        chunks.append("[")
+        sep = inner
+        for item in obj:
+            chunks.append(sep)
+            _json_chunks(item, chunks, inner)
+            sep = "," + inner
+        chunks.append(indent + "]")
+    else:
+        chunks.append(_ENCODER.encode(obj))
+
+
 def _write_json(path, obj):
+    """Write ``json.dumps(obj, indent=2, sort_keys=True)`` and a newline to
+    ``path``, byte for byte.
+
+    ``json`` runs its C encoder only when ``indent`` is None, and its
+    pure-Python encoder takes most of the time of a large report. So dicts
+    and lists are laid out here, and every scalar and flat number list is
+    encoded in C. The whole text is encoded before the file is opened, so
+    an encoding error leaves no partial report.
+    """
+    chunks = []
+    _json_chunks(obj, chunks)
+    chunks.append("\n")
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(
-        json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    with path.open("w", encoding="utf-8") as fh:
+        fh.writelines(chunks)
     return path
 
 
@@ -526,13 +575,17 @@ def cmd_noise_table(gains, etas, misalignments, out_dir=".", fmt="csv"):
     etas = _checked(
         "etas", etas, lambda eta: _misaligned_specs(eta, misalignments)
     )
+    vacuum = vacuum_state(2)
     rows = []
     for gain, comb in combs:
+        (xdiff, _), = pair_witnesses(comb)
         for eta, specs in etas:
             for misalignment in misalignments:
                 if misalignment == 0.0:
                     closed = ideal_epr_noise(gain, eta)
-                    simulated = _simulated_pair_noise(comb, eta)
+                    simulated = measure_witness(
+                        amplify_comb(vacuum, comb), xdiff, eta
+                    ).variance
                     difference = abs(closed.variance - simulated)
                     sim_text = format(simulated, FLOAT_FORMAT)
                     diff_text = format(difference, FLOAT_FORMAT)
@@ -569,13 +622,6 @@ def _misaligned_specs(eta, misalignments):
         for m in misalignments
         if m != 0.0
     }
-
-
-def _simulated_pair_noise(comb, eta):
-    """Drive one amplified pair through loss and measure the x-difference."""
-    state = amplify_comb(vacuum_state(2), comb)
-    (wx, _), = pair_witnesses(comb)
-    return measure_witness(state, wx, eta).variance
 
 
 def _float_list(text):

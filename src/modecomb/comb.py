@@ -161,7 +161,8 @@ def amplify_comb(state, comb):
     """Apply each pair's two-mode squeezer to the state.
 
     Pairs occupy disjoint modes, so the squeezers commute and the order of
-    application is irrelevant.
+    application is irrelevant. Pairs with the same operating point share one
+    squeezer.
 
     Args:
         state (GaussianState): input state with one mode per comb mode
@@ -174,11 +175,13 @@ def amplify_comb(state, comb):
         raise ValueError(
             f"state has {state.n_modes} modes but the comb has {comb.n_modes}"
         )
+    squeezers = {}
     for (p, q), amp in zip(comb.pairs, comb.amps):
         if amp.r != 0.0:
-            state = apply_symplectic(
-                state, two_mode_squeezer(amp.r, amp.pump_phase), (p, q)
-            )
+            key = (amp.r, amp.pump_phase)
+            if key not in squeezers:
+                squeezers[key] = two_mode_squeezer(*key)
+            state = apply_symplectic(state, squeezers[key], (p, q))
     return state
 
 
@@ -218,7 +221,7 @@ class LocalOscillator:
     power: float = 1.0
 
     def __post_init__(self):
-        coeffs = np.asarray(self.coeffs, dtype=complex).reshape(-1)
+        coeffs = np.array(self.coeffs, dtype=complex).reshape(-1)
         if coeffs.size != self.comb.n_modes:
             raise ValueError(
                 f"need one coefficient per comb mode: {coeffs.size} given, "
@@ -226,11 +229,15 @@ class LocalOscillator:
             )
         if not np.isfinite(coeffs).all():
             raise FieldError("coeffs", "must be finite")
-        norm = np.linalg.norm(coeffs)
-        if norm == 0.0:
+        # Dividing the real and imaginary parts by the largest of them first
+        # keeps the norm from overflowing or underflowing.
+        parts = coeffs.view(float)
+        scale = np.abs(parts).max()
+        if scale == 0.0:
             raise ValueError("local oscillator mode shape must be nonzero")
         power = _real("power", self.power, 0.0, open_low=True)
-        object.__setattr__(self, "coeffs", coeffs / norm)
+        parts /= scale
+        object.__setattr__(self, "coeffs", coeffs / np.linalg.norm(coeffs))
         object.__setattr__(self, "power", power)
 
     @property

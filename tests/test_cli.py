@@ -12,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import modecomb.cli
 from modecomb import elements
@@ -19,9 +21,13 @@ from modecomb.cli import (
     DetectionConfig,
     ScenarioError,
     _parse_network,
+    _write_json,
     apply_symplectic_matrix,
+    cmd_decompose,
+    cmd_noise_table,
     main,
     parse_scenario,
+    run_scenario,
 )
 from modecomb.gaussian import MAX_MODES
 
@@ -751,6 +757,89 @@ def test_noise_table_json_format(tmp_path):
     rows = json.loads((tmp_path / "noise_table.json").read_text())
     assert len(rows) == 1
     assert float(rows[0]["closed_form"]) == pytest.approx(0.171573, abs=1e-6)
+
+
+def _reference_json(obj):
+    """The report layout: ``json.dumps`` with indent 2 and sorted keys."""
+    return (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("utf-8")
+
+
+#: Scalars, including strings that look like JSON syntax and the floats
+#: whose text is easiest to get wrong.
+_JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),
+    st.sampled_from(
+        [0.0, -0.0, math.nan, math.inf, -math.inf, 1e-300, 5e300, 2**63]
+    ),
+    st.text(),
+    st.sampled_from([", ", "[", "]", '"', "\n", "a, b", '[1, "2"]', "{}"]),
+)
+_JSON_VALUES = st.recursive(
+    st.one_of(
+        _JSON_SCALARS,
+        st.lists(st.floats(), max_size=6),
+        st.lists(st.one_of(st.integers(), st.floats()), max_size=6).map(tuple),
+    ),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.dictionaries(st.text(), children, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(_JSON_VALUES)
+def test_json_reports_match_json_dumps_byte_for_byte(tmp_path_factory, obj):
+    path = tmp_path_factory.mktemp("writer") / "report.json"
+    assert _write_json(path, obj).read_bytes() == _reference_json(obj)
+
+
+def test_decompose_report_matches_json_dumps_byte_for_byte(
+    tmp_path, monkeypatch
+):
+    raw, _ = _random_network(np.random.default_rng(96), 96, 200)
+    network = write_config(tmp_path / "net.json", {"version": "v1", **raw})
+    reports = []
+
+    def recording(path, obj):
+        reports.append(obj)
+        return _write_json(path, obj)
+
+    monkeypatch.setattr(modecomb.cli, "_write_json", recording)
+    path = cmd_decompose(network, tmp_path)
+    (report,) = reports
+    assert len(report["passive_out"]) == 192
+    assert path.read_bytes() == _reference_json(report)
+
+
+def test_json_reports_do_not_run_the_pure_python_encoder(
+    tmp_path, monkeypatch
+):
+    def pure_python_encoder(*args, **kwargs):
+        raise AssertionError("pure-Python JSON encoder used")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", pure_python_encoder)
+    with pytest.raises(AssertionError):
+        json.dumps([1.0], indent=2)
+    raw, _ = _random_network(np.random.default_rng(8), 8, 40)
+    network = write_config(tmp_path / "net.json", {"version": "v1", **raw})
+    config = write_config(tmp_path / "scenario.json", MINIMAL)
+    assert cmd_decompose(network, tmp_path).exists()
+    assert all(
+        path.exists() for path in run_scenario(config, tmp_path, fmt="json")
+    )
+    assert cmd_noise_table([2.0], [0.9], [0.0, 0.1], tmp_path, "json").exists()
+
+
+def test_a_report_that_fails_to_encode_leaves_no_file(tmp_path):
+    path = tmp_path / "report.json"
+    with pytest.raises(TypeError):
+        _write_json(path, {"a": [1.0, 2.0], "b": [object()]})
+    assert not path.exists()
 
 
 def test_importing_the_cli_loads_no_scipy():

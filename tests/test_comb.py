@@ -181,6 +181,28 @@ def test_synthesize_lo_rejects_degenerate_input(comb8):
         synthesize_lo(comb8, np.ones(8), power=0.0)
 
 
+@pytest.mark.parametrize(
+    "entry, phase",
+    [
+        (1e200, 1.0),
+        (1e-200, 1.0),
+        (5e-324, 1.0),
+        (complex(1.7e308, -1.7e308), complex(1.0, -1.0) / math.sqrt(2)),
+    ],
+)
+def test_local_oscillator_normalizes_extreme_coefficients(comb8, entry, phase):
+    lo = synthesize_lo(comb8, np.full(8, entry))
+    assert np.linalg.norm(lo.coeffs) == pytest.approx(1.0, abs=1e-15)
+    assert np.allclose(lo.coeffs, phase / math.sqrt(8), rtol=0, atol=1e-15)
+    assert lo.support == tuple(range(8))
+
+
+def test_local_oscillator_leaves_the_callers_coefficients_alone(comb8):
+    coeffs = np.arange(1.0, 9.0).astype(complex)
+    synthesize_lo(comb8, coeffs)
+    assert np.array_equal(coeffs, np.arange(1.0, 9.0))
+
+
 @pytest.mark.parametrize("power", [math.nan, math.inf, -math.inf, True, 0.0,
                                    -1.0, "1"])
 def test_local_oscillator_power_is_a_finite_positive_number(comb8, power):
