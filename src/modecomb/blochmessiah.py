@@ -46,8 +46,8 @@ class Decomposition:
     Attributes:
         passive_out (SymplecticTransform): orthogonal symplectic factor
             applied last
-        squeeze (array[float]): per-mode squeeze parameters, nonnegative and
-            sorted descending
+        squeeze (array[float]): per-mode squeeze parameters, finite,
+            nonnegative and sorted descending
         passive_in (SymplecticTransform): orthogonal symplectic factor
             applied first
     """
@@ -66,6 +66,8 @@ class Decomposition:
                 f"need one squeeze value per mode: got {squeeze.size} for "
                 f"{n} modes"
             )
+        if not np.isfinite(squeeze).all():
+            raise ValueError("squeeze values must be finite")
         if np.any(squeeze < 0):
             raise ValueError("squeeze values must be >= 0")
         if np.any(np.diff(squeeze) > 1e-12):
@@ -77,7 +79,7 @@ class Decomposition:
             defect = np.linalg.norm(
                 factor.matrix.T @ factor.matrix - np.eye(2 * n)
             )
-            if defect > ORTHOGONALITY_TOL:
+            if not defect <= ORTHOGONALITY_TOL:
                 raise ValueError(
                     f"{name} is not orthogonal: |P^T P - I| = {defect:.3e}"
                 )

@@ -381,17 +381,16 @@ def run_scenario(config_path, out_dir=".", fmt="csv"):
     )
     rows = []
     for value, point in points:
+        value_text = _format_value(value)
         for witness_id, report in _witness_rows(point):
-            rows.append(
-                {
-                    "scenario": scenario.name,
-                    "parameter": parameter,
-                    "value": _format_value(value),
-                    "witness_id": witness_id,
-                    "variance": format(report.variance, FLOAT_FORMAT),
-                    "dB": format(report.db, FLOAT_FORMAT),
-                }
-            )
+            rows.append((
+                scenario.name,
+                parameter,
+                value_text,
+                witness_id,
+                format(report.variance, FLOAT_FORMAT),
+                format(report.db, FLOAT_FORMAT),
+            ))
 
     out, name = Path(out_dir), scenario.name
     header = ["scenario", "parameter", "value", "witness_id", "variance", "dB"]
@@ -458,14 +457,17 @@ def _write_json(path, obj):
 
 
 def _write_table(out, stem, header, rows, fmt):
-    """Write ``rows`` to ``out/<stem>.csv``, or ``.json`` unless fmt is csv."""
+    """Write ``rows`` to ``out/<stem>.csv`` in the excel dialect or, unless
+    fmt is csv, to ``out/<stem>.json`` as objects keyed by ``header``. Each
+    row lists its values in ``header`` order."""
     if fmt != "csv":
-        return _write_json(out / f"{stem}.json", rows)
+        table = [dict(zip(header, row)) for row in rows]
+        return _write_json(out / f"{stem}.json", table)
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"{stem}.csv"
     with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=header)
-        writer.writeheader()
+        writer = csv.writer(fh)
+        writer.writerow(header)
         writer.writerows(rows)
     return path
 
@@ -576,11 +578,14 @@ def cmd_noise_table(gains, etas, misalignments, out_dir=".", fmt="csv"):
         "etas", etas, lambda eta: _misaligned_specs(eta, misalignments)
     )
     vacuum = vacuum_state(2)
+    etas = [(eta, format(eta, FLOAT_FORMAT), specs) for eta, specs in etas]
+    misalignments = [(m, format(m, FLOAT_FORMAT)) for m in misalignments]
     rows = []
     for gain, comb in combs:
+        gain_text = format(gain, FLOAT_FORMAT)
         (xdiff, _), = pair_witnesses(comb)
-        for eta, specs in etas:
-            for misalignment in misalignments:
+        for eta, eta_text, specs in etas:
+            for misalignment, m_text in misalignments:
                 if misalignment == 0.0:
                     closed = ideal_epr_noise(gain, eta)
                     simulated = measure_witness(
@@ -593,16 +598,14 @@ def cmd_noise_table(gains, etas, misalignments, out_dir=".", fmt="csv"):
                     closed = misaligned_noise(specs[misalignment], gain)
                     sim_text = ""
                     diff_text = ""
-                rows.append(
-                    {
-                        "gain": format(gain, FLOAT_FORMAT),
-                        "eta": format(eta, FLOAT_FORMAT),
-                        "misalignment": format(misalignment, FLOAT_FORMAT),
-                        "closed_form": format(closed.variance, FLOAT_FORMAT),
-                        "simulated": sim_text,
-                        "abs_difference": diff_text,
-                    }
-                )
+                rows.append((
+                    gain_text,
+                    eta_text,
+                    m_text,
+                    format(closed.variance, FLOAT_FORMAT),
+                    sim_text,
+                    diff_text,
+                ))
 
     header = [
         "gain", "eta", "misalignment", "closed_form", "simulated",

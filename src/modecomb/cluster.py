@@ -69,8 +69,8 @@ class GraphSpec:
 
     Attributes:
         n_nodes (int): number of graph nodes (modes)
-        adjacency (array[complex]): symmetric matrix ``Z = U + iV``; for a
-            graph extracted from a physical finite-squeezing state the
+        adjacency (array[complex]): finite symmetric matrix ``Z = U + iV``;
+            for a graph extracted from a physical finite-squeezing state the
             diagonal imaginary parts are positive, while ideal
             infinite-squeezing graphs are purely real
         edges (tuple): reporting edge list ``(i, j, weight)`` over node pairs
@@ -88,6 +88,8 @@ class GraphSpec:
             raise ValueError(
                 f"adjacency must be {self.n_nodes}x{self.n_nodes}, got {adj.shape}"
             )
+        if not np.isfinite(adj).all():
+            raise ValueError("adjacency entries must be finite")
         asym = np.abs(adj - adj.T).max() if self.n_nodes else 0.0
         if asym > 1e-10:
             raise ValueError(f"adjacency must be symmetric; asymmetry {asym:.3e}")

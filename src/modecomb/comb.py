@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elements import _fraction, two_mode_squeezer
+from .elements import _fraction
 from .gaussian import (
     MAX_MODES,
     FieldError,
@@ -161,8 +161,13 @@ def amplify_comb(state, comb):
     """Apply each pair's two-mode squeezer to the state.
 
     Pairs occupy disjoint modes, so the squeezers commute and the order of
-    application is irrelevant. Pairs with the same operating point share one
-    squeezer.
+    application is irrelevant. Each pair applies its spec's
+    :attr:`~modecomb.elements.AmplifierSpec.squeezer`, which a spec object
+    builds on first use and keeps, so pairs and repeated calls that share a
+    spec object share one squeezer. Equal specs that are distinct objects
+    build one each. :func:`build_comb` and the CLI's sweep points give all
+    pairs of a comb one spec object, so amplifying such a comb again builds
+    no squeezer.
 
     Args:
         state (GaussianState): input state with one mode per comb mode
@@ -175,13 +180,9 @@ def amplify_comb(state, comb):
         raise ValueError(
             f"state has {state.n_modes} modes but the comb has {comb.n_modes}"
         )
-    squeezers = {}
-    for (p, q), amp in zip(comb.pairs, comb.amps):
+    for pq, amp in zip(comb.pairs, comb.amps):
         if amp.r != 0.0:
-            key = (amp.r, amp.pump_phase)
-            if key not in squeezers:
-                squeezers[key] = two_mode_squeezer(*key)
-            state = apply_symplectic(state, squeezers[key], (p, q))
+            state = apply_symplectic(state, amp.squeezer, pq)
     return state
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -58,6 +59,10 @@ class AmplifierSpec:
         r (float): squeezing parameter, in [0, MAX_SQUEEZING]
         pump_phase (float): pump phase in radians, passed through to the
             two-mode squeezer acting on each mode pair
+        squeezer (SymplecticTransform): ``two_mode_squeezer(r, pump_phase)``,
+            built and checked on first use and then kept by this spec
+            object; not a field, so equality, hashing, ``repr`` and
+            ``dataclasses.replace`` ignore it
     """
 
     gain: float
@@ -88,6 +93,11 @@ class AmplifierSpec:
     def from_squeezing(cls, r, pump_phase=0.0):
         """Build a spec from the squeezing parameter."""
         return cls(gain=squeezing_to_gain(r), r=r, pump_phase=pump_phase)
+
+    @cached_property
+    def squeezer(self):
+        """The two-mode squeezer of this operating point."""
+        return two_mode_squeezer(self.r, self.pump_phase)
 
 
 def two_mode_squeezer(r, phase=0.0):

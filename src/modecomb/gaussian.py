@@ -263,10 +263,14 @@ class Witness:
             ``(x_1..x_N, p_1..p_N)``
         normalization (float): vacuum variance of the combination, always
             ``coeffs . coeffs`` in shot-noise units
+
+    The modes with a nonzero coefficient are found once, on construction,
+    and :meth:`support` returns them.
     """
 
     coeffs: np.ndarray
     normalization: float = field(init=False)
+    _support: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         coeffs = np.asarray(self.coeffs, dtype=float).reshape(-1)
@@ -279,8 +283,11 @@ class Witness:
             )
         if norm == 0.0:
             raise ValueError("witness coefficient vector must be nonzero")
+        n = coeffs.size // 2
+        support = tuple(np.nonzero(np.logical_or(coeffs[:n], coeffs[n:]))[0])
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "normalization", norm)
+        object.__setattr__(self, "_support", support)
 
     @classmethod
     def from_terms(cls, n_modes, terms):
@@ -298,10 +305,15 @@ class Witness:
         return cls(coeffs)
 
     def support(self, n_modes):
-        """Mode indices on which the witness has a nonzero coefficient."""
-        x_part = self.coeffs[:n_modes]
-        p_part = self.coeffs[n_modes:]
-        return tuple(np.nonzero((x_part != 0) | (p_part != 0))[0])
+        """Mode indices on which the witness has a nonzero coefficient.
+
+        Raises:
+            ValueError: if ``n_modes`` is not the witness's own mode count.
+        """
+        own = self.coeffs.size // 2
+        if n_modes != own:
+            raise ValueError(f"witness has {own} modes, not {n_modes}")
+        return self._support
 
 
 def vacuum_state(n_modes):

@@ -128,6 +128,16 @@ def test_decomposition_validates_factors():
         )
 
 
+@pytest.mark.parametrize(
+    "squeeze",
+    [(np.nan, 0.0), (0.5, np.nan), (np.inf, 1.0), (1.0, -np.inf)],
+)
+def test_decomposition_rejects_non_finite_squeeze(squeeze):
+    identity = SymplecticTransform.identity(2)
+    with pytest.raises(ValueError, match="finite"):
+        Decomposition(identity, squeeze, identity)
+
+
 def test_decomposition_factors_are_orthogonal_symplectics():
     rng = np.random.default_rng(9)
     result = decompose(random_network(rng, 3, 8))

@@ -1,6 +1,7 @@
 """End-to-end tests for the command line interface."""
 
 import csv
+import io
 import json
 import math
 import os
@@ -22,6 +23,7 @@ from modecomb.cli import (
     ScenarioError,
     _parse_network,
     _write_json,
+    _write_table,
     apply_symplectic_matrix,
     cmd_decompose,
     cmd_noise_table,
@@ -741,6 +743,55 @@ def test_noise_table_rejects_out_of_range_values(
     assert field in err.splitlines()[0]
     assert "Traceback" not in err
     assert not (tmp_path / "noise_table.csv").exists()
+
+
+def _count_squeezer_builds(monkeypatch):
+    """Count calls of ``elements.two_mode_squeezer`` through every
+    ``modecomb`` module that binds it; return the growing call list."""
+    calls = []
+    original = elements.two_mode_squeezer
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "modecomb" and (
+            getattr(module, "two_mode_squeezer", None) is original
+        ):
+            monkeypatch.setattr(module, "two_mode_squeezer", counted)
+    return calls
+
+
+def test_noise_table_builds_one_squeezer_per_gain(tmp_path, monkeypatch):
+    calls = _count_squeezer_builds(monkeypatch)
+    path = cmd_noise_table(
+        [1.5, 2.0, 3.0, 4.0], [0.5, 0.6, 0.7, 0.8, 0.9], [0.0], tmp_path
+    )
+    assert len(read_rows(path)) == 20
+    assert len(calls) == 4
+
+
+def test_write_table_matches_dict_writer_byte_for_byte(tmp_path):
+    header = ["plain", "with,comma", 'with "quote"', "empty"]
+    rows = [
+        ("1", "a,b", 'say "hi"', ""),
+        ("line\nbreak", "cr\rreturn", "", " padded "),
+        ("", "", "", ""),
+        ("\u03b7=0.9", "'single'", '","', "\r\n"),
+    ]
+    reference = io.StringIO(newline="")
+    writer = csv.DictWriter(reference, fieldnames=header)
+    writer.writeheader()
+    writer.writerows(dict(zip(header, row)) for row in rows)
+    path = _write_table(tmp_path, "table", header, rows, "csv")
+    assert path.read_bytes() == reference.getvalue().encode("utf-8")
+
+    path = _write_table(tmp_path, "table", header, rows, "json")
+    table = [dict(zip(header, row)) for row in rows]
+    assert path.read_text(encoding="utf-8") == (
+        json.dumps(table, indent=2, sort_keys=True) + "\n"
+    )
 
 
 def test_noise_table_json_format(tmp_path):

@@ -231,6 +231,15 @@ def test_graph_spec_validation_and_edges():
         GraphSpec(2, adjacency)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("part", [1.0, 1j])
+def test_graph_spec_rejects_non_finite_adjacency(bad, part):
+    adjacency = np.zeros((2, 2), dtype=complex)
+    adjacency[0, 1] = adjacency[1, 0] = bad * part
+    with pytest.raises(ValueError, match="finite"):
+        GraphSpec(2, adjacency)
+
+
 def test_bipartite_graph_mirrors_comb_pairing():
     comb = build_comb(6, AmplifierSpec.from_gain(2.0))
     graph = bipartite_graph(comb)

@@ -13,6 +13,7 @@ from modecomb import (
     SpatialComb,
     Witness,
     amplify_comb,
+    apply_symplectic,
     build_comb,
     check_physicality,
     lo_overlap,
@@ -20,6 +21,7 @@ from modecomb import (
     pair_witnesses,
     purity,
     synthesize_lo,
+    two_mode_squeezer,
     vacuum_state,
     witness_variance,
 )
@@ -128,6 +130,30 @@ def test_zero_gain_amplifier_leaves_vacuum_untouched():
     comb = build_comb(4, AmplifierSpec.from_gain(1.0))
     state = amplify_comb(vacuum_state(4), comb)
     assert np.array_equal(state.cov, np.eye(8))
+
+
+def test_amplify_comb_matches_fresh_squeezers_bit_for_bit():
+    shared = AmplifierSpec.from_squeezing(0.8)
+    specs = [
+        shared,
+        AmplifierSpec.from_gain(1.0),
+        shared,
+        AmplifierSpec.from_squeezing(1.5, 0.4),
+        AmplifierSpec.from_squeezing(0.0, 1.0),
+        AmplifierSpec.from_squeezing(0.8),
+    ]
+    comb = build_comb(12, shared).with_amplifiers(specs)
+    start = amplify_comb(vacuum_state(12), build_comb(12, shared))
+    expected = start
+    for pair, amp in zip(comb.pairs, comb.amps):
+        squeezer = two_mode_squeezer(amp.r, amp.pump_phase)
+        expected = apply_symplectic(expected, squeezer, pair)
+    for _ in range(2):  # the second call reuses every kept squeezer
+        state = amplify_comb(start, comb)
+        for name in ("mean", "cov", "factor"):
+            assert getattr(state, name).tobytes() == (
+                getattr(expected, name).tobytes()
+            )
 
 
 def test_amplify_comb_rejects_mode_count_mismatch(comb8):

@@ -1,5 +1,6 @@
 """Tests for elementary Gaussian elements and the gain/squeezing dictionary."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -50,6 +51,29 @@ def test_amplifier_spec_rejects_inconsistent_pairs():
         AmplifierSpec.from_gain(0.5)
     with pytest.raises(ValueError):
         AmplifierSpec.from_squeezing(-0.1)
+
+
+@pytest.mark.parametrize(
+    "r, phase", [(0.0, 0.0), (1.0, 0.0), (0.7, 1.3), (MAX_SQUEEZING, -2.0)]
+)
+def test_amplifier_spec_builds_its_squeezer_once(r, phase):
+    spec = AmplifierSpec.from_squeezing(r, phase)
+    squeezer = spec.squeezer
+    assert spec.squeezer is squeezer
+    expected = two_mode_squeezer(r, phase).matrix
+    assert squeezer.matrix.tobytes() == expected.tobytes()
+
+    # The kept squeezer is no field: equality, hashing, repr and replace
+    # see only the operating point, and an equal spec builds its own.
+    fresh = AmplifierSpec.from_squeezing(r, phase)
+    assert spec == fresh and hash(spec) == hash(fresh)
+    assert repr(spec) == repr(fresh)
+    assert "squeezer" not in {f.name for f in dataclasses.fields(spec)}
+    assert fresh.squeezer is not squeezer
+    moved = dataclasses.replace(spec, pump_phase=phase + 0.5)
+    assert moved.squeezer.matrix.tobytes() == (
+        two_mode_squeezer(r, phase + 0.5).matrix.tobytes()
+    )
 
 
 def test_gain_squeezing_dictionary():

@@ -174,6 +174,17 @@ def test_witness_from_terms_places_coefficients():
     assert np.array_equal(wp.coeffs, [0.0, 0.0, 1.0, 1.0])
 
 
+def test_witness_support_is_found_once_for_its_own_mode_count():
+    w = Witness.from_terms(3, {(2, "p"): 1.0})
+    assert w.support(3) == (2,)
+    assert w.support(3) is w.support(3)
+    assert type(w.support(3)[0]) is np.intp
+    assert "_support" not in repr(w)
+    for wrong in (1, 2, 4):
+        with pytest.raises(ValueError, match=f"3 modes, not {wrong}"):
+            w.support(wrong)
+
+
 def test_witness_rejects_degenerate_or_out_of_range_terms():
     with pytest.raises(ValueError):
         Witness.from_terms(2, {})
