@@ -19,10 +19,10 @@ Each input rule lives in the type or function that owns the field and
 raises a :class:`~modecomb.gaussian.FieldError`; this module only prepends
 the section (``comb.``, ``wire.``, ``detection.``,
 ``network.elements[i].``, ``sweep.values[i].``, ``gains[i].``, ...), so a
-validation failure always names a dotted field. Every sweep point and grid
-value is validated before anything is computed. Any other exception is an
-internal error: exit 4, with ``internal error: ...`` as the first stderr
-line.
+validation failure always names a dotted field. Each parser also rejects a
+key it does not read. Every sweep point and grid value is validated before
+anything is computed. Any other exception is an internal error: exit 4,
+with ``internal error: ...`` as the first stderr line.
 
 Everything here is deterministic; the scenario ``seed`` is only echoed into
 reports so that downstream tooling can record provenance.
@@ -181,6 +181,16 @@ def _checked(field, values, build):
     return sorted(built, key=lambda pair: pair[0])
 
 
+def _known(raw, keys):
+    """Reject the first key of the object ``raw`` not among ``keys``, the
+    keys its parser reads."""
+    for key in raw:
+        if key not in keys:
+            raise FieldError(
+                key, f"unknown field; expected one of {sorted(keys)}"
+            )
+
+
 def _section(raw, name, parse):
     """Parse the object ``raw[name]`` with its fields prefixed by ``name``."""
     if name not in raw:
@@ -192,6 +202,7 @@ def _section(raw, name, parse):
 
 
 def _parse_comb(raw):
+    _known(raw, ("M", "cells", "gain", "r"))
     if ("gain" in raw) == ("r" in raw):
         raise FieldError("gain", "exactly one of 'gain' or 'r' is required")
     if "gain" in raw:
@@ -202,6 +213,7 @@ def _parse_comb(raw):
 
 
 def _parse_wire(raw):
+    _known(raw, ("n_pairs", "r", "phase_convention"))
     return DualRailSpec(
         n_pairs=raw.get("n_pairs"),
         r=raw.get("r"),
@@ -212,6 +224,7 @@ def _parse_wire(raw):
 
 
 def _parse_detection(raw):
+    _known(raw, ("eta_d", "misalignment", "stray_etas"))
     return DetectionConfig(
         eta_d=raw.get("eta_d", 1.0),
         misalignment=raw.get("misalignment", 0.0),
@@ -242,6 +255,7 @@ _SWEEP_FIELDS = {
 
 def _parse_sweep(raw, scenario):
     """Build and so validate every sweep point of ``scenario``."""
+    _known(raw, ("parameter", "values"))
     parameter = raw.get("parameter")
     if not isinstance(parameter, str) or parameter not in _SWEEP_FIELDS:
         raise FieldError(
@@ -288,6 +302,9 @@ def parse_scenario(raw):
     """
     if not isinstance(raw, dict):
         raise FieldError("config", "top level must be an object")
+    with _within("config"):
+        _known(raw, ("version", "name", "seed", "comb", "wire", "detection",
+                     "sweep"))
     _check_version(raw, "version")
     name = raw.get("name")
     if not isinstance(name, str) or not name or set(name) & set("/\\"):
@@ -331,7 +348,7 @@ def _witness_rows(scenario):
                     (f"pair{i}_xdiff", measure_witness(state, wx, det.eta_d))
                 )
     if scenario.wire is not None:
-        state, _ = build_dual_rail(scenario.wire)
+        state = build_dual_rail(scenario.wire)
         for label, witness in wire_witnesses(scenario.wire):
             rows.append((label, measure_witness(state, witness, det.eta_d)))
     return rows
@@ -340,7 +357,7 @@ def _witness_rows(scenario):
 def _graph_report(scenario):
     """Graph description of the base (unswept) scenario."""
     if scenario.wire is not None:
-        state, _ = build_dual_rail(scenario.wire)
+        state = build_dual_rail(scenario.wire)
         graph = extract_graph(state)
         residual = nullifier_residual(state, graph)
         source = "wire"
@@ -485,6 +502,8 @@ def _parse_network(raw):
     """Compose a network file into one SymplecticTransform, checked once."""
     if not isinstance(raw, dict):
         raise FieldError("network", "top level must be an object")
+    with _within("network"):
+        _known(raw, ("version", "n_modes", "elements"))
     _check_version(raw, "network.version")
     n_modes = _integer("network.n_modes", raw.get("n_modes"), 1, MAX_MODES)
     entries = raw.get("elements", [])
@@ -515,6 +534,7 @@ def _parse_network(raw):
                 f"must list {arity} distinct mode indices below {n_modes}",
             )
         with _within(path):
+            _known(spec, ("type", "modes", *defaults))
             element = getattr(elements, kind)(
                 **{name: spec.get(name, v) for name, v in defaults.items()}
             )

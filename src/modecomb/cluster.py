@@ -33,11 +33,11 @@ from .gaussian import (
     FieldError,
     GaussianState,
     Witness,
-    _apply_rows,
-    _check_rows,
+    _apply_steps,
     _integer,
-    _quadrature_rows,
+    _mode,
     purity,
+    vacuum_state,
 )
 
 #: States with purity below 1 - PURITY_TOL have no pure-graph description.
@@ -53,7 +53,7 @@ PHASE_CONVENTIONS = ("odd_mode_minus_half_pi", "none")
 SIGN_CONVENTIONS = ("decaying", "mirrored", "grouped")
 
 #: Signs of the squeezed (x, p) combinations of an interior wire link on its
-#: modes, :func:`_interior_modes`.
+#: modes, :func:`_interior_terms`.
 _INTERIOR_SIGNS = ((1.0, 1.0, -1.0, 1.0), (1.0, 1.0, 1.0, -1.0))
 
 _SQRT2 = math.sqrt(2.0)
@@ -94,12 +94,10 @@ class GraphSpec:
         if asym > 1e-10:
             raise ValueError(f"adjacency must be symmetric; asymmetry {asym:.3e}")
         adj = 0.5 * (adj + adj.T)
-        edges = tuple(
-            (i, j, float(adj[i, j].real))
-            for i in range(self.n_nodes)
-            for j in range(i + 1, self.n_nodes)
-            if abs(adj[i, j].real) > EDGE_WEIGHT_THRESHOLD
-        )
+        heavy = abs(adj.real) > EDGE_WEIGHT_THRESHOLD
+        rows, cols = np.nonzero(np.triu(heavy, 1))
+        edges = tuple(zip(rows.tolist(), cols.tolist(),
+                          adj.real[rows, cols].tolist()))
         object.__setattr__(self, "adjacency", adj)
         object.__setattr__(self, "edges", edges)
 
@@ -147,83 +145,89 @@ def _rotated_modes(n_pairs):
     return tuple(m for m in range(2 * n_pairs) if m % 4 in (1, 2))
 
 
-def _interior_modes(wire_position):
-    """Modes ``(2k-1, 2k, 2k+1, 2k+2)``, ``k = wire_position + 1``, of
-    interior link ``wire_position`` of a wire."""
-    k = wire_position + 1
-    return (2 * k - 1, 2 * k, 2 * k + 1, 2 * k + 2)
+def _terms(quad, coeffs):
+    """Sparse ``{(mode, quad): coefficient}`` terms of ``(mode, coeff)``
+    pairs."""
+    return {(m, quad): c for m, c in coeffs}
 
 
-def _wire_patterns(n_pairs):
+def _interior_terms(wire_position, x_signs, p_signs):
+    """The x- and p-terms, with the given signs, of interior link
+    ``wire_position`` on its modes ``(2k-1, 2k, 2k+1, 2k+2)``,
+    ``k = wire_position + 1``."""
+    modes = range(2 * wire_position + 1, 2 * wire_position + 5)
+    return _terms("x", zip(modes, x_signs)), _terms("p", zip(modes, p_signs))
+
+
+def _wire_terms(n_pairs):
     """Squeezed quadrature combinations of the beam-splitter-output wire.
 
-    Returns ``(label, x_coeffs, p_coeffs)`` triples over the 2*n_pairs modes,
-    before any phase relabeling. Each combination has vacuum variance 4 and
-    variance ``4 e^{-2r}`` on the wire, so the normalized witness variance is
-    ``e^{-2r}``. Interior source k contributes the four-mode x- and
-    p-combinations of :data:`_INTERIOR_SIGNS` on modes (2k-1 .. 2k+2); the
-    chain ends contribute three-mode combinations with a sqrt(2) weight on
-    the unmixed end modes.
+    Returns ``(label, terms)`` pairs, ``terms`` mapping ``(mode, "x"|"p")``
+    to a coefficient, before any phase relabeling. Each combination has
+    vacuum variance 4 and variance ``4 e^{-2r}`` on the wire, so the
+    normalized witness variance is ``e^{-2r}``. Interior source k
+    contributes the four-mode x- and p-combinations of
+    :data:`_INTERIOR_SIGNS` on modes (2k-1 .. 2k+2); the chain ends
+    contribute three-mode combinations with a sqrt(2) weight on the unmixed
+    end modes.
     """
-    n_modes = 2 * n_pairs
-    patterns = []
-
-    def pattern(label, xterms, pterms):
-        a = np.zeros(n_modes)
-        b = np.zeros(n_modes)
-        for m, c in xterms:
-            a[m] = c
-        for m, c in pterms:
-            b[m] = c
-        patterns.append((label, a, b))
-
-    pattern("left_x", [(0, _SQRT2), (1, -1.0), (2, 1.0)], [])
-    pattern("left_p", [], [(0, _SQRT2), (1, 1.0), (2, -1.0)])
-    x_signs, p_signs = _INTERIOR_SIGNS
+    last = 2 * n_pairs - 1
+    out = [
+        ("left_x", _terms("x", [(0, _SQRT2), (1, -1.0), (2, 1.0)])),
+        ("left_p", _terms("p", [(0, _SQRT2), (1, 1.0), (2, -1.0)])),
+    ]
     for position in range(n_pairs - 2):
-        ms = _interior_modes(position)
-        pattern(f"interior{position}_x", list(zip(ms, x_signs)), [])
-        pattern(f"interior{position}_p", [], list(zip(ms, p_signs)))
-    last = n_modes - 1
-    pattern("right_x", [(last - 2, 1.0), (last - 1, 1.0), (last, -_SQRT2)], [])
-    pattern("right_p", [], [(last - 2, 1.0), (last - 1, 1.0), (last, _SQRT2)])
-    return patterns
+        x, p = _interior_terms(position, *_INTERIOR_SIGNS)
+        out += [(f"interior{position}_x", x), (f"interior{position}_p", p)]
+    ends = [(last - 2, 1.0), (last - 1, 1.0)]
+    out += [("right_x", _terms("x", [*ends, (last, -_SQRT2)])),
+            ("right_p", _terms("p", [*ends, (last, _SQRT2)]))]
+    return out
 
 
-def _relabel(a, b, rotated):
-    """Rewrite coefficients (a on x, b on p) after -pi/2 rotations.
+def _relabel(terms, rotated):
+    """Rewrite ``terms`` after -pi/2 rotations of the modes in the set
+    ``rotated``.
 
     The rotation maps operators as x -> -p, p -> x on each rotated mode, so
-    a combination a*x + b*p keeps its value with coefficients (-b, a) there.
+    a combination keeps its value when an x-term keeps its coefficient on p
+    and a p-term moves to x negated.
     """
-    a2, b2 = a.copy(), b.copy()
-    for m in rotated:
-        a2[m], b2[m] = -b[m], a[m]
-    return a2, b2
+    out = {}
+    for (m, quad), c in terms.items():
+        if m not in rotated:
+            out[m, quad] = c
+        elif quad == "x":
+            out[m, "p"] = c
+        else:
+            out[m, "x"] = -c
+    return out
+
+
+def _witnesses(n_pairs, phase_convention):
+    """Labeled witnesses of :func:`_wire_terms`, relabeled for the phase
+    convention."""
+    rotated = set()
+    if phase_convention == "odd_mode_minus_half_pi":
+        rotated = set(_rotated_modes(n_pairs))
+    return [(label, Witness.from_terms(2 * n_pairs, _relabel(terms, rotated)))
+            for label, terms in _wire_terms(n_pairs)]
 
 
 def build_dual_rail(spec):
-    """Build the dual-rail wire state and its ideal graph.
+    """Build the dual-rail wire state.
 
     Allocates ``2 * n_pairs`` modes; squeezes source pairs (2k, 2k+1);
     interferes adjacent source halves (2k+1, 2k+2) on balanced beam
     splitters; then applies the -pi/2 rotations selected by the spec's phase
-    convention.
-
-    The returned graph is the infinite-squeezing adjacency of the wire in
-    cluster form (convention "odd_mode_minus_half_pi"): purely real, with
-    interior weights +-1/2 and end-mode weights +-1/sqrt(2). Graphs of
-    finite-r states extracted with :func:`extract_graph` converge to it as r
-    grows. Under convention "none" the state differs only by the local
-    quadrature relabeling, and the same graph is returned.
+    convention. The steps fold into one working copy of the vacuum.
 
     Args:
         spec (DualRailSpec): wire parameters
 
     Returns:
-        tuple[GaussianState, GraphSpec]: the wire state and ideal graph
+        GaussianState: the wire state
     """
-    n_modes = 2 * spec.n_pairs
     steps = []
     if spec.r > 0:
         squeezer = two_mode_squeezer(spec.r)
@@ -234,38 +238,32 @@ def build_dual_rail(spec):
     if spec.phase_convention == "odd_mode_minus_half_pi":
         rotation = phase_shift(-math.pi / 2)
         steps += [(rotation, (m,)) for m in _rotated_modes(spec.n_pairs)]
-    # One working copy. Each step checks and symmetrizes its rows as
-    # apply_symplectic does, so the state is bit-equal to folding
-    # apply_symplectic over the steps.
-    dim = 2 * n_modes
-    mean, cov, factor = np.zeros(dim), np.eye(dim), np.eye(dim)
-    for transform, modes in steps:
-        idx = _quadrature_rows(n_modes, modes)
-        _apply_rows(mean, cov, factor, transform.matrix, idx)
-        _check_rows(mean, cov, idx)
-    state = GaussianState(n_modes, mean, cov, factor)
-    return state, ideal_wire_graph(spec.n_pairs)
+    return _apply_steps(vacuum_state(2 * spec.n_pairs), steps)
 
 
 def ideal_wire_graph(n_pairs):
     """Infinite-squeezing graph of the dual-rail wire in cluster form.
 
     Solves the nullifier system: stacking the squeezed combinations of
-    :func:`_wire_patterns` (rewritten through the -pi/2 relabeling) as rows
+    :func:`_wire_terms` (rewritten through the -pi/2 relabeling) as rows
     ``a . x + b . p -> 0`` and eliminating p gives the real adjacency
     ``Z = -B^{-1} A``.
+
+    The graph is that of the wire in cluster form (convention
+    "odd_mode_minus_half_pi"). Graphs of finite-r states from
+    :func:`build_dual_rail` extracted with :func:`extract_graph` converge to
+    it as r grows. Under convention "none" the state differs only by the
+    local quadrature relabeling.
 
     Returns:
         GraphSpec: real adjacency with interior weights +-1/2 and end-mode
         weights +-1/sqrt(2)
     """
     n_modes = 2 * n_pairs
-    rotated = _rotated_modes(n_pairs)
-    a_rows = np.zeros((n_modes, n_modes))
-    b_rows = np.zeros((n_modes, n_modes))
-    for i, (_, a, b) in enumerate(_wire_patterns(n_pairs)):
-        a_rows[i], b_rows[i] = _relabel(a, b, rotated)
-    adjacency = -np.linalg.solve(b_rows, a_rows)
+    rows = np.array([
+        w.coeffs for _, w in _witnesses(n_pairs, "odd_mode_minus_half_pi")
+    ])
+    adjacency = -np.linalg.solve(rows[:, n_modes:], rows[:, :n_modes])
     adjacency = 0.5 * (adjacency + adjacency.T)
     return GraphSpec(n_modes, adjacency.astype(complex))
 
@@ -275,23 +273,14 @@ def wire_witnesses(spec):
 
     Every returned witness has normalized variance ``e^{-2r}`` on the state
     from :func:`build_dual_rail` with the same spec, and 1 on vacuum. The
-    coefficient vectors are rewritten through the spec's phase relabeling so
-    the measured physical combination is identical for both conventions.
+    terms are rewritten through the spec's phase relabeling so the measured
+    physical combination is identical for both conventions.
 
     Returns:
         tuple[tuple[str, Witness], ...]: labeled witnesses in wire order:
         left boundary pair, interior pairs, right boundary pair
     """
-    rotated = (
-        _rotated_modes(spec.n_pairs)
-        if spec.phase_convention == "odd_mode_minus_half_pi"
-        else ()
-    )
-    out = []
-    for label, a, b in _wire_patterns(spec.n_pairs):
-        a2, b2 = _relabel(a, b, rotated)
-        out.append((label, Witness(np.concatenate([a2, b2]))))
-    return tuple(out)
+    return tuple(_witnesses(spec.n_pairs, spec.phase_convention))
 
 
 def witness_pair(wire_position, n_pairs, sign_convention="decaying"):
@@ -307,7 +296,8 @@ def witness_pair(wire_position, n_pairs, sign_convention="decaying"):
 
     * ``"decaying"``: x-signs (+1, +1, -1, +1), p-signs (+1, +1, +1, -1) —
       the combinations whose variance decays as ``e^{-2r}`` under this
-      package's beam-splitter convention;
+      package's beam-splitter convention, and the ``interior{position}``
+      witnesses of :func:`wire_witnesses` under convention "none";
     * ``"mirrored"``: the p-signs copy the x-signs (+1, +1, -1, +1);
     * ``"grouped"``: both read (+1, +1, -1, -1).
 
@@ -334,20 +324,13 @@ def witness_pair(wire_position, n_pairs, sign_convention="decaying"):
             f"wire position {wire_position} is not an interior link of a "
             f"{n_pairs}-source wire (valid: 0 .. {n_pairs - 3})"
         )
-    x_signs, p_signs = {
+    signs = {
         "decaying": _INTERIOR_SIGNS,
         "mirrored": (_INTERIOR_SIGNS[0],) * 2,
         "grouped": ((1.0, 1.0, -1.0, -1.0),) * 2,
     }[sign_convention]
-    modes = _interior_modes(wire_position)
-    n_modes = 2 * n_pairs
-    wx = Witness.from_terms(
-        n_modes, {(m, "x"): c for m, c in zip(modes, x_signs)}
-    )
-    wp = Witness.from_terms(
-        n_modes, {(m, "p"): c for m, c in zip(modes, p_signs)}
-    )
-    return wx, wp
+    return tuple(Witness.from_terms(2 * n_pairs, terms)
+                 for terms in _interior_terms(wire_position, *signs))
 
 
 def bipartite_graph(comb):
@@ -454,8 +437,7 @@ def condition_on_homodyne(state, mode, quadrature, outcome):
         symplectic factor
     """
     n = state.n_modes
-    if not 0 <= mode < n:
-        raise ValueError(f"mode {mode} out of range for {n} modes")
+    mode = _mode(mode, n)
     if quadrature not in ("x", "p"):
         raise ValueError(f"quadrature must be 'x' or 'p', got {quadrature!r}")
     if n == 1:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .detection import DEFAULT_DETECTOR_ETA
 from .elements import _fraction
 from .gaussian import (
     MAX_MODES,
@@ -22,6 +23,7 @@ from .gaussian import (
     GaussianState,
     Witness,
     _integer,
+    _mode,
     _real,
     apply_symplectic,
 )
@@ -356,7 +358,8 @@ class OverlapSpec:
 
 
 def overlap_spec_from_alignment(
-    lo, target_mode, misalignment, stray_etas, detector_eta=0.95
+    lo, target_mode, misalignment, stray_etas,
+    detector_eta=DEFAULT_DETECTOR_ETA,
 ):
     """Turn an abstract misalignment fraction into an overlap spec.
 
@@ -377,10 +380,7 @@ def overlap_spec_from_alignment(
     Returns:
         OverlapSpec: the resulting power bookkeeping
     """
-    if not 0 <= target_mode < lo.comb.n_modes:
-        raise ValueError(
-            f"target mode {target_mode} out of range for {lo.comb.n_modes} modes"
-        )
+    target_mode = _mode(target_mode, lo.comb.n_modes)
     if abs(lo.coeffs[target_mode]) == 0.0:
         raise ValueError(
             f"local oscillator has no weight on target mode {target_mode}"

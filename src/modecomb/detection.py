@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from .elements import _fraction, _gain, loss_channel
 from .gaussian import witness_variance
 
-#: Self-consistency budget of a NoiseReport (dB vs variance, component sum).
+#: Self-consistency budget of a NoiseReport: components vs variance.
 REPORT_CONSISTENCY_TOL = 1e-12
 
 #: Detector efficiency of off-the-shelf balanced homodyne components.
@@ -33,26 +33,20 @@ DEFAULT_DETECTOR_ETA = 0.95
 
 @dataclass(frozen=True)
 class NoiseReport:
-    """A noise figure with its decibel value and additive breakdown.
+    """A noise figure with its additive breakdown.
 
     Attributes:
         variance (float): shot-noise-normalized variance, positive
-        db (float): ``10 log10(variance)``; negative means squeezing
         components (dict[str, float]): additive breakdown; the values sum
             to ``variance``
     """
 
     variance: float
-    db: float
     components: dict
 
     def __post_init__(self):
         if self.variance <= 0.0:
             raise ValueError(f"variance must be positive, got {self.variance}")
-        if abs(self.db - squeezing_db(self.variance)) > REPORT_CONSISTENCY_TOL:
-            raise ValueError(
-                f"dB value {self.db} inconsistent with variance {self.variance}"
-            )
         total = sum(self.components.values())
         if abs(total - self.variance) > REPORT_CONSISTENCY_TOL * max(
             1.0, self.variance
@@ -62,12 +56,14 @@ class NoiseReport:
             )
         object.__setattr__(self, "components", dict(self.components))
 
+    @property
+    def db(self):
+        """``10 log10(variance)``; negative means squeezing."""
+        return squeezing_db(self.variance)
+
 
 def _report(components):
-    variance = math.fsum(components.values())
-    return NoiseReport(
-        variance=variance, db=squeezing_db(variance), components=components
-    )
+    return NoiseReport(math.fsum(components.values()), components)
 
 
 def _gain_correlation(gain):
@@ -163,7 +159,6 @@ def measure_witness(state, witness, eta_d):
     vacuum = 1.0 - eta_d
     return NoiseReport(
         variance=variance,
-        db=squeezing_db(variance),
         components={
             "attenuated_signal": variance - vacuum,
             "vacuum_admixture": vacuum,

@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .gaussian import (FieldError, SymplecticTransform, _derived_state,
-                       _quadrature_rows, _real)
+                       _mode, _quadrature_rows, _real)
 
 #: Tolerance on the internal consistency gain = cosh^2(r) of an AmplifierSpec.
 GAIN_CONSISTENCY_TOL = 1e-12
@@ -215,12 +215,13 @@ def loss_channel(state, mode, eta):
 
     Returns:
         GaussianState: the attenuated state, without a symplectic factor
+
+    Raises:
+        ValueError: if ``mode`` is not an integer index of the state.
     """
     eta = _fraction("eta", eta)
     n = state.n_modes
-    if not 0 <= mode < n:
-        raise ValueError(f"mode {mode} out of range for {n} modes")
-
+    mode = _mode(mode, n)
     root = math.sqrt(eta)
     idx = _quadrature_rows(n, (mode,))
     mean = state.mean.copy()

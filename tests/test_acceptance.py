@@ -86,7 +86,7 @@ def wire_states():
     for n_pairs in (2, 4, 8):
         for r in np.arange(0.0, 2.01, 0.25):
             spec = DualRailSpec(n_pairs, float(r))
-            state, _ = build_dual_rail(spec)
+            state = build_dual_rail(spec)
             checked.append(Checked(
                 spec, f"wire n_pairs={n_pairs} r={r}", state, True
             ))
@@ -97,7 +97,7 @@ def wire_states():
 def graph_wire_state():
     """Criterion 5: the strongly squeezed wire whose graph is extracted."""
     start = time.perf_counter()
-    state, _ = build_dual_rail(DualRailSpec(4, 5.0))
+    state = build_dual_rail(DualRailSpec(4, 5.0))
     checked = [Checked(None, "wire n_pairs=4 r=5", state, True)]
     return checked, time.perf_counter() - start
 

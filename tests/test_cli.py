@@ -396,6 +396,51 @@ def test_validation_errors_name_the_offending_field(
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "command, payload, field",
+    [
+        ("simulate", dict(MINIMAL, detection={"eta": 0.5}), "detection.eta"),
+        (
+            "simulate",
+            {
+                "name": "x",
+                "wire": {"n_pairs": 2, "r": 1.0, "phase_conventon": "none"},
+            },
+            "wire.phase_conventon",
+        ),
+        (
+            "simulate",
+            dict(MINIMAL, sweeep={"parameter": "comb.r", "values": [0.1]}),
+            "config.sweeep",
+        ),
+        ("simulate", dict(MINIMAL, comb={"M": 2, "r": 0.5, "cell": 1}),
+         "comb.cell"),
+        (
+            "simulate",
+            dict(MINIMAL, sweep={"parameter": "comb.r", "value": [0.1]}),
+            "sweep.value",
+        ),
+        (
+            "decompose",
+            {
+                "n_modes": 2,
+                "elements": [{"type": "two_mode_squeezer", "modes": [0, 1],
+                              "squeeze": 0.8}],
+            },
+            "network.elements[0].squeeze",
+        ),
+        ("decompose", {"n_modes": 2, "element": []}, "network.element"),
+    ],
+)
+def test_unknown_config_keys_are_rejected_by_field(
+    tmp_path, capsys, command, payload, field
+):
+    path = write_config(tmp_path / "input.json", payload)
+    assert main([command, path, "--out-dir", str(tmp_path)]) == 3
+    first = capsys.readouterr().err.splitlines()[0]
+    assert first.startswith(f"validation error: {field}: unknown field")
+
+
 #: A scenario with every numeric field set to a valid value.
 EVERY_FIELD = {
     "name": "x",

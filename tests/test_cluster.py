@@ -5,10 +5,12 @@ import math
 import numpy as np
 import pytest
 
+import modecomb.cluster
 from modecomb import (
     AmplifierSpec,
     DualRailSpec,
     FieldError,
+    GaussianState,
     GraphSpec,
     NotAGraphStateError,
     amplify_comb,
@@ -44,7 +46,7 @@ HALF_INV_SQRT2 = 0.7071067811865476
 def test_every_wire_witness_decays_at_the_epr_rate(n_pairs, convention):
     for r in (0.0, 0.4, 1.0):
         spec = DualRailSpec(n_pairs=n_pairs, r=r, phase_convention=convention)
-        state, _ = build_dual_rail(spec)
+        state = build_dual_rail(spec)
         expected = math.exp(-2.0 * r)
         labels = wire_witnesses(spec)
         assert len(labels) == 2 * n_pairs
@@ -69,16 +71,25 @@ def test_both_phase_conventions_measure_the_same_physics():
     for r in (0.3, 0.9):
         phased = DualRailSpec(n_pairs=4, r=r)
         plain = DualRailSpec(n_pairs=4, r=r, phase_convention="none")
-        state_a, _ = build_dual_rail(phased)
-        state_b, _ = build_dual_rail(plain)
+        state_a = build_dual_rail(phased)
+        state_b = build_dual_rail(plain)
         va = [witness_variance(state_a, w) for _, w in wire_witnesses(phased)]
         vb = [witness_variance(state_b, w) for _, w in wire_witnesses(plain)]
         assert va == pytest.approx(vb, abs=1e-13)
 
 
+def test_build_dual_rail_returns_its_state_and_solves_no_graph(monkeypatch):
+    solved = []
+    monkeypatch.setattr(modecomb.cluster, "ideal_wire_graph", solved.append)
+    state = build_dual_rail(DualRailSpec(n_pairs=3, r=1.0))
+    assert isinstance(state, GaussianState)
+    assert state.n_modes == 6
+    assert solved == []
+
+
 def test_wire_states_are_pure_and_physical():
     spec = DualRailSpec(n_pairs=5, r=1.5)
-    state, _ = build_dual_rail(spec)
+    state = build_dual_rail(spec)
     ok, min_eig = check_physicality(state)
     assert ok, min_eig
     assert purity(state) == pytest.approx(1.0, abs=1e-9)
@@ -111,7 +122,7 @@ def test_dual_rail_spec_names_the_offending_field():
 
 def test_interior_witness_pair_conventions():
     spec = DualRailSpec(n_pairs=4, r=0.8, phase_convention="none")
-    state, _ = build_dual_rail(spec)
+    state = build_dual_rail(spec)
     floor = math.exp(-1.6)
 
     wx, wp = witness_pair(0, 4)
@@ -169,7 +180,7 @@ def test_extracted_graph_converges_to_the_ideal_wire():
     ideal = ideal_wire_graph(4)
     errors = []
     for r in (2.0, 3.0, 4.0):
-        state, _ = build_dual_rail(DualRailSpec(n_pairs=4, r=r))
+        state = build_dual_rail(DualRailSpec(n_pairs=4, r=r))
         graph = extract_graph(state)
         errors.append(
             np.max(np.abs(np.real(graph.adjacency) - ideal.adjacency))
@@ -179,13 +190,6 @@ def test_extracted_graph_converges_to_the_ideal_wire():
     assert errors[2] < 1e-6
 
 
-def test_build_dual_rail_returns_the_ideal_target_graph():
-    spec = DualRailSpec(n_pairs=3, r=1.0)
-    _, target = build_dual_rail(spec)
-    reference = ideal_wire_graph(3)
-    assert np.allclose(target.adjacency, reference.adjacency, atol=1e-12)
-
-
 def test_ideal_graph_nullifier_relation_holds_at_finite_squeezing():
     # The wire's p covariance equals the ideal-graph-conjugated x covariance
     # at every squeezing level, not just asymptotically: the residual stays
@@ -193,25 +197,36 @@ def test_ideal_graph_nullifier_relation_holds_at_finite_squeezing():
     # approaches the ideal one as e^{-4r}.
     ideal = ideal_wire_graph(4)
     for r in (0.0, 0.5, 1.0, 2.0, 3.0):
-        state, _ = build_dual_rail(DualRailSpec(n_pairs=4, r=r))
+        state = build_dual_rail(DualRailSpec(n_pairs=4, r=r))
         assert nullifier_residual(state, ideal) < 1e-10, r
 
 
 def test_extract_graph_self_residual_is_tiny():
-    state, _ = build_dual_rail(DualRailSpec(n_pairs=4, r=2.0))
+    state = build_dual_rail(DualRailSpec(n_pairs=4, r=2.0))
     graph = extract_graph(state)
     assert nullifier_residual(state, graph) < 1e-10
 
 
 def test_extract_graph_refuses_mixed_states():
-    state, _ = build_dual_rail(DualRailSpec(n_pairs=2, r=1.0))
+    state = build_dual_rail(DualRailSpec(n_pairs=2, r=1.0))
     lossy = loss_channel(state, 0, 0.7)
     with pytest.raises(NotAGraphStateError):
         extract_graph(lossy)
 
 
+@pytest.mark.parametrize("n_pairs", [3, 5])
+def test_witness_pair_is_the_interior_witness_of_the_plain_wire(n_pairs):
+    witnesses = dict(wire_witnesses(DualRailSpec(n_pairs, 0.7, "none")))
+    for position in range(n_pairs - 2):
+        wx, wp = witness_pair(position, n_pairs)
+        x_ref = witnesses[f"interior{position}_x"]
+        p_ref = witnesses[f"interior{position}_p"]
+        assert wx.coeffs.tobytes() == x_ref.coeffs.tobytes()
+        assert wp.coeffs.tobytes() == p_ref.coeffs.tobytes()
+
+
 def test_nullifier_residual_checks_node_count():
-    state, _ = build_dual_rail(DualRailSpec(n_pairs=3, r=1.0))
+    state = build_dual_rail(DualRailSpec(n_pairs=3, r=1.0))
     with pytest.raises(ValueError):
         nullifier_residual(state, ideal_wire_graph(4))
 
@@ -222,6 +237,18 @@ def test_graph_spec_validation_and_edges():
     adjacency[1, 2] = adjacency[2, 1] = -0.5
     graph = GraphSpec(3, adjacency)
     assert graph.edges == ((0, 1, 0.5), (1, 2, -0.5))
+
+    # Row-major order, Python numbers, strictly above the threshold, and
+    # never the diagonal.
+    adjacency = np.zeros((4, 4))
+    for i, j, w in [(2, 3, 0.25), (0, 3, -1.0), (0, 1, 2e-6), (1, 2, 1e-6)]:
+        adjacency[i, j] = adjacency[j, i] = w
+    adjacency[1, 1] = 5.0
+    graph = GraphSpec(4, adjacency + 1j * np.eye(4))
+    assert graph.edges == ((0, 1, 2e-6), (0, 3, -1.0), (2, 3, 0.25))
+    assert {tuple(map(type, edge)) for edge in graph.edges} == {
+        (int, int, float)
+    }
 
     lopsided = np.zeros((3, 3))
     lopsided[0, 1] = 1.0
@@ -265,7 +292,7 @@ def test_conditioning_on_epr_half_collapses_partner_variance():
 
 
 def test_conditional_covariance_is_outcome_independent():
-    state, _ = build_dual_rail(DualRailSpec(n_pairs=3, r=1.0))
+    state = build_dual_rail(DualRailSpec(n_pairs=3, r=1.0))
     a = condition_on_homodyne(state, 2, "p", -1.3)
     b = condition_on_homodyne(state, 2, "p", 4.2)
     assert np.array_equal(a.cov, b.cov)
@@ -283,6 +310,13 @@ def test_conditioning_random_states_stays_physical():
         assert post.n_modes == n - 1
         ok, min_eig = check_physicality(post)
         assert ok, min_eig
+
+
+@pytest.mark.parametrize("mode", [0.5, 1.0, True])
+def test_conditioning_rejects_non_integer_modes(mode):
+    state = apply_symplectic(vacuum_state(2), two_mode_squeezer(1.0))
+    with pytest.raises(ValueError, match="must be an integer"):
+        condition_on_homodyne(state, mode, "x", 0.0)
 
 
 def test_conditioning_argument_validation():

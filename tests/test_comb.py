@@ -26,6 +26,8 @@ from modecomb import (
     witness_variance,
 )
 
+from modecomb.detection import DEFAULT_DETECTOR_ETA
+
 EXP_MINUS_TWO = 0.1353352832366127
 
 
@@ -297,6 +299,7 @@ def test_overlap_spec_from_alignment_splits_power_equally(comb8):
     perfect = overlap_spec_from_alignment(lo, 1, 0.0, stray_etas=())
     assert perfect.aligned_power == perfect.total_power
     assert perfect.stray_powers == ()
+    assert perfect.detector_eta == DEFAULT_DETECTOR_ETA
 
 
 def test_overlap_spec_from_alignment_validation(comb8):
@@ -309,6 +312,9 @@ def test_overlap_spec_from_alignment_validation(comb8):
         overlap_spec_from_alignment(lo, 0, 0.1, (0.5,))  # no LO weight there
     with pytest.raises(ValueError):
         overlap_spec_from_alignment(lo, 99, 0.1, (0.5,))
+    for target in (True, 1.0, 1.5):
+        with pytest.raises(ValueError, match="must be an integer"):
+            overlap_spec_from_alignment(lo, target, 0.0, ())
 
 
 def test_comb_equality_is_structural():

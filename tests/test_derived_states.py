@@ -152,7 +152,7 @@ def test_build_dual_rail_equals_folding_apply_symplectic(n_pairs, convention,
     for transform, modes in _wire_steps(spec):
         folded = apply_symplectic(folded, transform, modes)
 
-    state, _ = build_dual_rail(spec)
+    state = build_dual_rail(spec)
     _assert_bit_equal(state, folded)
 
 

@@ -121,7 +121,7 @@ def test_measure_witness_matches_closed_form_on_amplified_pair():
 
 def test_measure_witness_on_wire():
     spec = DualRailSpec(n_pairs=3, r=1.0)
-    state, _ = build_dual_rail(spec)
+    state = build_dual_rail(spec)
     expected = 1.0 + 0.95 * (math.exp(-2.0) - 1.0)
     for _, witness in wire_witnesses(spec):
         report = measure_witness(state, witness, 0.95)
@@ -166,12 +166,6 @@ def test_noise_report_consistency_contract():
 
 def test_noise_report_rejects_inconsistent_fields():
     with pytest.raises(ValueError):
-        NoiseReport(variance=0.5, db=-1.0, components={"shot_noise": 0.5})
+        NoiseReport(variance=0.5, components={"shot_noise": 0.7})
     with pytest.raises(ValueError):
-        NoiseReport(
-            variance=0.5,
-            db=squeezing_db(0.5),
-            components={"shot_noise": 0.7},
-        )
-    with pytest.raises(ValueError):
-        NoiseReport(variance=-0.5, db=0.0, components={})
+        NoiseReport(variance=-0.5, components={})

@@ -202,6 +202,12 @@ def test_loss_channel_matches_closed_form_on_witness():
         assert witness_variance(state, w) == pytest.approx(expected, abs=1e-12)
 
 
+@pytest.mark.parametrize("mode", [1.5, 1.0, True, np.bool_(False)])
+def test_loss_channel_rejects_non_integer_modes(mode):
+    with pytest.raises(ValueError, match="must be an integer"):
+        loss_channel(vacuum_state(2), mode, 0.5)
+
+
 def test_loss_channel_rejects_bad_arguments():
     state = vacuum_state(2)
     with pytest.raises(ValueError):

@@ -164,13 +164,27 @@ def test_apply_symplectic_rejects_wrong_mode_count():
         apply_symplectic(vacuum_state(3), two_mode_squeezer(0.2), modes=(0, 3))
 
 
+@pytest.mark.parametrize(
+    "modes", [(0.7, 1.9), (0, 1.0), (True, 2), (np.bool_(False), 1), ("0", 1)]
+)
+def test_apply_symplectic_rejects_non_integer_modes(modes):
+    with pytest.raises(ValueError, match="must be an integer"):
+        apply_symplectic(vacuum_state(3), two_mode_squeezer(0.5), modes)
+
+
+@pytest.mark.parametrize("mode", [True, np.bool_(True), 1.0, 0.5, "1"])
+def test_witness_from_terms_rejects_non_integer_modes(mode):
+    with pytest.raises(ValueError, match="must be an integer"):
+        Witness.from_terms(2, {(mode, "x"): 1.0})
+
+
 def test_witness_from_terms_places_coefficients():
     w = Witness.from_terms(3, {(0, "x"): 1.0, (2, "x"): -1.0})
     assert np.array_equal(w.coeffs, [1.0, 0.0, -1.0, 0.0, 0.0, 0.0])
     assert w.normalization == 2.0
     assert w.support(3) == (0, 2)
 
-    wp = Witness.from_terms(2, {(0, "p"): 1.0, (1, "p"): 1.0})
+    wp = Witness.from_terms(2, {(0, "p"): 1.0, (np.int64(1), "p"): 1.0})
     assert np.array_equal(wp.coeffs, [0.0, 0.0, 1.0, 1.0])
 
 
@@ -264,7 +278,7 @@ def _random_subset_evolution(rng, n_modes, n_steps):
 
 
 def test_factor_reproduces_covariance():
-    wire, _ = build_dual_rail(DualRailSpec(4, 5.0))
+    wire = build_dual_rail(DualRailSpec(4, 5.0))
     comb = build_comb(200, AmplifierSpec.from_squeezing(1.0))
     states = [wire, amplify_comb(vacuum_state(comb.n_modes), comb)]
     rng = np.random.default_rng(31)
@@ -289,7 +303,7 @@ def test_non_unitary_steps_and_direct_construction_drop_the_factor():
 
 def test_purity_from_factor_matches_covariance_at_moderate_squeezing():
     states = [
-        build_dual_rail(DualRailSpec(n_pairs, r))[0]
+        build_dual_rail(DualRailSpec(n_pairs, r))
         for n_pairs in (2, 4, 8)
         for r in (0.0, 0.3, 0.7, 1.0)
     ]
@@ -308,5 +322,5 @@ def test_purity_from_factor_matches_covariance_at_moderate_squeezing():
 
 def test_purity_from_factor_holds_on_strongly_squeezed_wire():
     for r in (5.0, 6.0, 6.9):
-        state, _ = build_dual_rail(DualRailSpec(4, r))
+        state = build_dual_rail(DualRailSpec(4, r))
         assert abs(purity(state) - 1.0) <= 1e-8
