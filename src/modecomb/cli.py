@@ -77,11 +77,6 @@ CONFIG_VERSION = "v1"
 FLOAT_FORMAT = ".12g"
 
 
-#: Validation errors of scenario and network files; ``.field`` is the dotted
-#: path of the offending field, e.g. ``"comb.M"``.
-ScenarioError = FieldError
-
-
 class ParseError(Exception):
     """An input file that cannot be read or decoded as JSON (exit 2)."""
 
@@ -138,26 +133,23 @@ class DetectionConfig:
 
 
 @dataclass(frozen=True)
-class SweepConfig:
-    """A swept field and its concrete scenarios.
+class Scenario:
+    """A validated scenario file.
 
     Attributes:
-        parameter (str): dotted name of the swept field
-        points (tuple): ``(value, Scenario)`` pairs sorted by value
+        parameter (str): dotted name of the swept field, "" without a sweep
+        points (tuple): ``(value, Scenario)`` pairs sorted by value, each
+            point this scenario with the swept value put in; empty without
+            a sweep
     """
 
-    parameter: str
-    points: tuple
-
-
-@dataclass(frozen=True)
-class Scenario:
     name: str
     comb: SpatialComb | None
     wire: DualRailSpec | None
     detection: DetectionConfig
-    sweep: SweepConfig | None
     seed: int | None
+    parameter: str = ""
+    points: tuple = ()
 
 
 @contextmanager
@@ -232,29 +224,28 @@ def _parse_detection(raw):
     )
 
 
-def _with_amplifier(scenario, amp):
-    comb = scenario.comb
-    return replace(scenario, comb=comb.with_amplifiers([amp] * comb.n_pairs))
+#: Section parsers by section name.
+_SECTIONS = {
+    "comb": _parse_comb,
+    "wire": _parse_wire,
+    "detection": _parse_detection,
+}
 
-
-#: Sweepable dotted field paths mapped to scenario updaters.
+#: Sweepable dotted field paths, each mapped to the key of its section that
+#: a swept value replaces.
 _SWEEP_FIELDS = {
-    "comb.gain": lambda sc, v: _with_amplifier(sc, AmplifierSpec.from_gain(v)),
-    "comb.r": lambda sc, v: _with_amplifier(
-        sc, AmplifierSpec.from_squeezing(v)
-    ),
-    "wire.r": lambda sc, v: replace(sc, wire=replace(sc.wire, r=v)),
-    "detection.eta_d": lambda sc, v: replace(
-        sc, detection=replace(sc.detection, eta_d=v)
-    ),
-    "detection.misalignment": lambda sc, v: replace(
-        sc, detection=replace(sc.detection, misalignment=v)
-    ),
+    "comb.gain": "r",
+    "comb.r": "gain",
+    "wire.r": "r",
+    "detection.eta_d": "eta_d",
+    "detection.misalignment": "misalignment",
 }
 
 
-def _parse_sweep(raw, scenario):
-    """Build and so validate every sweep point of ``scenario``."""
+def _parse_sweep(raw, config, scenario):
+    """Build and so validate every sweep point of ``scenario``, parsed from
+    the decoded ``config``: each point parses the swept section again with
+    the swept value put in."""
     _known(raw, ("parameter", "values"))
     parameter = raw.get("parameter")
     if not isinstance(parameter, str) or parameter not in _SWEEP_FIELDS:
@@ -263,7 +254,7 @@ def _parse_sweep(raw, scenario):
             f"unknown field {parameter!r}; expected one of "
             f"{sorted(_SWEEP_FIELDS)}",
         )
-    section = parameter.split(".", 1)[0]
+    section, key = parameter.split(".")
     if getattr(scenario, section) is None:
         raise FieldError(
             "parameter", f"scenario has no {section!r} section to sweep"
@@ -271,14 +262,16 @@ def _parse_sweep(raw, scenario):
     values = raw.get("values")
     if not isinstance(values, list):
         raise FieldError("values", "must be a nonempty number list")
-    update = _SWEEP_FIELDS[parameter]
+    replaced, parse = _SWEEP_FIELDS[parameter], _SECTIONS[section]
+    base = {k: v for k, v in config.get(section, {}).items() if k != replaced}
 
     def point(value):
-        with _within(section):
-            return update(scenario, value)
+        parsed = _section({section: {**base, key: value}}, section, parse)
+        return replace(scenario, **{section: parsed})
 
     points = _checked("values", values, point)
-    return SweepConfig(
+    return replace(
+        scenario,
         parameter=parameter,
         points=tuple((float(value), sc) for value, sc in points),
     )
@@ -324,11 +317,12 @@ def parse_scenario(raw):
         comb=comb,
         wire=wire,
         detection=detection or DetectionConfig(),
-        sweep=None,
         seed=seed,
     )
-    sweep = _section(raw, "sweep", lambda sweep: _parse_sweep(sweep, scenario))
-    return replace(scenario, sweep=sweep)
+    swept = _section(
+        raw, "sweep", lambda sweep: _parse_sweep(sweep, raw, scenario)
+    )
+    return swept or scenario
 
 
 def _witness_rows(scenario):
@@ -375,10 +369,6 @@ def _graph_report(scenario):
     }
 
 
-def _format_value(value):
-    return "" if value is None else format(value, FLOAT_FORMAT)
-
-
 def run_scenario(config_path, out_dir=".", fmt="csv"):
     """Run a scenario file and write its witness table and graph report.
 
@@ -392,17 +382,13 @@ def run_scenario(config_path, out_dir=".", fmt="csv"):
     """
     scenario = parse_scenario(_load_json(config_path))
 
-    sweep = scenario.sweep
-    parameter, points = (
-        (sweep.parameter, sweep.points) if sweep else ("", ((None, scenario),))
-    )
     rows = []
-    for value, point in points:
-        value_text = _format_value(value)
+    for value, point in scenario.points or ((None, scenario),):
+        value_text = "" if value is None else format(value, FLOAT_FORMAT)
         for witness_id, report in _witness_rows(point):
             rows.append((
                 scenario.name,
-                parameter,
+                scenario.parameter,
                 value_text,
                 witness_id,
                 format(report.variance, FLOAT_FORMAT),
@@ -682,6 +668,7 @@ def _build_parser():
 
     for cmd in (simulate, decompose_cmd, noise):
         cmd.add_argument("--out-dir", default=".", help="output directory")
+    for cmd in (simulate, noise):
         cmd.add_argument(
             "--format", choices=("csv", "json"), default="csv",
             help="tabular output format",

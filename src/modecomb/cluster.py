@@ -18,6 +18,7 @@ vanishes in the infinite-squeezing limit.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -259,6 +260,7 @@ def ideal_wire_graph(n_pairs):
         GraphSpec: real adjacency with interior weights +-1/2 and end-mode
         weights +-1/sqrt(2)
     """
+    n_pairs = _integer("n_pairs", n_pairs, 2, MAX_MODES // 2)
     n_modes = 2 * n_pairs
     rows = np.array([
         w.coeffs for _, w in _witnesses(n_pairs, "odd_mode_minus_half_pi")
@@ -306,7 +308,8 @@ def witness_pair(wire_position, n_pairs, sign_convention="decaying"):
 
     Args:
         wire_position (int): interior link index, 0-based
-        n_pairs (int): number of EPR sources of the wire
+        n_pairs (int): number of EPR sources of the wire, at least 2 and at
+            most ``MAX_MODES / 2``
         sign_convention (str): one of ``"decaying"``, ``"mirrored"``,
             ``"grouped"``
 
@@ -318,6 +321,13 @@ def witness_pair(wire_position, n_pairs, sign_convention="decaying"):
         raise ValueError(
             f"sign convention must be one of {SIGN_CONVENTIONS}, "
             f"got {sign_convention!r}"
+        )
+    n_pairs = _integer("n_pairs", n_pairs, 2, MAX_MODES // 2)
+    if isinstance(wire_position, bool) or not isinstance(
+        wire_position, numbers.Integral
+    ):
+        raise ValueError(
+            f"wire position must be an integer, got {wire_position!r}"
         )
     if not 0 <= wire_position <= n_pairs - 3:
         raise ValueError(

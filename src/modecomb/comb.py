@@ -59,7 +59,7 @@ class ModeLabel:
             raise ValueError(f"cell_id must be >= 0, got {self.cell_id}")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class SpatialComb:
     """A set of labeled comb modes with probe-conjugate pairing.
 
@@ -77,7 +77,9 @@ class SpatialComb:
 
     def __post_init__(self):
         modes = tuple(self.modes)
-        pairs = tuple((int(p), int(q)) for p, q in self.pairs)
+        pairs = tuple(
+            (_mode(p, len(modes)), _mode(q, len(modes))) for p, q in self.pairs
+        )
         amps = tuple(self.amps)
         if len(amps) != len(pairs):
             raise ValueError(
@@ -97,15 +99,6 @@ class SpatialComb:
         object.__setattr__(self, "modes", modes)
         object.__setattr__(self, "pairs", pairs)
         object.__setattr__(self, "amps", amps)
-
-    def __eq__(self, other):
-        if not isinstance(other, SpatialComb):
-            return NotImplemented
-        return (
-            self.modes == other.modes
-            and self.pairs == other.pairs
-            and self.amps == other.amps
-        )
 
     @property
     def n_modes(self):

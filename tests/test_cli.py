@@ -20,7 +20,6 @@ import modecomb.cli
 from modecomb import elements
 from modecomb.cli import (
     DetectionConfig,
-    ScenarioError,
     _parse_network,
     _write_json,
     _write_table,
@@ -31,7 +30,7 @@ from modecomb.cli import (
     parse_scenario,
     run_scenario,
 )
-from modecomb.gaussian import MAX_MODES
+from modecomb.gaussian import MAX_MODES, FieldError
 
 from conftest import embed
 
@@ -260,7 +259,7 @@ def test_mode_bound_counts_every_cell_and_admits_the_largest_sizes():
             "wire.n_pairs",
         ),
     ):
-        with pytest.raises(ScenarioError) as err:
+        with pytest.raises(FieldError) as err:
             parse_scenario(payload)
         assert err.value.field == field
 
@@ -506,6 +505,67 @@ def test_every_sweep_point_is_validated_before_any_compute(
     assert not (tmp_path / "late_witness.csv").exists()
 
 
+#: The key of its section that each sweepable field's value replaces.
+_REPLACED = {"comb.gain": "r", "comb.r": "gain"}
+
+
+@pytest.mark.parametrize(
+    "parameter, base, values",
+    [
+        ("comb.gain", {"comb": {"M": 4, "cells": 2, "r": 0.5}}, [3.0, 1.5]),
+        ("comb.r", {"comb": {"M": 4, "gain": 2.0}}, [0.25, 0.0]),
+        (
+            "wire.r",
+            {"wire": {"n_pairs": 3, "r": 1.0, "phase_convention": "none"}},
+            [2.0, 0.5],
+        ),
+        ("detection.eta_d", {"comb": {"M": 2, "r": 0.5}}, [0.9, 0.7]),
+        (
+            "detection.misalignment",
+            {
+                "comb": {"M": 2, "r": 0.5},
+                "detection": {"eta_d": 0.9, "stray_etas": [0.4]},
+            },
+            [0.2, 0.0],
+        ),
+    ],
+)
+def test_each_sweep_point_is_its_scenario_with_the_value_put_in(
+    parameter, base, values
+):
+    scenario = parse_scenario(
+        {"name": "x", **base, "sweep": {"parameter": parameter, "values": values}}
+    )
+    assert scenario.parameter == parameter
+    assert [value for value, _ in scenario.points] == sorted(values)
+    section, key = parameter.split(".")
+    for value, point in scenario.points:
+        fixed = json.loads(json.dumps(base))
+        swept = fixed.setdefault(section, {})
+        swept.pop(_REPLACED.get(parameter), None)
+        swept[key] = value
+        expected = parse_scenario({"name": "x", **fixed})
+        assert getattr(point, section) == getattr(expected, section)
+        assert point == expected
+
+
+def test_only_tabular_commands_take_format(tmp_path, capsys):
+    network = write_config(
+        tmp_path / "empty.json", {"version": "v1", "n_modes": 2, "elements": []}
+    )
+    out = ["--out-dir", str(tmp_path), "--format", "json"]
+    with pytest.raises(SystemExit) as excinfo:
+        main(["decompose", network, *out])
+    assert excinfo.value.code == 2
+    assert "--format" in capsys.readouterr().err
+    assert not (tmp_path / "empty_decomposition.json").exists()
+    config = write_config(tmp_path / "scenario.json", MINIMAL)
+    assert main(["simulate", config, *out]) == 0
+    assert main(["noise-table", "--gains", "2", "--etas", "1", *out]) == 0
+    assert (tmp_path / "minimal_witness.json").exists()
+    assert (tmp_path / "noise_table.json").exists()
+
+
 def test_internal_fault_exits_4_not_as_user_error(
     tmp_path, capsys, monkeypatch
 ):
@@ -533,7 +593,7 @@ def test_wire_at_a_formerly_rejected_squeezing_simulates(tmp_path):
 
 
 def test_parse_scenario_error_carries_field_attribute():
-    with pytest.raises(ScenarioError) as excinfo:
+    with pytest.raises(FieldError) as excinfo:
         parse_scenario({"name": "x", "comb": {"M": 3, "r": 0.5}})
     assert excinfo.value.field == "comb.M"
 
@@ -548,7 +608,7 @@ def test_detection_config_checks_every_replacement():
         ({"stray_etas": ()}, "stray_etas"),
         ({"stray_etas": 0.5}, "stray_etas"),
     ):
-        with pytest.raises(ScenarioError) as excinfo:
+        with pytest.raises(FieldError) as excinfo:
             replace(base, **change)
         assert excinfo.value.field == field
 

@@ -31,6 +31,7 @@ from modecomb import (
     witness_pair,
     witness_variance,
 )
+from modecomb.gaussian import MAX_MODES
 
 from conftest import random_network
 
@@ -152,9 +153,39 @@ def test_witness_pair_position_bounds():
         witness_pair(0, 4, "sorted")
 
 
+def test_witness_pair_takes_an_integer_position():
+    for position in (True, False, 0.5, 1.0, "1", None):
+        with pytest.raises(ValueError, match="must be an integer"):
+            witness_pair(position, 4)
+    for position in (-1, 2, np.int64(2)):
+        with pytest.raises(ValueError, match="not an interior link"):
+            witness_pair(position, 4)
+    for got, want in zip(witness_pair(np.int64(1), 5), witness_pair(1, 5)):
+        assert np.array_equal(got.coeffs, want.coeffs)
+    for n_pairs in (3.0, True, "4", 1):
+        with pytest.raises(FieldError) as excinfo:
+            witness_pair(0, n_pairs)
+        assert excinfo.value.field == "n_pairs"
+
+
 # ---------------------------------------------------------------------------
 # graph extraction
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "n_pairs", [1, 0, -3, True, 2.0, "3", None, MAX_MODES // 2 + 1]
+)
+def test_ideal_wire_graph_names_a_bad_n_pairs(n_pairs):
+    with pytest.raises(FieldError) as excinfo:
+        ideal_wire_graph(n_pairs)
+    assert excinfo.value.field == "n_pairs"
+
+
+def test_ideal_wire_graph_takes_a_numpy_integer():
+    got, want = ideal_wire_graph(np.int64(3)), ideal_wire_graph(3)
+    assert got.n_nodes == want.n_nodes == 6
+    assert np.array_equal(got.adjacency, want.adjacency)
+
 
 def test_ideal_wire_graph_weights():
     graph = ideal_wire_graph(4)

@@ -100,6 +100,23 @@ def test_spatial_comb_rejects_broken_pairing():
         SpatialComb(modes=good.modes, pairs=good.pairs, amps=good.amps[:1])
 
 
+def test_spatial_comb_takes_integer_pair_indices():
+    comb = build_comb(4, AmplifierSpec.from_gain(2.0))
+    for pairs in (
+        ((0.9, 2.7), (True, 3)),
+        ((0, 2), (1.0, 3)),
+        ((0, 2), (1, "3")),
+    ):
+        with pytest.raises(ValueError, match="must be an integer"):
+            SpatialComb(comb.modes, pairs, comb.amps)
+    with pytest.raises(ValueError, match="out of range"):
+        SpatialComb(comb.modes, ((0, 2), (1, 4)), comb.amps)
+    numpy_pairs = tuple((np.int64(p), np.intp(q)) for p, q in comb.pairs)
+    same = SpatialComb(comb.modes, numpy_pairs, comb.amps)
+    assert same == comb
+    assert all(type(m) is int for pq in same.pairs for m in pq)
+
+
 def test_mode_label_validation():
     with pytest.raises(ValueError):
         ModeLabel(ring_index=-1, band="probe")
