@@ -56,9 +56,9 @@ from .cluster import (
 from .comb import (
     OverlapSpec,
     SpatialComb,
+    _xdiff_terms,
     amplify_comb,
     build_comb,
-    pair_witnesses,
 )
 from .detection import ideal_epr_noise, measure_witness, misaligned_noise
 from .elements import AmplifierSpec, _fraction
@@ -66,6 +66,7 @@ from .gaussian import (
     MAX_MODES,
     FieldError,
     SymplecticTransform,
+    Witness,
     _integer,
     _quadrature_rows,
     vacuum_state,
@@ -331,15 +332,17 @@ def _witness_rows(scenario):
     comb = scenario.comb
     rows = []
     if comb is not None:
+        terms = _xdiff_terms(comb)
         if det.misalignment > 0.0:
             # Closed-form misaligned detection; identical for every pair.
-            report = misaligned_noise(det.overlap(), comb.amps[0].gain)
-            rows += [(f"pair{i}_xdiff", report) for i in range(comb.n_pairs)]
+            report = misaligned_noise(det.overlap(), comb.amp.gain)
+            rows += [(label, report) for label, _ in terms]
         else:
             state = amplify_comb(vacuum_state(comb.n_modes), comb)
-            for i, (wx, _) in enumerate(pair_witnesses(comb)):
+            for label, xdiff in terms:
+                witness = Witness.from_terms(comb.n_modes, xdiff)
                 rows.append(
-                    (f"pair{i}_xdiff", measure_witness(state, wx, det.eta_d))
+                    (label, measure_witness(state, witness, det.eta_d))
                 )
     if scenario.wire is not None:
         state = build_dual_rail(scenario.wire)
@@ -589,7 +592,8 @@ def cmd_noise_table(gains, etas, misalignments, out_dir=".", fmt="csv"):
     rows = []
     for gain, comb in combs:
         gain_text = format(gain, FLOAT_FORMAT)
-        (xdiff, _), = pair_witnesses(comb)
+        (_, terms), = _xdiff_terms(comb)
+        xdiff = Witness.from_terms(comb.n_modes, terms)
         for eta, eta_text, specs in etas:
             for misalignment, m_text in misalignments:
                 if misalignment == 0.0:

@@ -50,9 +50,6 @@ EDGE_WEIGHT_THRESHOLD = 1e-6
 #: Allowed quadrature relabeling conventions for the dual-rail wire.
 PHASE_CONVENTIONS = ("odd_mode_minus_half_pi", "none")
 
-#: Allowed sign-pattern readings for the four-mode wire witnesses.
-SIGN_CONVENTIONS = ("decaying", "mirrored", "grouped")
-
 #: Signs of the squeezed (x, p) combinations of an interior wire link on its
 #: modes, :func:`_interior_terms`.
 _INTERIOR_SIGNS = ((1.0, 1.0, -1.0, 1.0), (1.0, 1.0, 1.0, -1.0))
@@ -152,11 +149,12 @@ def _terms(quad, coeffs):
     return {(m, quad): c for m, c in coeffs}
 
 
-def _interior_terms(wire_position, x_signs, p_signs):
-    """The x- and p-terms, with the given signs, of interior link
-    ``wire_position`` on its modes ``(2k-1, 2k, 2k+1, 2k+2)``,
+def _interior_terms(wire_position):
+    """The x- and p-terms, signed by :data:`_INTERIOR_SIGNS`, of interior
+    link ``wire_position`` on its modes ``(2k-1, 2k, 2k+1, 2k+2)``,
     ``k = wire_position + 1``."""
     modes = range(2 * wire_position + 1, 2 * wire_position + 5)
+    x_signs, p_signs = _INTERIOR_SIGNS
     return _terms("x", zip(modes, x_signs)), _terms("p", zip(modes, p_signs))
 
 
@@ -178,7 +176,7 @@ def _wire_terms(n_pairs):
         ("left_p", _terms("p", [(0, _SQRT2), (1, 1.0), (2, -1.0)])),
     ]
     for position in range(n_pairs - 2):
-        x, p = _interior_terms(position, *_INTERIOR_SIGNS)
+        x, p = _interior_terms(position)
         out += [(f"interior{position}_x", x), (f"interior{position}_p", p)]
     ends = [(last - 2, 1.0), (last - 1, 1.0)]
     out += [("right_x", _terms("x", [*ends, (last, -_SQRT2)])),
@@ -285,43 +283,27 @@ def wire_witnesses(spec):
     return tuple(_witnesses(spec.n_pairs, spec.phase_convention))
 
 
-def witness_pair(wire_position, n_pairs, sign_convention="decaying"):
+def witness_pair(wire_position, n_pairs):
     """The four-mode x-type and p-type witnesses of one interior wire link.
 
     Interior link ``wire_position`` sits on source ``wire_position + 1`` and
     involves modes ``(2k-1, 2k, 2k+1, 2k+2)`` with ``k = wire_position + 1``;
     positions run from 0 to ``n_pairs - 3``, so a wire needs at least three
     sources to have an interior link. Coefficients refer to the raw
-    beam-splitter-output quadratures (phase convention "none").
-
-    The sign conventions differ in how the trailing pair of terms is signed:
-
-    * ``"decaying"``: x-signs (+1, +1, -1, +1), p-signs (+1, +1, +1, -1) —
-      the combinations whose variance decays as ``e^{-2r}`` under this
-      package's beam-splitter convention, and the ``interior{position}``
-      witnesses of :func:`wire_witnesses` under convention "none";
-    * ``"mirrored"``: the p-signs copy the x-signs (+1, +1, -1, +1);
-    * ``"grouped"``: both read (+1, +1, -1, -1).
-
-    Only the "decaying" pair is squeezed on the wire; the others mix squeezed
-    and anti-squeezed combinations and are provided for comparison.
+    beam-splitter-output quadratures (phase convention "none"): x-signs
+    (+1, +1, -1, +1) and p-signs (+1, +1, +1, -1), the combinations whose
+    variance decays as ``e^{-2r}``. The pair is the ``interior{position}``
+    witnesses of :func:`wire_witnesses` under convention "none".
 
     Args:
         wire_position (int): interior link index, 0-based
         n_pairs (int): number of EPR sources of the wire, at least 2 and at
             most ``MAX_MODES / 2``
-        sign_convention (str): one of ``"decaying"``, ``"mirrored"``,
-            ``"grouped"``
 
     Returns:
         tuple[Witness, Witness]: the (x-type, p-type) witnesses, vacuum
         variance 4 each before normalization
     """
-    if sign_convention not in SIGN_CONVENTIONS:
-        raise ValueError(
-            f"sign convention must be one of {SIGN_CONVENTIONS}, "
-            f"got {sign_convention!r}"
-        )
     n_pairs = _integer("n_pairs", n_pairs, 2, MAX_MODES // 2)
     if isinstance(wire_position, bool) or not isinstance(
         wire_position, numbers.Integral
@@ -334,13 +316,8 @@ def witness_pair(wire_position, n_pairs, sign_convention="decaying"):
             f"wire position {wire_position} is not an interior link of a "
             f"{n_pairs}-source wire (valid: 0 .. {n_pairs - 3})"
         )
-    signs = {
-        "decaying": _INTERIOR_SIGNS,
-        "mirrored": (_INTERIOR_SIGNS[0],) * 2,
-        "grouped": ((1.0, 1.0, -1.0, -1.0),) * 2,
-    }[sign_convention]
     return tuple(Witness.from_terms(2 * n_pairs, terms)
-                 for terms in _interior_terms(wire_position, *signs))
+                 for terms in _interior_terms(wire_position))
 
 
 def bipartite_graph(comb):

@@ -1,26 +1,26 @@
 """Spatial mode comb: paired amplifier modes and local-oscillator bookkeeping.
 
 A comb is a family of discrete spatial modes (coherence areas) arranged on a
-constant-gain circle of a phase-insensitive amplifier. Modes split into a
-probe band and a conjugate band; the amplifier entangles each probe with the
-diametrically opposite conjugate. Homodyne detection of any mode combination
-is described by a local oscillator, a normalized complex expansion over comb
-modes; imperfect overlap between a local oscillator and the signal modes is
-summarized by an :class:`OverlapSpec`, consumed by the detection module.
+constant-gain circle of a phase-insensitive amplifier. Each cell's ring
+splits into a probe half and a conjugate half; the amplifier entangles each
+probe with the diametrically opposite conjugate, at one gain for every pair.
+Homodyne detection of any mode combination is described by a local
+oscillator, a normalized complex expansion over comb modes; imperfect overlap
+between a local oscillator and the signal modes is summarized by an
+:class:`OverlapSpec`, consumed by the detection module.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .detection import DEFAULT_DETECTOR_ETA
-from .elements import _fraction
+from .elements import AmplifierSpec, _fraction
 from .gaussian import (
     MAX_MODES,
     FieldError,
-    GaussianState,
     Witness,
     _integer,
     _mode,
@@ -28,141 +28,73 @@ from .gaussian import (
     apply_symplectic,
 )
 
-#: Bands a comb mode can belong to.
-BANDS = ("probe", "conjugate")
-
 #: Absolute tolerance (per unit of total power) on the stray-power budget
 #: sum(stray_powers) = total_power - aligned_power.
 POWER_BUDGET_TOL = 1e-12
 
 
 @dataclass(frozen=True)
-class ModeLabel:
-    """Identity of one comb mode.
+class SpatialComb:
+    """A comb of ``M`` modes per cell on the constant-gain circle.
+
+    Global mode index ``c * M + m`` is ring position ``m`` of cell ``c``.
+    Ring positions ``0 .. M/2-1`` are probe modes, ``M/2 .. M-1`` conjugate
+    modes; probe ``m`` pairs with the diametrically opposite conjugate
+    ``m + M/2``, and every pair sees the one amplifier operating point
+    ``amp``.
 
     Attributes:
-        ring_index (int): position on the constant-gain circle, in [0, M)
-        band (str): "probe" or "conjugate"
-        cell_id (int): which gain region (vapor cell) the mode belongs to
+        M (int): modes per cell; even, at least 2
+        amp (AmplifierSpec): amplifier operating point shared by all pairs
+        cells (int): number of independent gain regions, at least 1, with
+            ``M * cells`` at most ``MAX_MODES``
+        pairs (tuple): ``(probe, conjugate)`` global indices of each pair,
+            cell-major, ring order inside each cell; derived
     """
 
-    ring_index: int
-    band: str
-    cell_id: int = 0
+    M: int
+    amp: AmplifierSpec
+    cells: int = 1
+    pairs: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.band not in BANDS:
-            raise ValueError(f"band must be one of {BANDS}, got {self.band!r}")
-        if self.ring_index < 0:
-            raise ValueError(f"ring_index must be >= 0, got {self.ring_index}")
-        if self.cell_id < 0:
-            raise ValueError(f"cell_id must be >= 0, got {self.cell_id}")
-
-
-@dataclass(frozen=True)
-class SpatialComb:
-    """A set of labeled comb modes with probe-conjugate pairing.
-
-    Global mode index = position in ``modes``; modes are stored cell-major,
-    ring order inside each cell. ``pairs[i]`` gives the (probe, conjugate)
-    global indices of pair ``i`` and ``amps[i]`` its amplifier operating
-    point. A comb built by :func:`build_comb` has one shared operating point
-    per the constant-gain-circle picture; per-pair amplifiers can be set with
-    :meth:`with_amplifiers`.
-    """
-
-    modes: tuple
-    pairs: tuple
-    amps: tuple
-
-    def __post_init__(self):
-        modes = tuple(self.modes)
-        pairs = tuple(
-            (_mode(p, len(modes)), _mode(q, len(modes))) for p, q in self.pairs
-        )
-        amps = tuple(self.amps)
-        if len(amps) != len(pairs):
-            raise ValueError(
-                f"need one amplifier spec per pair: {len(amps)} specs for "
-                f"{len(pairs)} pairs"
-            )
-        if len(set(modes)) != len(modes):
-            raise ValueError("mode labels must be unique within a comb")
-        seen = [m for pq in pairs for m in pq]
-        if sorted(seen) != list(range(len(modes))):
-            raise ValueError("pairs must form a perfect matching of all modes")
-        for p, q in pairs:
-            if modes[p].band != "probe" or modes[q].band != "conjugate":
-                raise ValueError(
-                    f"pair ({p}, {q}) must link a probe to a conjugate mode"
-                )
-        object.__setattr__(self, "modes", modes)
+        M = _integer("M", self.M, 2, MAX_MODES)
+        if M % 2 != 0:
+            raise FieldError("M", f"mode count per cell must be even, got {M}")
+        cells = _integer("cells", self.cells, 1, MAX_MODES // M)
+        half = M // 2
+        pairs = tuple((c * M + m, c * M + m + half)
+                      for c in range(cells) for m in range(half))
+        object.__setattr__(self, "M", M)
+        object.__setattr__(self, "cells", cells)
         object.__setattr__(self, "pairs", pairs)
-        object.__setattr__(self, "amps", amps)
 
     @property
     def n_modes(self):
-        return len(self.modes)
+        return self.M * self.cells
 
     @property
     def n_pairs(self):
         return len(self.pairs)
 
-    @property
-    def pairing(self):
-        """Involution mapping each mode to its twin-beam partner."""
-        partner = dict(self.pairs)
-        partner.update((c, p) for p, c in self.pairs)
-        return partner
-
-    def with_amplifiers(self, amps):
-        """Return a comb with per-pair amplifier operating points."""
-        return SpatialComb(self.modes, self.pairs, tuple(amps))
-
 
 def build_comb(M, amp, cells=1):
-    """Build a comb of ``M`` modes per cell on the constant-gain circle.
-
-    Ring positions ``0 .. M/2-1`` are probe modes, ``M/2 .. M-1`` conjugate
-    modes; probe at ring position ``m`` pairs with the diametrically opposite
-    conjugate at ``m + M/2``. Every pair shares the operating point ``amp``.
-
-    Args:
-        M (int): modes per cell; even, at least 2
-        amp (AmplifierSpec): shared amplifier operating point
-        cells (int): number of independent gain regions, at least 1, with
-            ``M * cells`` at most ``MAX_MODES``
+    """Build a comb of ``M`` modes per cell sharing the operating point
+    ``amp``; see :class:`SpatialComb` for the layout and the rules.
 
     Returns:
         SpatialComb: the comb, ``M * cells`` modes total
     """
-    M = _integer("M", M, 2, MAX_MODES)
-    if M % 2 != 0:
-        raise FieldError("M", f"mode count per cell must be even, got {M}")
-    cells = _integer("cells", cells, 1, MAX_MODES // M)
-    half = M // 2
-    modes = []
-    pairs = []
-    for c in range(cells):
-        base = c * M
-        for m in range(M):
-            band = "probe" if m < half else "conjugate"
-            modes.append(ModeLabel(ring_index=m, band=band, cell_id=c))
-        pairs.extend((base + m, base + m + half) for m in range(half))
-    return SpatialComb(tuple(modes), tuple(pairs), tuple([amp] * len(pairs)))
+    return SpatialComb(M, amp, cells)
 
 
 def amplify_comb(state, comb):
-    """Apply each pair's two-mode squeezer to the state.
+    """Apply the comb's two-mode squeezer to each pair of the state.
 
-    Pairs occupy disjoint modes, so the squeezers commute and the order of
-    application is irrelevant. Each pair applies its spec's
-    :attr:`~modecomb.elements.AmplifierSpec.squeezer`, which a spec object
-    builds on first use and keeps, so pairs and repeated calls that share a
-    spec object share one squeezer. Equal specs that are distinct objects
-    build one each. :func:`build_comb` and the CLI's sweep points give all
-    pairs of a comb one spec object, so amplifying such a comb again builds
-    no squeezer.
+    Pairs occupy disjoint modes, so the squeezers commute. Every pair
+    applies the one :attr:`~modecomb.elements.AmplifierSpec.squeezer` that
+    ``comb.amp`` builds on first use and keeps; at ``r = 0`` the state is
+    returned as it is.
 
     Args:
         state (GaussianState): input state with one mode per comb mode
@@ -175,10 +107,20 @@ def amplify_comb(state, comb):
         raise ValueError(
             f"state has {state.n_modes} modes but the comb has {comb.n_modes}"
         )
-    for pq, amp in zip(comb.pairs, comb.amps):
-        if amp.r != 0.0:
-            state = apply_symplectic(state, amp.squeezer, pq)
+    if comb.amp.r != 0.0:
+        for pq in comb.pairs:
+            state = apply_symplectic(state, comb.amp.squeezer, pq)
     return state
+
+
+def _xdiff_terms(comb):
+    """Sparse terms of each pair's x-difference ``x_probe - x_conj``.
+
+    Returns ``(label, terms)`` pairs in pair order, labelled
+    ``pair{i}_xdiff``, ``terms`` mapping ``(mode, "x")`` to a coefficient.
+    """
+    return [(f"pair{i}_xdiff", {(p, "x"): 1.0, (q, "x"): -1.0})
+            for i, (p, q) in enumerate(comb.pairs)]
 
 
 def pair_witnesses(comb):
@@ -192,12 +134,11 @@ def pair_witnesses(comb):
         per comb pair, in pair order
     """
     n = comb.n_modes
-    out = []
-    for p, q in comb.pairs:
-        wx = Witness.from_terms(n, {(p, "x"): 1.0, (q, "x"): -1.0})
-        wp = Witness.from_terms(n, {(p, "p"): 1.0, (q, "p"): 1.0})
-        out.append((wx, wp))
-    return out
+    return [
+        (Witness.from_terms(n, xdiff),
+         Witness.from_terms(n, {(p, "p"): 1.0, (q, "p"): 1.0}))
+        for (_, xdiff), (p, q) in zip(_xdiff_terms(comb), comb.pairs)
+    ]
 
 
 @dataclass(frozen=True, eq=False)

@@ -153,7 +153,7 @@ class GaussianState:
     """A Gaussian state of ``n_modes`` optical modes.
 
     Attributes:
-        n_modes (int): number of modes ``N``
+        n_modes (int): number of modes ``N``, in [1, MAX_MODES]
         mean (array[float]): length ``2N`` vector of quadrature means
         cov (array[float]): ``2N x 2N`` covariance matrix, vacuum = identity
         factor (array[float] or None): optional ``2N x 2N`` symplectic
@@ -183,14 +183,13 @@ class GaussianState:
     factor: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.n_modes < 1:
-            raise ValueError("a Gaussian state needs at least one mode")
-        dim = 2 * self.n_modes
+        n_modes = _integer("n_modes", self.n_modes, 1, MAX_MODES)
+        dim = 2 * n_modes
         mean = np.asarray(self.mean, dtype=float).reshape(dim)
         cov = np.asarray(self.cov, dtype=float)
         if cov.shape != (dim, dim):
             raise ValueError(
-                f"covariance must be {dim}x{dim} for {self.n_modes} modes, "
+                f"covariance must be {dim}x{dim} for {n_modes} modes, "
                 f"got {cov.shape}"
             )
         cov = _symmetrized(cov, cov.T, mean)
@@ -199,9 +198,10 @@ class GaussianState:
             if factor.shape != (dim, dim):
                 raise ValueError(
                     f"symplectic factor must be {dim}x{dim} for "
-                    f"{self.n_modes} modes, got {factor.shape}"
+                    f"{n_modes} modes, got {factor.shape}"
                 )
             object.__setattr__(self, "factor", factor)
+        object.__setattr__(self, "n_modes", n_modes)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
 
@@ -217,7 +217,8 @@ class SymplecticTransform:
 
     Attributes:
         matrix (array[float]): ``2N x 2N`` real matrix
-        n_modes (int): number of modes the transform acts on
+        n_modes (int): number of modes the transform acts on, in
+            [1, MAX_MODES]
 
     Raises:
         ValueError: if ``S Omega S^T`` deviates from ``Omega`` by more than
@@ -231,16 +232,15 @@ class SymplecticTransform:
     n_modes: int
 
     def __post_init__(self):
-        if self.n_modes < 1:
-            raise ValueError("a symplectic transform needs at least one mode")
-        dim = 2 * self.n_modes
+        n_modes = _integer("n_modes", self.n_modes, 1, MAX_MODES)
+        dim = 2 * n_modes
         matrix = np.asarray(self.matrix, dtype=float)
         if matrix.shape != (dim, dim):
             raise ValueError(
-                f"matrix must be {dim}x{dim} for {self.n_modes} modes, "
+                f"matrix must be {dim}x{dim} for {n_modes} modes, "
                 f"got {matrix.shape}"
             )
-        omega = symplectic_form(self.n_modes)
+        omega = symplectic_form(n_modes)
         defect = np.linalg.norm(matrix @ omega @ matrix.T - omega)
         scale = max(1.0, float(np.linalg.norm(matrix)) ** 2)
         if not defect <= SYMPLECTIC_TOL * scale:
@@ -248,6 +248,7 @@ class SymplecticTransform:
                 f"matrix is not symplectic: |S Omega S^T - Omega| = {defect:.3e}"
                 f" against |S|^2 = {scale:.3e}"
             )
+        object.__setattr__(self, "n_modes", n_modes)
         object.__setattr__(self, "matrix", matrix)
 
     def compose(self, other):
@@ -332,13 +333,12 @@ def vacuum_state(n_modes):
     """Return the ``n_modes``-mode vacuum: zero mean, identity covariance.
 
     Args:
-        n_modes (int): number of modes, at least 1
+        n_modes (int): number of modes, in [1, MAX_MODES]
 
     Returns:
         GaussianState: the vacuum state, with the identity as its factor
     """
-    if n_modes < 1:
-        raise ValueError("vacuum_state requires at least one mode")
+    n_modes = _integer("n_modes", n_modes, 1, MAX_MODES)
     dim = 2 * n_modes
     return GaussianState(n_modes, np.zeros(dim), np.eye(dim), np.eye(dim))
 

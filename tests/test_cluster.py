@@ -121,7 +121,7 @@ def test_dual_rail_spec_names_the_offending_field():
         assert excinfo.value.field == field
 
 
-def test_interior_witness_pair_conventions():
+def test_interior_witness_pair_is_squeezed():
     spec = DualRailSpec(n_pairs=4, r=0.8, phase_convention="none")
     state = build_dual_rail(spec)
     floor = math.exp(-1.6)
@@ -131,13 +131,6 @@ def test_interior_witness_pair_conventions():
     assert witness_variance(state, wp) == pytest.approx(floor, abs=1e-12)
     assert wx.normalization == 4.0
     assert wp.normalization == 4.0
-
-    # The alternative sign readings are not squeezed combinations.
-    _, wp_mirrored = witness_pair(0, 4, "mirrored")
-    wx_grouped, wp_grouped = witness_pair(0, 4, "grouped")
-    assert witness_variance(state, wp_mirrored) > 0.9
-    assert witness_variance(state, wx_grouped) > 0.9
-    assert witness_variance(state, wp_grouped) > 0.9
 
 
 def test_witness_pair_position_bounds():
@@ -149,8 +142,6 @@ def test_witness_pair_position_bounds():
         witness_pair(2, 4)
     with pytest.raises(ValueError):
         witness_pair(-1, 4)
-    with pytest.raises(ValueError):
-        witness_pair(0, 4, "sorted")
 
 
 def test_witness_pair_takes_an_integer_position():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from modecomb import (
     AmplifierSpec,
     DualRailSpec,
+    FieldError,
     GaussianState,
     SymplecticTransform,
     Witness,
@@ -25,6 +26,8 @@ from modecomb import (
     vacuum_state,
     witness_variance,
 )
+
+from modecomb.gaussian import MAX_MODES
 
 from conftest import embed, random_network, random_passive
 
@@ -73,6 +76,23 @@ def test_gaussian_state_rejects_bad_inputs():
         GaussianState(2, np.zeros(4), lopsided)
     with pytest.raises(ValueError, match="factor"):
         GaussianState(2, np.zeros(4), np.eye(4), np.eye(3))
+
+
+@pytest.mark.parametrize("n_modes", [True, 1.5, None, 0, MAX_MODES + 1])
+@pytest.mark.parametrize("make", [
+    vacuum_state,
+    lambda n: GaussianState(n, np.zeros(2), np.eye(2)),
+    lambda n: SymplecticTransform(np.eye(2), n),
+], ids=["vacuum_state", "GaussianState", "SymplecticTransform"])
+def test_mode_counts_are_integers_up_to_max_modes(make, n_modes):
+    with pytest.raises(FieldError) as excinfo:
+        make(n_modes)
+    assert excinfo.value.field == "n_modes"
+
+
+def test_mode_counts_are_stored_as_int():
+    assert type(vacuum_state(np.int64(2)).n_modes) is int
+    assert type(SymplecticTransform(np.eye(2), np.intp(1)).n_modes) is int
 
 
 @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
