@@ -53,14 +53,13 @@ from .cluster import (
     nullifier_residual,
     wire_witnesses,
 )
-from .comb import (
+from .comb import SpatialComb, _xdiff_terms, amplify_comb, build_comb
+from .detection import (
     OverlapSpec,
-    SpatialComb,
-    _xdiff_terms,
-    amplify_comb,
-    build_comb,
+    ideal_epr_noise,
+    measure_witness,
+    misaligned_noise,
 )
-from .detection import ideal_epr_noise, measure_witness, misaligned_noise
 from .elements import AmplifierSpec, _fraction
 from .gaussian import (
     MAX_MODES,

@@ -9,7 +9,8 @@ a phase-insensitive amplifier of gain G seen through detector efficiency eta:
 which equals ``1 + eta (e^{-2r} - 1)`` under ``G = cosh^2 r``. The misaligned
 model splits the local-oscillator power into an aligned part (detected at
 eta_d), partially overlapped parts on stray modes (detected at reduced
-eta_i), and leftover power contributing uncorrelated amplified noise.
+eta_i), and leftover power contributing uncorrelated amplified noise. That
+power bookkeeping is an :class:`OverlapSpec`, owned by this module.
 
 :func:`measure_witness` is the simulated counterpart: it applies an explicit
 loss channel to every witness mode and evaluates the covariance, and must
@@ -22,13 +23,14 @@ import math
 from dataclasses import dataclass
 
 from .elements import _fraction, _gain, loss_channel
-from .gaussian import witness_variance
+from .gaussian import FieldError, _real, witness_variance
 
 #: Self-consistency budget of a NoiseReport: components vs variance.
 REPORT_CONSISTENCY_TOL = 1e-12
 
-#: Detector efficiency of off-the-shelf balanced homodyne components.
-DEFAULT_DETECTOR_ETA = 0.95
+#: Absolute tolerance (per unit of total power) on the stray-power budget
+#: sum(stray_powers) = total_power - aligned_power.
+POWER_BUDGET_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -90,6 +92,86 @@ def ideal_epr_noise(gain, eta):
     """
     correlation = 2.0 * _fraction("eta", eta) * _gain_correlation(gain)
     return _report({"shot_noise": 1.0, "gain_correlation": correlation})
+
+
+@dataclass(frozen=True)
+class OverlapSpec:
+    """Power bookkeeping of a misaligned local oscillator at one detector.
+
+    ``aligned_power`` hits the intended signal mode; each entry of
+    ``stray_powers`` partially overlaps one stray comb mode, detected with the
+    reduced efficiency in ``stray_etas``. The remaining-power budget
+    ``sum(stray_powers) = total_power - aligned_power`` always holds.
+
+    Attributes:
+        total_power (float): total LO power, positive
+        aligned_power (float): power overlapped with the intended mode
+        stray_powers (tuple[float]): power per stray mode
+        detector_eta (float): detector efficiency for the aligned part, (0, 1]
+        stray_etas (tuple[float]): effective efficiency per stray mode, each
+            in [0, detector_eta)
+    """
+
+    total_power: float
+    aligned_power: float
+    stray_powers: tuple
+    detector_eta: float
+    stray_etas: tuple
+
+    def __post_init__(self):
+        total = _real("total_power", self.total_power, 0.0, open_low=True)
+        aligned = _real("aligned_power", self.aligned_power, 0.0)
+        stray_powers = tuple(
+            _real("stray_powers", p, 0.0) for p in self.stray_powers
+        )
+        eta = _real("detector_eta", self.detector_eta, 0.0, 1.0, open_low=True)
+        stray_etas = tuple(
+            _real("stray_etas", e, 0.0, eta, open_high=True)
+            for e in self.stray_etas
+        )
+        if aligned > total * (1 + POWER_BUDGET_TOL):
+            raise FieldError("aligned_power", "exceeds total power")
+        if len(stray_powers) != len(stray_etas):
+            raise FieldError(
+                "stray_etas",
+                f"need one efficiency per stray mode: {len(stray_etas)} "
+                f"efficiencies for {len(stray_powers)} stray powers",
+            )
+        budget = total - aligned
+        if abs(sum(stray_powers) - budget) > POWER_BUDGET_TOL * max(
+            1.0, total
+        ):
+            raise FieldError(
+                "stray_powers",
+                f"sum to {sum(stray_powers)}, expected {budget} (total minus "
+                "aligned)",
+            )
+        object.__setattr__(self, "stray_powers", stray_powers)
+        object.__setattr__(self, "stray_etas", stray_etas)
+
+    @classmethod
+    def from_misalignment(cls, total_power, misalignment, detector_eta,
+                          stray_etas):
+        """Keep ``1 - misalignment`` (in [0, 1]) of ``total_power`` on the
+        target mode and split the rest equally over the stray modes, which
+        must exist when ``misalignment > 0``; the budget holds by
+        construction."""
+        misalignment = _fraction("misalignment", misalignment)
+        stray_etas = tuple(stray_etas)
+        if misalignment > 0.0 and not stray_etas:
+            raise FieldError(
+                "stray_etas",
+                "at least one stray mode is required when misalignment > 0",
+            )
+        k = len(stray_etas)
+        share = misalignment * total_power / k if k else 0.0
+        return cls(
+            total_power=total_power,
+            aligned_power=(1.0 - misalignment) * total_power,
+            stray_powers=(share,) * k,
+            detector_eta=detector_eta,
+            stray_etas=stray_etas,
+        )
 
 
 def misaligned_noise(spec, gain):

@@ -1,7 +1,6 @@
-"""Tests for the spatial mode comb: layout, amplification, LO bookkeeping."""
+"""Tests for the spatial mode comb: layout, amplification, pair witnesses."""
 
 import json
-import math
 
 import numpy as np
 import pytest
@@ -9,25 +8,20 @@ import pytest
 from modecomb import (
     AmplifierSpec,
     FieldError,
-    OverlapSpec,
     SpatialComb,
     Witness,
     amplify_comb,
     apply_symplectic,
     build_comb,
     check_physicality,
-    lo_overlap,
-    overlap_spec_from_alignment,
     pair_witnesses,
     purity,
-    synthesize_lo,
     two_mode_squeezer,
     vacuum_state,
     witness_variance,
 )
 
 from modecomb.cli import main
-from modecomb.detection import DEFAULT_DETECTOR_ETA
 
 EXP_MINUS_TWO = 0.1353352832366127
 
@@ -71,12 +65,13 @@ def test_build_comb_rejects_bad_shapes():
 @pytest.mark.parametrize("make", [build_comb, SpatialComb])
 def test_build_comb_names_the_offending_field(make):
     amp = AmplifierSpec.from_gain(2.0)
-    for m, cells, field in (
-        (3, 1, "M"), (True, 1, "M"), (2.0, 1, "M"), (None, 1, "M"),
-        (4, 0, "cells"), (4, "1", "cells"),
+    for m, a, cells, field in (
+        (3, amp, 1, "M"), (True, amp, 1, "M"), (2.0, amp, 1, "M"),
+        (None, amp, 1, "M"), (4, amp, 0, "cells"), (4, amp, "1", "cells"),
+        (4, None, 1, "amp"), (4, 2.0, 1, "amp"), (4, "x", 1, "amp"),
     ):
         with pytest.raises(FieldError) as excinfo:
-            make(m, amp, cells)
+            make(m, a, cells)
         assert excinfo.value.field == field
 
 
@@ -185,149 +180,6 @@ def test_noise_table_builds_one_witness_per_gain(tmp_path, witness_count):
             "--misalignments", "0,0.1", "--out-dir", str(tmp_path)]
     assert main(argv) == 0
     assert witness_count[0] == 3
-
-
-def test_lo_synthesis_normalizes_and_overlaps(comb8):
-    weights = np.zeros(8)
-    weights[2] = 3.0  # arbitrary scale; synthesis normalizes
-    lo_a = synthesize_lo(comb8, weights, power=2.0)
-    assert lo_a.power == 2.0
-    assert np.linalg.norm(lo_a.coeffs) == pytest.approx(1.0, abs=1e-15)
-    assert lo_a.support == (2,)
-
-    lo_b = synthesize_lo(comb8, np.eye(8)[3])
-    assert lo_overlap(lo_a, lo_a) == pytest.approx(1.0, abs=1e-15)
-    assert lo_overlap(lo_a, lo_b) == 0.0
-
-    uniform = synthesize_lo(comb8, np.ones(8))
-    assert abs(lo_overlap(lo_a, uniform)) == pytest.approx(
-        1.0 / np.sqrt(8.0), abs=1e-12
-    )
-
-
-def test_lo_overlap_requires_matching_combs(comb8):
-    other = build_comb(4, AmplifierSpec.from_gain(2.0))
-    lo_a = synthesize_lo(comb8, np.eye(8)[0])
-    lo_b = synthesize_lo(other, np.eye(4)[0])
-    with pytest.raises(ValueError):
-        lo_overlap(lo_a, lo_b)
-
-
-def test_synthesize_lo_rejects_degenerate_input(comb8):
-    with pytest.raises(ValueError):
-        synthesize_lo(comb8, np.zeros(8))
-    with pytest.raises(ValueError):
-        synthesize_lo(comb8, np.ones(4))
-    with pytest.raises(ValueError):
-        synthesize_lo(comb8, np.ones(8), power=0.0)
-
-
-@pytest.mark.parametrize(
-    "entry, phase",
-    [
-        (1e200, 1.0),
-        (1e-200, 1.0),
-        (5e-324, 1.0),
-        (complex(1.7e308, -1.7e308), complex(1.0, -1.0) / math.sqrt(2)),
-    ],
-)
-def test_local_oscillator_normalizes_extreme_coefficients(comb8, entry, phase):
-    lo = synthesize_lo(comb8, np.full(8, entry))
-    assert np.linalg.norm(lo.coeffs) == pytest.approx(1.0, abs=1e-15)
-    assert np.allclose(lo.coeffs, phase / math.sqrt(8), rtol=0, atol=1e-15)
-    assert lo.support == tuple(range(8))
-
-
-def test_local_oscillator_leaves_the_callers_coefficients_alone(comb8):
-    coeffs = np.arange(1.0, 9.0).astype(complex)
-    synthesize_lo(comb8, coeffs)
-    assert np.array_equal(coeffs, np.arange(1.0, 9.0))
-
-
-@pytest.mark.parametrize("power", [math.nan, math.inf, -math.inf, True, 0.0,
-                                   -1.0, "1"])
-def test_local_oscillator_power_is_a_finite_positive_number(comb8, power):
-    with pytest.raises(FieldError) as info:
-        synthesize_lo(comb8, np.eye(8)[0], power)
-    assert info.value.field == "power"
-
-
-@pytest.mark.parametrize("entry", [math.nan, math.inf, complex(1.0, math.nan),
-                                   complex(-math.inf, 0.0)])
-def test_local_oscillator_rejects_non_finite_coefficients(comb8, entry):
-    coeffs = np.ones(8, dtype=complex)
-    coeffs[5] = entry
-    with pytest.raises(FieldError) as info:
-        synthesize_lo(comb8, coeffs)
-    assert info.value.field == "coeffs"
-
-
-def test_overlap_spec_enforces_power_budget():
-    spec = OverlapSpec(1.0, 0.9, (0.1,), 0.95, (0.5,))
-    assert spec.total_power == 1.0
-
-    with pytest.raises(ValueError):
-        OverlapSpec(1.0, 0.9, (0.2,), 0.95, (0.5,))  # budget exceeded
-    with pytest.raises(ValueError):
-        OverlapSpec(1.0, 1.1, (), 0.95, ())  # aligned above total
-    with pytest.raises(ValueError):
-        OverlapSpec(1.0, 0.9, (0.1,), 0.95, (0.95,))  # stray eta too high
-    with pytest.raises(ValueError):
-        OverlapSpec(1.0, 0.9, (0.1, 0.0), 0.95, (0.5,))  # length mismatch
-    with pytest.raises(ValueError):
-        OverlapSpec(1.0, 0.9, (0.1,), 0.0, (0.0,))  # detector eta zero
-    with pytest.raises(ValueError):
-        OverlapSpec(0.0, 0.0, (), 0.95, ())  # no power at all
-
-
-def test_overlap_spec_from_misalignment_splits_power_exactly():
-    spec = OverlapSpec.from_misalignment(1.0, 0.3, 0.9, (0.2, 0.4, 0.6))
-    assert spec.aligned_power == 1.0 - 0.3
-    assert spec.stray_powers == (0.3 / 3,) * 3
-    assert spec.stray_etas == (0.2, 0.4, 0.6)
-    cases = [
-        ((1.0, 0.1, 0.9, ()), "stray_etas"),
-        ((1.0, 1.5, 0.9, (0.5,)), "misalignment"),
-        ((1.0, 0.1, 0.0, (0.0,)), "detector_eta"),
-        ((1.0, 0.1, 0.9, (0.95,)), "stray_etas"),
-        ((1.0, 0.1, float("nan"), (0.5,)), "detector_eta"),
-        ((0.0, 0.0, 0.9, ()), "total_power"),
-    ]
-    for args, field in cases:
-        with pytest.raises(FieldError) as excinfo:
-            OverlapSpec.from_misalignment(*args)
-        assert excinfo.value.field == field
-
-
-def test_overlap_spec_from_alignment_splits_power_equally(comb8):
-    lo = synthesize_lo(comb8, np.eye(8)[1], power=2.0)
-    spec = overlap_spec_from_alignment(
-        lo, 1, 0.3, stray_etas=(0.4, 0.4, 0.4), detector_eta=0.9
-    )
-    assert spec.total_power == 2.0
-    assert spec.aligned_power == pytest.approx(1.4, abs=1e-15)
-    assert spec.stray_powers == pytest.approx((0.2, 0.2, 0.2), abs=1e-15)
-    assert spec.detector_eta == 0.9
-
-    perfect = overlap_spec_from_alignment(lo, 1, 0.0, stray_etas=())
-    assert perfect.aligned_power == perfect.total_power
-    assert perfect.stray_powers == ()
-    assert perfect.detector_eta == DEFAULT_DETECTOR_ETA
-
-
-def test_overlap_spec_from_alignment_validation(comb8):
-    lo = synthesize_lo(comb8, np.eye(8)[1])
-    with pytest.raises(ValueError):
-        overlap_spec_from_alignment(lo, 1, -0.1, ())
-    with pytest.raises(ValueError):
-        overlap_spec_from_alignment(lo, 1, 0.1, ())  # no stray declared
-    with pytest.raises(ValueError):
-        overlap_spec_from_alignment(lo, 0, 0.1, (0.5,))  # no LO weight there
-    with pytest.raises(ValueError):
-        overlap_spec_from_alignment(lo, 99, 0.1, (0.5,))
-    for target in (True, 1.0, 1.5):
-        with pytest.raises(ValueError, match="must be an integer"):
-            overlap_spec_from_alignment(lo, target, 0.0, ())
 
 
 def test_comb_equality_is_structural():

@@ -8,6 +8,7 @@ import pytest
 from modecomb import (
     AmplifierSpec,
     DualRailSpec,
+    FieldError,
     NoiseReport,
     OverlapSpec,
     amplify_comb,
@@ -56,6 +57,43 @@ def test_ideal_epr_noise_validation():
         ideal_epr_noise(2.0, 1.5)
     with pytest.raises(ValueError):
         ideal_epr_noise(2.0, -0.1)
+
+
+def test_overlap_spec_enforces_power_budget():
+    spec = OverlapSpec(1.0, 0.9, (0.1,), 0.95, (0.5,))
+    assert spec.total_power == 1.0
+
+    with pytest.raises(ValueError):
+        OverlapSpec(1.0, 0.9, (0.2,), 0.95, (0.5,))  # budget exceeded
+    with pytest.raises(ValueError):
+        OverlapSpec(1.0, 1.1, (), 0.95, ())  # aligned above total
+    with pytest.raises(ValueError):
+        OverlapSpec(1.0, 0.9, (0.1,), 0.95, (0.95,))  # stray eta too high
+    with pytest.raises(ValueError):
+        OverlapSpec(1.0, 0.9, (0.1, 0.0), 0.95, (0.5,))  # length mismatch
+    with pytest.raises(ValueError):
+        OverlapSpec(1.0, 0.9, (0.1,), 0.0, (0.0,))  # detector eta zero
+    with pytest.raises(ValueError):
+        OverlapSpec(0.0, 0.0, (), 0.95, ())  # no power at all
+
+
+def test_overlap_spec_from_misalignment_splits_power_exactly():
+    spec = OverlapSpec.from_misalignment(1.0, 0.3, 0.9, (0.2, 0.4, 0.6))
+    assert spec.aligned_power == 1.0 - 0.3
+    assert spec.stray_powers == (0.3 / 3,) * 3
+    assert spec.stray_etas == (0.2, 0.4, 0.6)
+    cases = [
+        ((1.0, 0.1, 0.9, ()), "stray_etas"),
+        ((1.0, 1.5, 0.9, (0.5,)), "misalignment"),
+        ((1.0, 0.1, 0.0, (0.0,)), "detector_eta"),
+        ((1.0, 0.1, 0.9, (0.95,)), "stray_etas"),
+        ((1.0, 0.1, float("nan"), (0.5,)), "detector_eta"),
+        ((0.0, 0.0, 0.9, ()), "total_power"),
+    ]
+    for args, field in cases:
+        with pytest.raises(FieldError) as excinfo:
+            OverlapSpec.from_misalignment(*args)
+        assert excinfo.value.field == field
 
 
 def test_misaligned_noise_single_stray_worked_example():

@@ -1,10 +1,13 @@
-"""The README's examples run as documented against the public API."""
+"""The README's examples run as documented against the public API, and
+``from modecomb import *`` exports exactly that API."""
 
 import contextlib
 import io
 import re
+import types
 from pathlib import Path
 
+import modecomb
 from modecomb.cli import main
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(
@@ -53,3 +56,13 @@ def test_documented_noise_table_runs(tmp_path):
     _run([*command.split(), "--out-dir", str(tmp_path)])
     rows = (tmp_path / "noise_table.csv").read_text().splitlines()
     assert len(rows) == 1 + 3 * 2 * 2
+
+
+def test_all_lists_every_public_name():
+    public = {name for name, value in vars(modecomb).items()
+              if not name.startswith("_")
+              and not isinstance(value, types.ModuleType)}
+    assert set(modecomb.__all__) == public
+    assert len(modecomb.__all__) == len(public)
+    for name in modecomb.__all__:
+        assert getattr(modecomb, name) is not None
