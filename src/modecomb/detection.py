@@ -156,6 +156,7 @@ class OverlapSpec:
         target mode and split the rest equally over the stray modes, which
         must exist when ``misalignment > 0``; the budget holds by
         construction."""
+        total_power = _real("total_power", total_power, 0.0, open_low=True)
         misalignment = _fraction("misalignment", misalignment)
         stray_etas = tuple(stray_etas)
         if misalignment > 0.0 and not stray_etas:

@@ -68,11 +68,18 @@ def test_build_comb_names_the_offending_field(make):
     for m, a, cells, field in (
         (3, amp, 1, "M"), (True, amp, 1, "M"), (2.0, amp, 1, "M"),
         (None, amp, 1, "M"), (4, amp, 0, "cells"), (4, amp, "1", "cells"),
-        (4, None, 1, "amp"), (4, 2.0, 1, "amp"), (4, "x", 1, "amp"),
     ):
         with pytest.raises(FieldError) as excinfo:
             make(m, a, cells)
         assert excinfo.value.field == field
+
+
+@pytest.mark.parametrize("make", [build_comb, SpatialComb])
+@pytest.mark.parametrize("amp", [None, 2.0, "x"])
+def test_comb_amp_must_be_an_amplifier_spec(make, amp):
+    with pytest.raises(FieldError) as excinfo:
+        make(4, amp)
+    assert excinfo.value.field == "amp"
 
 
 def test_build_comb_is_the_spatial_comb_of_its_arguments():

@@ -96,6 +96,52 @@ def test_overlap_spec_from_misalignment_splits_power_exactly():
         assert excinfo.value.field == field
 
 
+@pytest.mark.parametrize(
+    "args, field",
+    [
+        ((1.0, 0.9, (0.2,), 0.95, (0.5,)), "stray_powers"),
+        ((1.0, 0.9, (math.nan,), 0.95, (0.5,)), "stray_powers"),
+        ((1.0, 1.1, (), 0.95, ()), "aligned_power"),
+        ((1.0, -0.1, (1.1,), 0.95, (0.5,)), "aligned_power"),
+        ((1.0, 0.9, (0.1,), 0.95, (0.95,)), "stray_etas"),
+        ((1.0, 0.9, (0.1, 0.0), 0.95, (0.5,)), "stray_etas"),
+        ((1.0, 0.9, (0.1,), 0.0, (0.0,)), "detector_eta"),
+        ((1.0, 1.0, (), 1.5, ()), "detector_eta"),
+        ((0.0, 0.0, (), 0.95, ()), "total_power"),
+        (("1", 1.0, (), 0.95, ()), "total_power"),
+    ],
+)
+def test_overlap_spec_names_the_offending_field(args, field):
+    with pytest.raises(FieldError) as excinfo:
+        OverlapSpec(*args)
+    assert excinfo.value.field == field
+
+
+@pytest.mark.parametrize("total_power", ["1", None, True, math.nan, math.inf,
+                                         -1.0, 0.0])
+def test_from_misalignment_names_a_bad_total_power(total_power):
+    with pytest.raises(FieldError) as excinfo:
+        OverlapSpec.from_misalignment(total_power, 0.5, 0.9, (0.5,))
+    assert excinfo.value.field == "total_power"
+
+
+@pytest.mark.parametrize("misalignment", [-0.1, math.nan, True, "0.1"])
+def test_from_misalignment_is_a_fraction(misalignment):
+    with pytest.raises(FieldError) as excinfo:
+        OverlapSpec.from_misalignment(1.0, misalignment, 0.9, (0.5,))
+    assert excinfo.value.field == "misalignment"
+
+
+def test_from_misalignment_scales_with_total_power():
+    spec = OverlapSpec.from_misalignment(2, 0.3, 0.9, (0.4, 0.4, 0.4))
+    assert spec.total_power == 2.0
+    assert spec.aligned_power == pytest.approx(1.4, abs=1e-15)
+    assert spec.stray_powers == pytest.approx((0.2, 0.2, 0.2), abs=1e-15)
+    perfect = OverlapSpec.from_misalignment(2.0, 0.0, 0.9, ())
+    assert perfect.aligned_power == perfect.total_power
+    assert perfect.stray_powers == ()
+
+
 def test_misaligned_noise_single_stray_worked_example():
     spec = OverlapSpec(1.0, 0.9, (0.1,), 0.95, (0.5,))
     report = misaligned_noise(spec, 2.0)
