@@ -498,6 +498,8 @@ def _parse_network(raw):
     if not isinstance(entries, list):
         raise FieldError("network.elements", "must be a list")
     total = np.eye(2 * n_modes)
+    # Squared norm of each row of ``total``: an element updates its own rows.
+    row_norms = np.ones(2 * n_modes)
     for i, spec in enumerate(entries):
         path = f"network.elements[{i}]"
         if not isinstance(spec, dict) or "type" not in spec:
@@ -526,10 +528,12 @@ def _parse_network(raw):
             element = getattr(elements, kind)(
                 **{name: spec.get(name, v) for name, v in defaults.items()}
             )
-        apply_symplectic_matrix(total, element, modes)
+        idx = apply_symplectic_matrix(total, element, modes)
+        rows = total[idx]
+        row_norms[idx] = np.einsum("ij,ij->i", rows, rows)
         # Squeezing every mode by MAX_SQUEEZING gives |S|_F^2 =
         # 2N cosh(2 MAX_SQUEEZING) < 4N MAX_GAIN; passive elements keep it.
-        if np.linalg.norm(total) ** 2 > 4 * n_modes * elements.MAX_GAIN:
+        if row_norms.sum() > 4 * n_modes * elements.MAX_GAIN:
             raise FieldError(
                 path,
                 f"the network up to here squeezes beyond the reach of "
@@ -539,9 +543,11 @@ def _parse_network(raw):
 
 
 def apply_symplectic_matrix(total, transform, modes):
-    """Left-multiply ``total`` in place by ``transform`` on ``modes``."""
+    """Left-multiply ``total`` in place by ``transform`` on ``modes``;
+    return the indices of the rows it changed."""
     idx = _quadrature_rows(total.shape[0] // 2, modes)
     total[idx] = transform.matrix @ total[idx]
+    return idx
 
 
 def cmd_decompose(network_path, out_dir="."):

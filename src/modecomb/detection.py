@@ -234,7 +234,11 @@ def measure_witness(state, witness, eta_d):
     Returns:
         NoiseReport: variance with components ``attenuated_signal`` and
         ``vacuum_admixture`` (the ``1 - eta_d`` vacuum fraction)
+
+    Raises:
+        FieldError: naming ``eta_d`` if it is not a number in [0, 1].
     """
+    eta_d = _fraction("eta_d", eta_d)
     lossy = state
     for mode in witness.support(state.n_modes):
         lossy = loss_channel(lossy, mode, eta_d)

@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .gaussian import (FieldError, SymplecticTransform, _derived_state,
-                       _mode, _quadrature_rows, _real)
+                       _mode, _real)
 
 #: Tolerance on the internal consistency gain = cosh^2(r) of an AmplifierSpec.
 GAIN_CONSISTENCY_TOL = 1e-12
@@ -207,6 +207,12 @@ def loss_channel(state, mode, eta):
     modes scaled by ``sqrt(eta)``; the mean scales by ``sqrt(eta)``. This is
     the standard model for detector efficiency and propagation loss.
 
+    The mode's x and p rows, ``mode`` and ``n + mode``, are addressed as the
+    basic slice ``slice(mode, None, n)`` and scaled through views of a copy
+    of the state, bit for bit as with an index array. Only those rows and
+    columns are checked and symmetrized, by the full check's rules, so a NaN
+    or infinite entry there is rejected as non-finite.
+
     Args:
         state (GaussianState): input state
         mode (int): mode index to attenuate
@@ -223,14 +229,16 @@ def loss_channel(state, mode, eta):
     n = state.n_modes
     mode = _mode(mode, n)
     root = math.sqrt(eta)
-    idx = _quadrature_rows(n, (mode,))
+    rows = slice(mode, None, n)  # rows mode and n + mode, read as views
     mean = state.mean.copy()
-    mean[idx] *= root
+    mean[mode] *= root
+    mean[n + mode] *= root
     cov = state.cov.copy()
-    cov[idx, :] *= root
-    cov[:, idx] *= root
-    cov[idx, idx] += 1.0 - eta
-    return _derived_state(n, mean, cov, None, idx)
+    cov[rows] *= root
+    cov[:, rows] *= root
+    cov[mode, mode] += 1.0 - eta
+    cov[n + mode, n + mode] += 1.0 - eta
+    return _derived_state(n, mean, cov, None, rows)
 
 
 def gain_to_squeezing(gain):

@@ -58,7 +58,10 @@ def _real(field, value, low=-math.inf, high=math.inf, *, open_low=False,
     ``[low, high]`` (opened at an end by ``open_low`` / ``open_high``);
     raise a FieldError naming ``field`` otherwise."""
     number = math.nan
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+    # A plain float skips the abstract-base-class check, as in _mode.
+    if type(value) is float:
+        number = value
+    elif isinstance(value, numbers.Real) and not isinstance(value, bool):
         try:
             number = float(value)
         except OverflowError:  # an int beyond the float range
@@ -100,8 +103,9 @@ def _integer(field, value, low, high=math.inf):
 def _mode(mode, n_modes):
     """Return ``mode`` as an int if it is an integer (numpy integers too),
     not a bool, in ``[0, n_modes)``; raise ValueError otherwise."""
-    # A plain int skips the abstract-base-class check, which costs ~0.6 us.
-    if type(mode) is not int and (
+    # A plain int or a numpy index, as Witness.support gives, skips the
+    # abstract-base-class check, which costs ~0.5 us.
+    if type(mode) not in (int, np.intp) and (
         isinstance(mode, bool) or not isinstance(mode, numbers.Integral)
     ):
         raise ValueError(f"mode index must be an integer, got {mode!r}")
@@ -119,13 +123,19 @@ def _quadrature_rows(n_modes, modes):
 def _symmetrized(rows, cols, mean):
     """Return ``(rows + cols) / 2``: covariance rows averaged with the
     matching columns, ``cols`` holding them transposed. Raise ValueError if
-    ``rows`` or ``mean`` has a NaN or infinite entry, or if ``rows`` and
-    ``cols`` differ by more than ``SYMMETRY_TOL * max(1, max |rows|)``."""
-    largest = float(abs(rows).max())
-    if not all(map(math.isfinite, [largest, *mean.tolist()])):
+    ``rows``, ``cols`` or ``mean`` has a NaN or infinite entry, or if
+    ``rows`` and ``cols`` differ by more than
+    ``SYMMETRY_TOL * max(1, max |rows|)``."""
+    largest = np.maximum.reduce(np.abs(rows), None)
+    if not (math.isfinite(largest) and all(map(math.isfinite, mean.tolist()))):
         raise ValueError("covariance and mean must be finite")
-    asymmetry = abs(rows - cols).max()
-    if asymmetry > SYMMETRY_TOL * max(1.0, largest):
+    asymmetry = np.maximum.reduce(np.abs(rows - cols), None)
+    # With finite rows, a NaN or infinite asymmetry comes from a non-finite
+    # entry of ``cols`` (reported as the full check reports it, in a row of
+    # its own there) or from finite entries whose difference overflows.
+    if not asymmetry <= SYMMETRY_TOL * max(1.0, largest):
+        if not np.isfinite(cols).all():
+            raise ValueError("covariance and mean must be finite")
         raise ValueError(
             f"covariance is not symmetric: |C - C^T| = {asymmetry:.3e}"
         )
@@ -171,7 +181,9 @@ class GaussianState:
     :func:`~modecomb.elements.loss_channel` differ from it only in the rows
     and columns of the modes they touch, so they are checked and symmetrized
     on those rows alone: the same rules in ``O(k * N)``, with an asymmetry
-    bound scaled by the largest entry of those rows.
+    bound scaled by the largest entry of those rows. A NaN or infinite entry
+    in one of the touched columns is rejected as non-finite, exactly as the
+    full check rejects it.
     Physicality (``cov + i Omega >= 0``) is *not* enforced here so that
     deliberately unphysical matrices can still be probed with
     :func:`check_physicality`.
@@ -357,11 +369,15 @@ def _check_rows(mean, cov, idx):
     """Check and symmetrize, in place, rows and columns ``idx`` of arrays
     copied from a valid state and changed only there.
 
-    The untouched entries passed the full check of that state and are
-    exactly symmetric, so :func:`_symmetrized` on the touched rows applies
-    the full check's rules and gives the full check's result.
+    ``idx`` is an index array or, as :func:`~modecomb.elements.loss_channel`
+    passes it, a basic slice, whose rows and columns are read as views. The
+    untouched entries passed the full check of that state and are exactly
+    symmetric, so :func:`_symmetrized` on the touched rows applies the full
+    check's rules and gives the full check's result: a non-finite entry in
+    a touched row, column or the mean is a finiteness error, and otherwise
+    rows and columns must agree to within the asymmetry bound.
     """
-    rows = _symmetrized(cov.take(idx, 0), cov.take(idx, 1).T, mean.take(idx))
+    rows = _symmetrized(cov[idx], cov[:, idx].T, mean[idx])
     cov[idx] = rows
     cov[:, idx] = rows.T
 
@@ -372,9 +388,7 @@ def _derived_state(n_modes, mean, cov, factor, idx):
     instead of by a full ``O(N^2)`` pass."""
     _check_rows(mean, cov, idx)
     state = object.__new__(GaussianState)
-    for name, value in (("n_modes", n_modes), ("mean", mean), ("cov", cov),
-                        ("factor", factor)):
-        object.__setattr__(state, name, value)
+    state.__dict__.update(n_modes=n_modes, mean=mean, cov=cov, factor=factor)
     return state
 
 

@@ -127,6 +127,33 @@ def test_loss_channel_equals_the_fully_checked_update(case, eta):
     _assert_bit_equal(loss_channel(state, mode, eta), reference)
 
 
+def _fancy_loss_reference(state, mode, eta):
+    """The loss update of the test above: fancy-indexed, fully checked."""
+    n_modes = state.n_modes
+    idx = _quadrature_index(n_modes, (mode,))
+    root = math.sqrt(eta)
+    mean, cov = state.mean.copy(), state.cov.copy()
+    mean[idx] *= root
+    cov[idx, :] *= root
+    cov[:, idx] *= root
+    cov[idx, idx] += 1.0 - eta
+    return GaussianState(n_modes, mean, cov)
+
+
+@pytest.mark.parametrize("eta", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("last", [False, True], ids=["first", "last"])
+@pytest.mark.parametrize("n_modes", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["pure", "random"])
+def test_loss_channel_on_the_end_modes_equals_the_fancy_indexed_update(
+        kind, n_modes, last, eta):
+    # The loss addresses rows mode and n + mode as slice(mode, None, n):
+    # the first and last modes are where a wrong stride or stop shows.
+    state = _random_state(np.random.default_rng(n_modes), n_modes, kind)
+    mode = n_modes - 1 if last else 0
+    _assert_bit_equal(loss_channel(state, mode, eta),
+                      _fancy_loss_reference(state, mode, eta))
+
+
 def _wire_steps(spec):
     """The wire's elements in build order, as (transform, modes) pairs."""
     steps = []
@@ -180,6 +207,24 @@ def test_derived_state_checks_and_symmetrizes_its_rows_as_the_full_check(
     derived = _derived_state(3, state.mean.copy(), cov.copy(), None, idx)
     _assert_bit_equal(derived, reference)
     assert np.array_equal(derived.cov, derived.cov.T)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "idx", [_quadrature_index(3, (0,)), slice(0, None, 3)],
+    ids=["index array", "slice"],
+)
+def test_derived_state_rejects_a_non_finite_column_entry_as_the_full_check(
+        value, idx):
+    state = apply_symplectic(vacuum_state(3), two_mode_squeezer(1.0), (0, 2))
+    cov = state.cov.copy()
+    cov[4, 0] = value  # column 0 only; row 0 keeps its finite entry
+    with pytest.raises(ValueError) as full:
+        GaussianState(3, state.mean, cov)
+    with pytest.raises(ValueError) as derived:
+        _derived_state(3, state.mean.copy(), cov, None, idx)
+    assert str(derived.value) == str(full.value)
+    assert str(full.value) == "covariance and mean must be finite"
 
 
 # ---------------------------------------------------------------------------

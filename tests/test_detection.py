@@ -225,6 +225,16 @@ def test_measure_witness_validation():
     assert measure_witness(state, wx, 0.0).variance == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("eta_d", [1.5, math.nan, True, "0.9"])
+def test_measure_witness_names_its_own_efficiency_field(eta_d):
+    comb = build_comb(2, AmplifierSpec.from_gain(2.0))
+    state = amplify_comb(vacuum_state(2), comb)
+    (wx, _), = pair_witnesses(comb)
+    with pytest.raises(FieldError) as excinfo:
+        measure_witness(state, wx, eta_d)
+    assert excinfo.value.field == "eta_d"
+
+
 def test_squeezing_db_round_trip():
     assert squeezing_db(1.0) == 0.0
     assert squeezing_db(0.1) == pytest.approx(-10.0, abs=1e-12)
