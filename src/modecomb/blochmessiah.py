@@ -189,7 +189,7 @@ def decompose(transform):
         return Decomposition(
             passive_out=transform,
             squeeze=np.zeros(n),
-            passive_in=SymplecticTransform.identity(n),
+            passive_in=SymplecticTransform(np.eye(dim), n),
         )
 
     e_block, f_block = _complex_blocks(s)

@@ -14,7 +14,9 @@ Subcommands:
 
 Exit codes: 0 success, 2 parse failure (malformed JSON or argument lists,
 missing, unreadable or non-UTF-8 files, integer literals too long to
-convert), 3 validation failure, 4 any other failure; nothing exits with 1.
+convert) or output failure (an output directory or report that cannot be
+created or written), 3 validation failure, 4 any other failure; nothing
+exits with 1.
 Each input rule lives in the type or function that owns the field and
 raises a :class:`~modecomb.gaussian.FieldError`; this module only prepends
 the section (``comb.``, ``wire.``, ``detection.``,
@@ -705,6 +707,9 @@ def main(argv=None):
     except FieldError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:  # input reads raise ParseError, so this is output
+        print(f"output error: {exc}", file=sys.stderr)
+        return 2
     except Exception as exc:  # every other failure is the program's own
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         traceback.print_exc()

@@ -18,14 +18,13 @@ vanishes in the infinite-squeezing limit.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .elements import (
     _squeezing,
-    balanced_beamsplitter,
+    beamsplitter,
     phase_shift,
     two_mode_squeezer,
 )
@@ -49,10 +48,6 @@ EDGE_WEIGHT_THRESHOLD = 1e-6
 
 #: Allowed quadrature relabeling conventions for the dual-rail wire.
 PHASE_CONVENTIONS = ("odd_mode_minus_half_pi", "none")
-
-#: Signs of the squeezed (x, p) combinations of an interior wire link on its
-#: modes, :func:`_interior_terms`.
-_INTERIOR_SIGNS = ((1.0, 1.0, -1.0, 1.0), (1.0, 1.0, 1.0, -1.0))
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -149,26 +144,17 @@ def _terms(quad, coeffs):
     return {(m, quad): c for m, c in coeffs}
 
 
-def _interior_terms(wire_position):
-    """The x- and p-terms, signed by :data:`_INTERIOR_SIGNS`, of interior
-    link ``wire_position`` on its modes ``(2k-1, 2k, 2k+1, 2k+2)``,
-    ``k = wire_position + 1``."""
-    modes = range(2 * wire_position + 1, 2 * wire_position + 5)
-    x_signs, p_signs = _INTERIOR_SIGNS
-    return _terms("x", zip(modes, x_signs)), _terms("p", zip(modes, p_signs))
-
-
 def _wire_terms(n_pairs):
     """Squeezed quadrature combinations of the beam-splitter-output wire.
 
     Returns ``(label, terms)`` pairs, ``terms`` mapping ``(mode, "x"|"p")``
     to a coefficient, before any phase relabeling. Each combination has
     vacuum variance 4 and variance ``4 e^{-2r}`` on the wire, so the
-    normalized witness variance is ``e^{-2r}``. Interior source k
-    contributes the four-mode x- and p-combinations of
-    :data:`_INTERIOR_SIGNS` on modes (2k-1 .. 2k+2); the chain ends
-    contribute three-mode combinations with a sqrt(2) weight on the unmixed
-    end modes.
+    normalized witness variance is ``e^{-2r}``. Interior source k (link
+    ``interior{k-1}``) contributes four-mode combinations on modes
+    (2k-1 .. 2k+2), with x-signs (+1, +1, -1, +1) and p-signs
+    (+1, +1, +1, -1); the chain ends contribute three-mode combinations
+    with a sqrt(2) weight on the unmixed end modes.
     """
     last = 2 * n_pairs - 1
     out = [
@@ -176,8 +162,13 @@ def _wire_terms(n_pairs):
         ("left_p", _terms("p", [(0, _SQRT2), (1, 1.0), (2, -1.0)])),
     ]
     for position in range(n_pairs - 2):
-        x, p = _interior_terms(position)
-        out += [(f"interior{position}_x", x), (f"interior{position}_p", p)]
+        a, b, c, d = range(2 * position + 1, 2 * position + 5)
+        out += [
+            (f"interior{position}_x",
+             _terms("x", [(a, 1.0), (b, 1.0), (c, -1.0), (d, 1.0)])),
+            (f"interior{position}_p",
+             _terms("p", [(a, 1.0), (b, 1.0), (c, 1.0), (d, -1.0)])),
+        ]
     ends = [(last - 2, 1.0), (last - 1, 1.0)]
     out += [("right_x", _terms("x", [*ends, (last, -_SQRT2)])),
             ("right_p", _terms("p", [*ends, (last, _SQRT2)]))]
@@ -231,7 +222,7 @@ def build_dual_rail(spec):
     if spec.r > 0:
         squeezer = two_mode_squeezer(spec.r)
         steps += [(squeezer, (2 * k, 2 * k + 1)) for k in range(spec.n_pairs)]
-    splitter = balanced_beamsplitter()
+    splitter = beamsplitter(math.pi / 4)
     steps += [(splitter, (2 * k + 1, 2 * k + 2))
               for k in range(spec.n_pairs - 1)]
     if spec.phase_convention == "odd_mode_minus_half_pi":
@@ -281,43 +272,6 @@ def wire_witnesses(spec):
         left boundary pair, interior pairs, right boundary pair
     """
     return tuple(_witnesses(spec.n_pairs, spec.phase_convention))
-
-
-def witness_pair(wire_position, n_pairs):
-    """The four-mode x-type and p-type witnesses of one interior wire link.
-
-    Interior link ``wire_position`` sits on source ``wire_position + 1`` and
-    involves modes ``(2k-1, 2k, 2k+1, 2k+2)`` with ``k = wire_position + 1``;
-    positions run from 0 to ``n_pairs - 3``, so a wire needs at least three
-    sources to have an interior link. Coefficients refer to the raw
-    beam-splitter-output quadratures (phase convention "none"): x-signs
-    (+1, +1, -1, +1) and p-signs (+1, +1, +1, -1), the combinations whose
-    variance decays as ``e^{-2r}``. The pair is the ``interior{position}``
-    witnesses of :func:`wire_witnesses` under convention "none".
-
-    Args:
-        wire_position (int): interior link index, 0-based
-        n_pairs (int): number of EPR sources of the wire, at least 2 and at
-            most ``MAX_MODES / 2``
-
-    Returns:
-        tuple[Witness, Witness]: the (x-type, p-type) witnesses, vacuum
-        variance 4 each before normalization
-    """
-    n_pairs = _integer("n_pairs", n_pairs, 2, MAX_MODES // 2)
-    if isinstance(wire_position, bool) or not isinstance(
-        wire_position, numbers.Integral
-    ):
-        raise ValueError(
-            f"wire position must be an integer, got {wire_position!r}"
-        )
-    if not 0 <= wire_position <= n_pairs - 3:
-        raise ValueError(
-            f"wire position {wire_position} is not an interior link of a "
-            f"{n_pairs}-source wire (valid: 0 .. {n_pairs - 3})"
-        )
-    return tuple(Witness.from_terms(2 * n_pairs, terms)
-                 for terms in _interior_terms(wire_position))
 
 
 def bipartite_graph(comb):

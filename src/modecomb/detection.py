@@ -38,19 +38,23 @@ class NoiseReport:
     """A noise figure with its additive breakdown.
 
     Attributes:
-        variance (float): shot-noise-normalized variance, positive
+        variance (float): shot-noise-normalized variance, finite and
+            positive
         components (dict[str, float]): additive breakdown; the values sum
-            to ``variance``
+            to ``variance``, so each is finite
     """
 
     variance: float
     components: dict
 
     def __post_init__(self):
-        if self.variance <= 0.0:
-            raise ValueError(f"variance must be positive, got {self.variance}")
+        if not 0.0 < self.variance < math.inf:
+            raise ValueError(
+                f"variance must be finite and positive, got {self.variance}"
+            )
         total = sum(self.components.values())
-        if abs(total - self.variance) > REPORT_CONSISTENCY_TOL * max(
+        # Written as "not <=" so that a NaN component fails it.
+        if not abs(total - self.variance) <= REPORT_CONSISTENCY_TOL * max(
             1.0, self.variance
         ):
             raise ValueError(
@@ -257,12 +261,14 @@ def squeezing_db(variance):
     """Express a shot-noise-normalized variance in decibels.
 
     Args:
-        variance (float): positive normalized variance
+        variance (float): finite, positive normalized variance
 
     Returns:
         float: ``10 log10(variance)``; negative values mean noise below
         shot noise (squeezing)
     """
-    if variance <= 0.0:
-        raise ValueError(f"variance must be positive, got {variance}")
+    if not 0.0 < variance < math.inf:
+        raise ValueError(
+            f"variance must be finite and positive, got {variance}"
+        )
     return 10.0 * math.log10(variance)

@@ -175,11 +175,6 @@ def beamsplitter(theta, phi=0.0):
     return SymplecticTransform(matrix, 2)
 
 
-def balanced_beamsplitter():
-    """The 50:50 beam splitter, ``beamsplitter(pi/4, 0)``."""
-    return beamsplitter(math.pi / 4, 0.0)
-
-
 def phase_shift(phi):
     """Single-mode phase-space rotation by ``phi``.
 

@@ -172,11 +172,11 @@ class GaussianState:
             at the identity and :func:`apply_symplectic` carries it along.
             Every non-unitary step (loss, homodyne conditioning) drops it to
             ``None``, as does direct construction unless one is passed. Only
-            its shape is checked; a caller passing one vouches that it
-            factors ``cov``.
+            its shape and the finiteness of its entries are checked; a
+            caller passing one vouches that it factors ``cov``.
 
-    A NaN or infinite entry of ``cov`` or ``mean`` is rejected with
-    ``ValueError``. The covariance matrix is symmetrized on construction.
+    A NaN or infinite entry of ``cov``, ``mean`` or ``factor`` is rejected
+    with ``ValueError``. The covariance matrix is symmetrized on construction.
     States derived from a valid state by :func:`apply_symplectic` or
     :func:`~modecomb.elements.loss_channel` differ from it only in the rows
     and columns of the modes they touch, so they are checked and symmetrized
@@ -212,6 +212,8 @@ class GaussianState:
                     f"symplectic factor must be {dim}x{dim} for "
                     f"{n_modes} modes, got {factor.shape}"
                 )
+            if not np.isfinite(factor).all():
+                raise ValueError("symplectic factor must be finite")
             object.__setattr__(self, "factor", factor)
         object.__setattr__(self, "n_modes", n_modes)
         object.__setattr__(self, "mean", mean)
@@ -263,22 +265,6 @@ class SymplecticTransform:
         object.__setattr__(self, "n_modes", n_modes)
         object.__setattr__(self, "matrix", matrix)
 
-    def compose(self, other):
-        """Return the transform applying ``other`` first, then ``self``."""
-        if other.n_modes != self.n_modes:
-            raise ValueError("can only compose transforms on the same modes")
-        return SymplecticTransform(self.matrix @ other.matrix, self.n_modes)
-
-    def inverse(self):
-        """Return the inverse transform, computed from the symplectic form."""
-        omega = symplectic_form(self.n_modes)
-        # S^{-1} = Omega^T S^T Omega for symplectic S
-        return SymplecticTransform(omega.T @ self.matrix.T @ omega, self.n_modes)
-
-    @classmethod
-    def identity(cls, n_modes):
-        return cls(np.eye(2 * n_modes), n_modes)
-
 
 @dataclass(frozen=True, eq=False)
 class Witness:
@@ -317,7 +303,9 @@ class Witness:
 
     @classmethod
     def from_terms(cls, n_modes, terms):
-        """Build a witness from sparse ``{(mode, "x"|"p"): coefficient}`` terms."""
+        """Build a witness from sparse ``{(mode, "x"|"p"): coefficient}`` terms
+        on ``n_modes`` modes, an integer in [1, MAX_MODES]."""
+        n_modes = _integer("n_modes", n_modes, 1, MAX_MODES)
         coeffs = np.zeros(2 * n_modes)
         for (mode, quad), value in terms.items():
             mode = _mode(mode, n_modes)

@@ -580,6 +580,29 @@ def test_internal_fault_exits_4_not_as_user_error(
     assert "broken invariant" in first
 
 
+@pytest.mark.parametrize("command", ["simulate", "decompose", "noise-table"])
+@pytest.mark.parametrize("below", [False, True],
+                         ids=["is-a-file", "under-a-file"])
+def test_an_unusable_out_dir_is_an_output_failure(
+    tmp_path, capsys, command, below
+):
+    blocker = tmp_path / "taken"
+    blocker.write_text("", encoding="utf-8")
+    out_dir = blocker / "reports" if below else blocker
+    if command == "simulate":
+        args = [write_config(tmp_path / "scenario.json", MINIMAL)]
+    elif command == "decompose":
+        args = [write_config(tmp_path / "net.json",
+                             {"version": "v1", "n_modes": 2, "elements": []})]
+    else:
+        args = ["--gains", "2", "--etas", "0.9"]
+    assert main([command, *args, "--out-dir", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("output error: ")
+    assert str(out_dir) in err.splitlines()[0]
+    assert "Traceback" not in err
+
+
 def test_wire_at_a_formerly_rejected_squeezing_simulates(tmp_path):
     # r = 6.375 is the first r on a 0.001 grid whose squeezer failed an
     # absolute symplectic tolerance.

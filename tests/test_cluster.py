@@ -28,7 +28,6 @@ from modecomb import (
     two_mode_squeezer,
     vacuum_state,
     wire_witnesses,
-    witness_pair,
     witness_variance,
 )
 from modecomb.gaussian import MAX_MODES
@@ -65,6 +64,17 @@ def test_wire_witness_labels_cover_boundaries_and_interior():
         "interior1_x", "interior1_p",
         "right_x", "right_p",
     ]
+
+    # The interior link 1 of a 5-pair raw wire, coefficient by coefficient.
+    witnesses = dict(wire_witnesses(DualRailSpec(5, 1.0, "none")))
+    for label, offset, signs in (("interior1_x", 0, (1, 1, -1, 1)),
+                                 ("interior1_p", 10, (1, 1, 1, -1))):
+        wit = witnesses[label]
+        assert wit.support(10) == (3, 4, 5, 6)
+        expected = np.zeros(20)
+        expected[offset + 3:offset + 7] = signs
+        assert np.array_equal(wit.coeffs, expected), label
+        assert wit.normalization == 4.0
 
 
 def test_both_phase_conventions_measure_the_same_physics():
@@ -126,37 +136,10 @@ def test_interior_witness_pair_is_squeezed():
     state = build_dual_rail(spec)
     floor = math.exp(-1.6)
 
-    wx, wp = witness_pair(0, 4)
-    assert witness_variance(state, wx) == pytest.approx(floor, abs=1e-12)
-    assert witness_variance(state, wp) == pytest.approx(floor, abs=1e-12)
-    assert wx.normalization == 4.0
-    assert wp.normalization == 4.0
-
-
-def test_witness_pair_position_bounds():
-    wx, wp = witness_pair(1, 5)
-    assert wx.support(10) == (3, 4, 5, 6)
-    with pytest.raises(ValueError):
-        witness_pair(0, 2)  # two sources have no interior link
-    with pytest.raises(ValueError):
-        witness_pair(2, 4)
-    with pytest.raises(ValueError):
-        witness_pair(-1, 4)
-
-
-def test_witness_pair_takes_an_integer_position():
-    for position in (True, False, 0.5, 1.0, "1", None):
-        with pytest.raises(ValueError, match="must be an integer"):
-            witness_pair(position, 4)
-    for position in (-1, 2, np.int64(2)):
-        with pytest.raises(ValueError, match="not an interior link"):
-            witness_pair(position, 4)
-    for got, want in zip(witness_pair(np.int64(1), 5), witness_pair(1, 5)):
-        assert np.array_equal(got.coeffs, want.coeffs)
-    for n_pairs in (3.0, True, "4", 1):
-        with pytest.raises(FieldError) as excinfo:
-            witness_pair(0, n_pairs)
-        assert excinfo.value.field == "n_pairs"
+    witnesses = dict(wire_witnesses(spec))
+    for wit in (witnesses["interior0_x"], witnesses["interior0_p"]):
+        assert witness_variance(state, wit) == pytest.approx(floor, abs=1e-12)
+        assert wit.normalization == 4.0
 
 
 # ---------------------------------------------------------------------------
@@ -234,17 +217,6 @@ def test_extract_graph_refuses_mixed_states():
     lossy = loss_channel(state, 0, 0.7)
     with pytest.raises(NotAGraphStateError):
         extract_graph(lossy)
-
-
-@pytest.mark.parametrize("n_pairs", [3, 5])
-def test_witness_pair_is_the_interior_witness_of_the_plain_wire(n_pairs):
-    witnesses = dict(wire_witnesses(DualRailSpec(n_pairs, 0.7, "none")))
-    for position in range(n_pairs - 2):
-        wx, wp = witness_pair(position, n_pairs)
-        x_ref = witnesses[f"interior{position}_x"]
-        p_ref = witnesses[f"interior{position}_p"]
-        assert wx.coeffs.tobytes() == x_ref.coeffs.tobytes()
-        assert wp.coeffs.tobytes() == p_ref.coeffs.tobytes()
 
 
 def test_nullifier_residual_checks_node_count():

@@ -20,7 +20,6 @@ from modecomb import (
     SymplecticTransform,
     amplify_comb,
     apply_symplectic,
-    balanced_beamsplitter,
     beamsplitter,
     build_comb,
     build_dual_rail,
@@ -160,7 +159,7 @@ def _wire_steps(spec):
     if spec.r > 0:
         squeezer = two_mode_squeezer(spec.r)
         steps += [(squeezer, (2 * k, 2 * k + 1)) for k in range(spec.n_pairs)]
-    splitter = balanced_beamsplitter()
+    splitter = beamsplitter(math.pi / 4)
     steps += [(splitter, (2 * k + 1, 2 * k + 2))
               for k in range(spec.n_pairs - 1)]
     if spec.phase_convention == "odd_mode_minus_half_pi":

@@ -263,3 +263,25 @@ def test_noise_report_rejects_inconsistent_fields():
         NoiseReport(variance=0.5, components={"shot_noise": 0.7})
     with pytest.raises(ValueError):
         NoiseReport(variance=-0.5, components={})
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "variance, components",
+    [
+        (NAN, {"a": NAN}),
+        (INF, {"a": INF}),
+        (-INF, {"a": -INF}),
+        (1.0, {"a": 1.0, "b": NAN}),
+        (1.0, {"a": INF, "b": -INF}),
+    ],
+    ids=["nan", "inf", "-inf", "nan-component", "cancelling-infinities"],
+)
+def test_non_finite_reports_and_decibels_are_rejected(variance, components):
+    with pytest.raises(ValueError):
+        NoiseReport(variance, components)
+    if not math.isfinite(variance):
+        with pytest.raises(ValueError, match="finite and positive"):
+            squeezing_db(variance)

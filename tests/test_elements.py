@@ -13,7 +13,6 @@ from modecomb import (
     FieldError,
     Witness,
     apply_symplectic,
-    balanced_beamsplitter,
     beamsplitter,
     check_physicality,
     gain_to_squeezing,
@@ -155,7 +154,7 @@ def test_two_mode_squeezer_pump_phase_rotates_correlation():
 
 
 def test_balanced_beamsplitter_splits_power_evenly():
-    bs = balanced_beamsplitter()
+    bs = beamsplitter(math.pi / 4)
     assert np.allclose(bs.matrix @ bs.matrix.T, np.eye(4), atol=1e-15)
     # A single-mode displacement splits 50/50 between the outputs.
     amplitude = bs.matrix @ np.array([1.0, 0.0, 0.0, 0.0])
