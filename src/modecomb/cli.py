@@ -406,18 +406,70 @@ def run_scenario(config_path, out_dir=".", fmt="csv"):
     return [table, _write_json(out / f"{name}_graph.json", graph)]
 
 
-#: Encodes scalars and flat number lists; without ``indent`` it runs the C
-#: encoder.
+#: Encodes scalars, flat number lists and float blocks; without ``indent``
+#: it runs the C encoder.
 _ENCODER = json.JSONEncoder(sort_keys=True)
 _NUMBER_TYPES = {float, int}
+#: The sign bit of a float64, as its bits.
+_SIGN_BIT = np.uint64(1 << 63)
+
+
+def _passive_blocks(array):
+    """``(X, Y)`` if ``array`` is a float64 matrix ``[[X, -Y], [Y, X]]`` of
+    order 2N >= 2, compared bit for bit; else None."""
+    rows, cols = array.shape if array.ndim == 2 else (0, 0)
+    if array.dtype != np.float64 or rows != cols or rows % 2 or not rows:
+        return None
+    n = rows // 2
+    bits = array.view(np.uint64)
+    if np.array_equal(bits[n:, n:], bits[:n, :n]) and np.array_equal(
+        bits[:n, n:], bits[n:, :n] ^ _SIGN_BIT
+    ):
+        return array[:n, :n], array[n:, :n]
+    return None
+
+
+def _row_texts(block, sep):
+    """The text of each row of a float matrix, items joined by ``sep``;
+    numbers hold no ``", "`` or ``"]"``."""
+    text = _ENCODER.encode(block.tolist())[2:-2].replace(", ", sep)
+    return text.split(f"]{sep}[")
+
+
+def _negated(row, sep):
+    """The text of a row ``-v`` from that of ``v`` (see :func:`_row_texts`):
+    each item gains a leading ``-`` or loses it. ``json`` writes every NaN
+    as ``NaN``, whatever its sign."""
+    flipped = ("-" + row.replace(sep, sep + "-")).replace("--", "")
+    return flipped.replace("-NaN", "NaN")
 
 
 def _json_chunks(obj, chunks, indent="\n"):
-    """Append the text of ``json.dumps(obj, indent=2, sort_keys=True)`` to
-    ``chunks``; ``indent`` is the line break before ``obj``'s closing
-    bracket. Dict keys must be strings."""
+    """Append the text of ``json.dumps(obj, indent=2, sort_keys=True,
+    default=np.ndarray.tolist)`` to ``chunks``; ``indent`` is the line break
+    before ``obj``'s closing bracket. Dict keys must be strings.
+
+    A numpy array is laid out as its ``tolist()``, except a float64 matrix
+    ``[[X, -Y], [Y, X]]``, the form of every passive factor
+    :mod:`~modecomb.blochmessiah` builds: the C encoder writes ``X`` and
+    ``Y`` once, and the text of ``-Y`` is that of ``Y`` with each item's
+    sign flipped. The blocks are compared as bits, not values: ``0.0 ==
+    -0.0``, but ``json`` writes the two differently. So an identity, whose
+    top-right ``+0.0`` is not ``-(+0.0)``, is laid out as a list.
+    """
     inner = indent + "  "
-    if isinstance(obj, dict) and obj:
+    if isinstance(obj, np.ndarray):
+        blocks = _passive_blocks(obj)
+        if blocks is None:
+            _json_chunks(obj.tolist(), chunks, indent)
+            return
+        sep = f",{inner}  "
+        x_rows, y_rows = (_row_texts(block, sep) for block in blocks)
+        rows = [x + sep + _negated(y, sep) for x, y in zip(x_rows, y_rows)]
+        rows += [y + sep + x for x, y in zip(x_rows, y_rows)]
+        body = f"{inner}],{inner}[{inner}  ".join(rows)
+        chunks.append(f"[{inner}[{inner}  {body}{inner}]{indent}]")
+    elif isinstance(obj, dict) and obj:
         chunks.append("{")
         sep = inner
         for key, value in sorted(obj.items()):
@@ -445,14 +497,18 @@ def _json_chunks(obj, chunks, indent="\n"):
 
 
 def _write_json(path, obj):
-    """Write ``json.dumps(obj, indent=2, sort_keys=True)`` and a newline to
-    ``path``, byte for byte.
+    """Write ``json.dumps(obj, indent=2, sort_keys=True,
+    default=np.ndarray.tolist)`` and a newline to ``path``, byte for byte.
 
     ``json`` runs its C encoder only when ``indent`` is None, and its
     pure-Python encoder takes most of the time of a large report. So dicts
-    and lists are laid out here, and every scalar and flat number list is
-    encoded in C. The whole text is encoded before the file is opened, so
-    an encoding error leaves no partial report.
+    and lists are laid out here, and every scalar, flat number list and
+    float block is encoded in C. A matrix ``[[X, -Y], [Y, X]]`` has only
+    its blocks ``X`` and ``Y`` encoded; they are matched bit for bit, so
+    that each signed zero keeps its own text, and any other array is
+    written as its ``tolist()`` (see :func:`_json_chunks`). The whole text
+    is encoded before the file is opened, so an encoding error leaves no
+    partial report.
     """
     chunks = []
     _json_chunks(obj, chunks)
@@ -561,8 +617,8 @@ def cmd_decompose(network_path, out_dir="."):
         "n_modes": total.n_modes,
         "squeeze": [float(r) for r in result.squeeze],
         "recomposition_error": error,
-        "passive_out": result.passive_out.matrix.tolist(),
-        "passive_in": result.passive_in.matrix.tolist(),
+        "passive_out": result.passive_out.matrix,
+        "passive_in": result.passive_in.matrix,
     }
     stem = Path(network_path).stem
     return _write_json(Path(out_dir) / f"{stem}_decomposition.json", report)

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 import modecomb.cli
 from modecomb import elements
+from modecomb.blochmessiah import _real_orthogonal
 from modecomb.cli import (
     DetectionConfig,
     _parse_network,
@@ -767,11 +768,12 @@ _DRAWS = {
 }
 
 
-def _random_network(rng, n_modes, n_elements):
-    """A network file's contents and the product of its embedded elements."""
+def _random_network(rng, n_modes, n_elements, kinds=tuple(_DRAWS)):
+    """A network file's contents and the product of its embedded elements,
+    each of a type drawn from ``kinds``."""
     specs, product = [], np.eye(2 * n_modes)
     for _ in range(n_elements):
-        kind = str(rng.choice(list(_DRAWS)))
+        kind = str(rng.choice(list(kinds)))
         arity = 1 if kind == "phase_shift" else 2
         modes = [int(m) for m in rng.choice(n_modes, arity, replace=False)]
         params = _DRAWS[kind](rng)
@@ -939,8 +941,10 @@ def test_noise_table_json_format(tmp_path):
 
 
 def _reference_json(obj):
-    """The report layout: ``json.dumps`` with indent 2 and sorted keys."""
-    return (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("utf-8")
+    """The report layout: ``json.dumps`` with indent 2 and sorted keys, and
+    numpy arrays as their ``tolist()``."""
+    text = json.dumps(obj, indent=2, sort_keys=True, default=np.ndarray.tolist)
+    return (text + "\n").encode("utf-8")
 
 
 #: Scalars, including strings that look like JSON syntax and the floats
@@ -977,22 +981,154 @@ def test_json_reports_match_json_dumps_byte_for_byte(tmp_path_factory, obj):
     assert _write_json(path, obj).read_bytes() == _reference_json(obj)
 
 
-def test_decompose_report_matches_json_dumps_byte_for_byte(
-    tmp_path, monkeypatch
-):
-    raw, _ = _random_network(np.random.default_rng(96), 96, 200)
-    network = write_config(tmp_path / "net.json", {"version": "v1", **raw})
-    reports = []
+def _passive_matrix(x, y):
+    """The form of every passive factor ``blochmessiah`` builds."""
+    return np.block([[x, -y], [y, x]])
 
-    def recording(path, obj):
+
+def _random_unitary(rng, n):
+    """A Haar-random n x n unitary: the QR factor of a complex Gaussian
+    matrix, with the phases of R's diagonal moved into Q."""
+    q, r = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    return q * (np.diag(r) / abs(np.diag(r)))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_passive_factors_of_random_unitaries_match_json_dumps(tmp_path, n):
+    factor = _real_orthogonal(_random_unitary(np.random.default_rng(n), n))
+    obj = {"factor": factor, "nested": [factor.T, {"again": factor}]}
+    path = _write_json(tmp_path / "report.json", obj)
+    assert path.read_bytes() == _reference_json(obj)
+
+
+#: Block entries, with the floats whose text is easiest to get wrong.
+_BLOCK_ENTRIES = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-300, 1e300, -1e300]),
+)
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.lists(_BLOCK_ENTRIES, min_size=2 * n * n,
+                           max_size=2 * n * n)
+    )
+)
+def test_passive_blocks_of_any_floats_match_json_dumps(
+    tmp_path_factory, entries
+):
+    n = math.isqrt(len(entries) // 2)
+    x, y = np.reshape(entries, (2, n, n))
+    obj = {"m": _passive_matrix(x, y)}
+    path = _write_json(tmp_path_factory.mktemp("writer") / "r.json", obj)
+    assert path.read_bytes() == _reference_json(obj)
+
+
+def _near_misses():
+    """Arrays that are not ``[[X, -Y], [Y, X]]`` bit for bit."""
+    rng = np.random.default_rng(5)
+    base = _passive_matrix(rng.normal(size=(3, 3)), rng.normal(size=(3, 3)))
+    ulp_off = base.copy()
+    ulp_off[4, 5] = np.nextafter(ulp_off[4, 5], np.inf)
+    positive_zero = base.copy()
+    positive_zero[3, 1] = 0.0  # Y[0, 1], so -Y holds -0.0 at [0, 4]
+    positive_zero[0, 4] = 0.0
+    return {
+        "bottom-right one ulp off": ulp_off,
+        "+0.0 where -Y holds -0.0": positive_zero,
+        "identity": np.eye(4),
+        "odd order": np.ones((3, 3)),
+        "non-square": _passive_matrix(np.ones((2, 2)), np.ones((2, 2)))[:, :3],
+        "0x0": np.zeros((0, 0)),
+        "0x4": np.zeros((0, 4)),
+        "integers": np.arange(16).reshape(4, 4),
+        "one row": np.array([1.0, -0.0]),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_near_misses()))
+def test_arrays_not_of_passive_form_match_json_dumps(tmp_path, name):
+    obj = {"m": _near_misses()[name], "list": [1.0, -0.0]}
+    path = _write_json(tmp_path / "report.json", obj)
+    assert path.read_bytes() == _reference_json(obj)
+
+
+def _decompose_with_spy(tmp_path, monkeypatch, raw):
+    """Run ``cmd_decompose`` on ``raw``; return the report dict, the file's
+    bytes and every object the writer laid out."""
+    network = write_config(tmp_path / "net.json", {"version": "v1", **raw})
+    reports, laid_out = [], []
+    json_chunks = modecomb.cli._json_chunks
+
+    def recording_write(path, obj):
         reports.append(obj)
         return _write_json(path, obj)
 
-    monkeypatch.setattr(modecomb.cli, "_write_json", recording)
+    def recording_chunks(obj, *args):
+        laid_out.append(obj)
+        json_chunks(obj, *args)
+
+    monkeypatch.setattr(modecomb.cli, "_write_json", recording_write)
+    monkeypatch.setattr(modecomb.cli, "_json_chunks", recording_chunks)
     path = cmd_decompose(network, tmp_path)
     (report,) = reports
+    return report, path.read_bytes(), laid_out
+
+
+_NETWORKS = {
+    "squeezed": lambda: _random_network(np.random.default_rng(96), 96, 200)[0],
+    "passive only": lambda: _random_network(
+        np.random.default_rng(97), 96, 200, ("beamsplitter", "phase_shift")
+    )[0],
+    "empty": lambda: {"n_modes": 96, "elements": []},
+}
+
+
+@pytest.mark.parametrize("network", sorted(_NETWORKS))
+def test_decompose_report_matches_json_dumps_byte_for_byte(
+    tmp_path, monkeypatch, network
+):
+    report, text, _ = _decompose_with_spy(
+        tmp_path, monkeypatch, _NETWORKS[network]()
+    )
     assert len(report["passive_out"]) == 192
-    assert path.read_bytes() == _reference_json(report)
+    assert text == _reference_json(report)
+
+
+def _factor_row_lists(laid_out):
+    """The laid-out lists of lists of 192 rows: a 96-mode factor as its
+    tolist()."""
+    return [
+        obj for obj in laid_out
+        if isinstance(obj, list) and len(obj) == 192
+        and isinstance(obj[0], list)
+    ]
+
+
+def test_squeezed_network_factors_skip_the_list_fallback(
+    tmp_path, monkeypatch
+):
+    report, _, laid_out = _decompose_with_spy(
+        tmp_path, monkeypatch, _NETWORKS["squeezed"]()
+    )
+    assert max(report["squeeze"]) > 0.0
+    arrays = [obj for obj in laid_out if isinstance(obj, np.ndarray)]
+    assert len(arrays) == 2
+    assert _factor_row_lists(laid_out) == []
+
+
+def test_an_already_passive_network_takes_the_list_fallback(
+    tmp_path, monkeypatch
+):
+    # Its passive_in is the identity, whose top-right +0.0 is not -(+0.0),
+    # and its passive_out, the network's product, has blocks that agree
+    # only to rounding.
+    report, _, laid_out = _decompose_with_spy(
+        tmp_path, monkeypatch, _NETWORKS["passive only"]()
+    )
+    assert max(report["squeeze"]) == 0.0
+    assert len(_factor_row_lists(laid_out)) == 2
 
 
 def test_json_reports_do_not_run_the_pure_python_encoder(
