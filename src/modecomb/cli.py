@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -302,7 +303,8 @@ def parse_scenario(raw):
                      "sweep"))
     _check_version(raw, "version")
     name = raw.get("name")
-    if not isinstance(name, str) or not name or set(name) & set("/\\"):
+    # A NUL byte would reach the file system, which rejects it.
+    if not isinstance(name, str) or not name or set(name) & set("/\\\0"):
         raise FieldError("config.name", "must be a nonempty path-safe string")
     seed = raw.get("seed")
     if seed is not None and (not isinstance(seed, int) or isinstance(seed, bool)):
@@ -709,7 +711,10 @@ def _float_list(text):
         ) from exc
 
 
-def _build_parser():
+@functools.cache
+def _parser():
+    """The argument parser, built on first use. Parsing does not change it,
+    so every call in a process shares it; no default is mutable."""
     parser = argparse.ArgumentParser(
         prog="modecomb",
         description="Gaussian simulator for mode-comb cluster states",
@@ -731,7 +736,7 @@ def _build_parser():
     )
     noise.add_argument("--gains", type=_float_list, required=True)
     noise.add_argument("--etas", type=_float_list, required=True)
-    noise.add_argument("--misalignments", type=_float_list, default=[0.0])
+    noise.add_argument("--misalignments", type=_float_list, default=(0.0,))
 
     for cmd in (simulate, decompose_cmd, noise):
         cmd.add_argument("--out-dir", default=".", help="output directory")
@@ -744,7 +749,7 @@ def _build_parser():
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.command == "simulate":
             written = run_scenario(args.config, args.out_dir, args.format)

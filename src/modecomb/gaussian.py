@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -120,12 +121,22 @@ def _quadrature_rows(n_modes, modes):
     return np.array([*modes, *(n_modes + m for m in modes)])
 
 
+#: Below this largest entry, ``rows + cols`` within the asymmetry bound
+#: cannot overflow.
+_SUM_SAFE = sys.float_info.max / 4
+
+
 def _symmetrized(rows, cols, mean):
     """Return ``(rows + cols) / 2``: covariance rows averaged with the
     matching columns, ``cols`` holding them transposed. Raise ValueError if
     ``rows``, ``cols`` or ``mean`` has a NaN or infinite entry, or if
     ``rows`` and ``cols`` differ by more than
-    ``SYMMETRY_TOL * max(1, max |rows|)``."""
+    ``SYMMETRY_TOL * max(1, max |rows|)``.
+
+    The average is ``0.5 * (rows + cols)``, except that an entry whose sum
+    overflows (both terms beyond ``max / 2``) is averaged as
+    ``0.5 * row + 0.5 * col``. So every finite input gives a finite
+    average, and an entry equal to its column keeps its own bits."""
     largest = np.maximum.reduce(np.abs(rows), None)
     if not (math.isfinite(largest) and all(map(math.isfinite, mean.tolist()))):
         raise ValueError("covariance and mean must be finite")
@@ -139,7 +150,13 @@ def _symmetrized(rows, cols, mean):
         raise ValueError(
             f"covariance is not symmetric: |C - C^T| = {asymmetry:.3e}"
         )
-    return 0.5 * (rows + cols)
+    if largest <= _SUM_SAFE:
+        return 0.5 * (rows + cols)
+    with np.errstate(over="ignore"):
+        average = 0.5 * (rows + cols)
+    over = np.isinf(average)
+    average[over] = 0.5 * rows[over] + 0.5 * cols[over]
+    return average
 
 
 def symplectic_form(n_modes):
@@ -176,14 +193,17 @@ class GaussianState:
             caller passing one vouches that it factors ``cov``.
 
     A NaN or infinite entry of ``cov``, ``mean`` or ``factor`` is rejected
-    with ``ValueError``. The covariance matrix is symmetrized on construction.
-    States derived from a valid state by :func:`apply_symplectic` or
-    :func:`~modecomb.elements.loss_channel` differ from it only in the rows
-    and columns of the modes they touch, so they are checked and symmetrized
-    on those rows alone: the same rules in ``O(k * N)``, with an asymmetry
-    bound scaled by the largest entry of those rows. A NaN or infinite entry
-    in one of the touched columns is rejected as non-finite, exactly as the
-    full check rejects it.
+    with ``ValueError``. The covariance matrix is symmetrized on
+    construction, into a fresh array, without overflow for any finite
+    entries. States derived from a valid state by :func:`apply_symplectic`
+    or :func:`~modecomb.elements.loss_channel` differ from it only in the
+    rows and columns of the modes they touch, so they are checked and
+    symmetrized on those rows alone: the same rules in ``O(k * N)``, with an
+    asymmetry bound scaled by the largest entry of those rows. A NaN or
+    infinite entry in one of the touched columns is rejected as non-finite,
+    exactly as the full check rejects it. Finite touched rows that already
+    equal their columns bit for bit are left unwritten, since their average
+    is themselves.
     Physicality (``cov + i Omega >= 0``) is *not* enforced here so that
     deliberately unphysical matrices can still be probed with
     :func:`check_physicality`.
@@ -364,8 +384,22 @@ def _check_rows(mean, cov, idx):
     check's rules and gives the full check's result: a non-finite entry in
     a touched row, column or the mean is a finiteness error, and otherwise
     rows and columns must agree to within the asymmetry bound.
+
+    Finite touched rows that already equal their columns bit for bit, with
+    a finite touched mean, pass every rule, and their average would write
+    each entry back with its own bits. So they are left as they are,
+    without the largest-entry bound, the average or the write-back. Bits,
+    not values, are compared: ``-0.0 == 0.0``, but their average is
+    ``+0.0``. Any other rows take the full rules, and their messages.
     """
-    rows = _symmetrized(cov[idx], cov[:, idx].T, mean[idx])
+    rows, cols, touched = cov[idx], cov[:, idx].T, mean[idx]
+    if (
+        not np.count_nonzero(rows.view(np.uint64) != cols.view(np.uint64))
+        and np.count_nonzero(np.isfinite(rows)) == rows.size
+        and all(map(math.isfinite, touched.tolist()))
+    ):
+        return
+    rows = _symmetrized(rows, cols, touched)
     cov[idx] = rows
     cov[:, idx] = rows.T
 

@@ -1,5 +1,6 @@
 """End-to-end tests for the command line interface."""
 
+import argparse
 import csv
 import io
 import json
@@ -384,6 +385,7 @@ def test_mode_bound_counts_every_cell_and_admits_the_largest_sizes():
             "detection.eta_d",
         ),
         ({"name": "x", "wire": {"n_pairs": 2, "r": True}}, "wire.r"),
+        (dict(MINIMAL, name="a\u0000b"), "config.name"),
     ],
 )
 def test_validation_errors_name_the_offending_field(
@@ -602,6 +604,45 @@ def test_an_unusable_out_dir_is_an_output_failure(
     assert err.startswith("output error: ")
     assert str(out_dir) in err.splitlines()[0]
     assert "Traceback" not in err
+
+
+def test_repeated_main_calls_share_one_parser_and_write_the_same_reports(
+    tmp_path, monkeypatch
+):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    modecomb.cli._parser.cache_clear()
+    config = write_config(tmp_path / "scenario.json", MINIMAL)
+    network = write_config(tmp_path / "net.json",
+                           {"version": "v1", "n_modes": 2, "elements": []})
+    grid = ["noise-table", "--gains", "2,4", "--etas", "0.9"]
+    runs = [
+        ["simulate", config],
+        grid,
+        [*grid, "--misalignments", "0.1,0"],
+        ["decompose", network],
+    ]
+
+    def reports(argv, out):
+        assert main([*argv, "--out-dir", str(out)]) == 0
+        return {f.name: f.read_bytes() for f in out.iterdir()}
+
+    first = [reports(argv, tmp_path / f"first{i}")
+             for i, argv in enumerate(runs)]
+    parsers = len(built)
+    assert parsers > 0
+    again = [reports(argv, tmp_path / f"again{i}")
+             for i, argv in enumerate(runs + runs[::-1])]
+    assert again == first + first[::-1]
+    assert len(built) == parsers
+    assert b",0.1," in first[2]["noise_table.csv"]
+    assert b",0.1," not in first[1]["noise_table.csv"]
 
 
 def test_wire_at_a_formerly_rejected_squeezing_simulates(tmp_path):

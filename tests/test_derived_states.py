@@ -208,11 +208,14 @@ def test_derived_state_checks_and_symmetrizes_its_rows_as_the_full_check(
     assert np.array_equal(derived.cov, derived.cov.T)
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize(
+_TOUCHED_MODE_0 = pytest.mark.parametrize(
     "idx", [_quadrature_index(3, (0,)), slice(0, None, 3)],
     ids=["index array", "slice"],
 )
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@_TOUCHED_MODE_0
 def test_derived_state_rejects_a_non_finite_column_entry_as_the_full_check(
         value, idx):
     state = apply_symplectic(vacuum_state(3), two_mode_squeezer(1.0), (0, 2))
@@ -224,6 +227,52 @@ def test_derived_state_rejects_a_non_finite_column_entry_as_the_full_check(
         _derived_state(3, state.mean.copy(), cov, None, idx)
     assert str(derived.value) == str(full.value)
     assert str(full.value) == "covariance and mean must be finite"
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@_TOUCHED_MODE_0
+def test_derived_state_rejects_a_non_finite_mean_on_symmetric_rows(
+        value, idx):
+    state = apply_symplectic(vacuum_state(3), two_mode_squeezer(1.0), (0, 2))
+    cov = state.cov.copy()
+    assert np.array_equal(cov[idx].view(np.uint64),
+                          cov[:, idx].T.view(np.uint64))
+    mean = state.mean.copy()
+    mean[3] = value  # the p quadrature of mode 0
+    with pytest.raises(ValueError,
+                       match="^covariance and mean must be finite$"):
+        _derived_state(3, mean, cov, None, idx)
+
+
+@_TOUCHED_MODE_0
+def test_derived_state_averages_signed_zeros_as_the_full_check(idx):
+    state = apply_symplectic(vacuum_state(3), two_mode_squeezer(1.0), (1, 2))
+    cov = state.cov.copy()
+    cov[0, 1] = cov[1, 0] = 0.0
+    cov[0, 2], cov[2, 0] = -0.0, 0.0  # equal values, different bits
+    reference = GaussianState(3, state.mean, cov)
+    derived = _derived_state(3, state.mean.copy(), cov.copy(), None, idx)
+    assert reference.cov.tobytes() == derived.cov.tobytes()
+    assert not np.signbit(derived.cov[[0, 2], [2, 0]]).any()
+
+
+@pytest.mark.parametrize("symmetric", [True, False],
+                         ids=["symmetric", "one ulp apart"])
+@_TOUCHED_MODE_0
+def test_entries_beyond_half_the_float_range_average_without_overflow(
+        symmetric, idx):
+    big = 1.7e308  # 2 * big overflows
+    cov = np.eye(6)
+    cov[0, 0] = big
+    cov[0, 1] = big
+    cov[1, 0] = big if symmetric else np.nextafter(big, math.inf)
+    expected = cov.copy()
+    expected[0, 1] = expected[1, 0] = 0.5 * cov[0, 1] + 0.5 * cov[1, 0]
+    mean = np.zeros(6)
+    full = GaussianState(3, mean, cov)
+    derived = _derived_state(3, mean.copy(), cov.copy(), None, idx)
+    assert full.cov.tobytes() == expected.tobytes()
+    assert derived.cov.tobytes() == expected.tobytes()
 
 
 # ---------------------------------------------------------------------------
