@@ -306,6 +306,13 @@ def parse_scenario(raw):
     # A NUL byte would reach the file system, which rejects it.
     if not isinstance(name, str) or not name or set(name) & set("/\\\0"):
         raise FieldError("config.name", "must be a nonempty path-safe string")
+    # A lone surrogate has no UTF-8 encoding, so no report file name.
+    try:
+        name.encode("utf-8")
+    except UnicodeEncodeError:
+        raise FieldError(
+            "config.name", f"must encode as UTF-8, got {name!r}"
+        ) from None
     seed = raw.get("seed")
     if seed is not None and (not isinstance(seed, int) or isinstance(seed, bool)):
         raise FieldError("config.seed", "must be an integer")

@@ -204,9 +204,12 @@ def loss_channel(state, mode, eta):
 
     The mode's x and p rows, ``mode`` and ``n + mode``, are addressed as the
     basic slice ``slice(mode, None, n)`` and scaled through views of a copy
-    of the state, bit for bit as with an index array. Only those rows and
-    columns are checked and symmetrized, by the full check's rules, so a NaN
-    or infinite entry there is rejected as non-finite.
+    of the state, bit for bit as with an index array. The two mean entries
+    and the two diagonal entries are updated one by one: for two entries,
+    scalar indexing costs less than a strided view. Only those rows and
+    columns are checked, by :func:`~modecomb.gaussian._check_rows` through
+    the same slice, so a NaN or infinite entry there is rejected as
+    non-finite.
 
     Args:
         state (GaussianState): input state

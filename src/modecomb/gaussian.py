@@ -121,6 +121,22 @@ def _quadrature_rows(n_modes, modes):
     return np.array([*modes, *(n_modes + m for m in modes)])
 
 
+def _step_rows(n_modes, modes):
+    """The rows of :func:`_quadrature_rows` for a tuple of distinct valid
+    ``modes``, as a basic slice when they increase with a constant step.
+
+    The rows ``m_0..m_{k-1}, n + m_0..n + m_{k-1}`` have a constant step
+    ``d > 0`` exactly when the modes are ``m_0, m_0 + d, ...`` with
+    ``k * d = n``: one mode, both modes of a two-mode state, or a pair
+    ``(p, p + M/2)`` of a one-cell comb. Those rows are read and written
+    through views; any other rows keep the index array."""
+    first = modes[0]
+    step = n_modes // len(modes)
+    if modes == tuple(range(first, first + n_modes, step)):
+        return slice(first, first + 2 * n_modes, step)
+    return _quadrature_rows(n_modes, modes)
+
+
 #: Below this largest entry, ``rows + cols`` within the asymmetry bound
 #: cannot overflow.
 _SUM_SAFE = sys.float_info.max / 4
@@ -193,17 +209,18 @@ class GaussianState:
             caller passing one vouches that it factors ``cov``.
 
     A NaN or infinite entry of ``cov``, ``mean`` or ``factor`` is rejected
-    with ``ValueError``. The covariance matrix is symmetrized on
-    construction, into a fresh array, without overflow for any finite
-    entries. States derived from a valid state by :func:`apply_symplectic`
-    or :func:`~modecomb.elements.loss_channel` differ from it only in the
-    rows and columns of the modes they touch, so they are checked and
-    symmetrized on those rows alone: the same rules in ``O(k * N)``, with an
-    asymmetry bound scaled by the largest entry of those rows. A NaN or
-    infinite entry in one of the touched columns is rejected as non-finite,
-    exactly as the full check rejects it. Finite touched rows that already
-    equal their columns bit for bit are left unwritten, since their average
-    is themselves.
+    with ``ValueError``. The covariance matrix is copied on construction, so
+    a state never shares its caller's array, and the copy is checked by
+    :func:`_check_rows` over all its rows: a matrix that equals its
+    transpose bit for bit is stored as given, any other is symmetrized
+    without overflow for any finite entries. States derived from a valid
+    state by :func:`apply_symplectic` or
+    :func:`~modecomb.elements.loss_channel` differ from it only in the rows
+    and columns of the modes they touch, so the same check runs on those
+    rows alone: the same rules in ``O(k * N)``, with an asymmetry bound
+    scaled by the largest entry of those rows. A NaN or infinite entry in
+    one of the touched columns is rejected as non-finite, exactly as the
+    full check rejects it.
     Physicality (``cov + i Omega >= 0``) is *not* enforced here so that
     deliberately unphysical matrices can still be probed with
     :func:`check_physicality`.
@@ -218,13 +235,13 @@ class GaussianState:
         n_modes = _integer("n_modes", self.n_modes, 1, MAX_MODES)
         dim = 2 * n_modes
         mean = np.asarray(self.mean, dtype=float).reshape(dim)
-        cov = np.asarray(self.cov, dtype=float)
+        cov = np.array(self.cov, dtype=float, order="C")
         if cov.shape != (dim, dim):
             raise ValueError(
                 f"covariance must be {dim}x{dim} for {n_modes} modes, "
                 f"got {cov.shape}"
             )
-        cov = _symmetrized(cov, cov.T, mean)
+        _check_rows(mean, cov, slice(None))
         if self.factor is not None:
             factor = np.asarray(self.factor, dtype=float)
             if factor.shape != (dim, dim):
@@ -365,36 +382,45 @@ def vacuum_state(n_modes):
 
 def _apply_rows(mean, cov, factor, s, idx):
     """Apply ``s`` in place to rows ``idx`` of ``mean``, ``cov`` and
-    ``factor`` (if not None), then to columns ``idx`` of ``cov``."""
-    mean[idx] = s @ mean.take(idx)
-    cov[idx] = s @ cov.take(idx, 0)
-    cov[:, idx] = cov.take(idx, 1) @ s.T
+    ``factor`` (if not None), then to columns ``idx`` of ``cov``.
+
+    ``idx`` is an index array or a basic slice from :func:`_step_rows`. A
+    slice's rows and columns are written through views. Either way each
+    product reads a contiguous copy, ``take`` of an index array or a copied
+    view of a slice, so it gets the same operands and the same bits."""
+    view = type(idx) is slice
+    mean[idx] = s @ (mean[idx].copy() if view else mean.take(idx))
+    cov[idx] = s @ (cov[idx].copy() if view else cov.take(idx, 0))
+    cov[:, idx] = (cov[:, idx].copy() if view else cov.take(idx, 1)) @ s.T
     if factor is not None:
-        factor[idx] = s @ factor.take(idx, 0)
+        rows = factor[idx].copy() if view else factor.take(idx, 0)
+        factor[idx] = s @ rows
 
 
 def _check_rows(mean, cov, idx):
-    """Check and symmetrize, in place, rows and columns ``idx`` of arrays
-    copied from a valid state and changed only there.
+    """Check and symmetrize, in place, rows and columns ``idx`` of ``cov``,
+    with the entries ``idx`` of ``mean``, by the rules of :func:`_symmetrized`.
 
-    ``idx`` is an index array or, as :func:`~modecomb.elements.loss_channel`
-    passes it, a basic slice, whose rows and columns are read as views. The
-    untouched entries passed the full check of that state and are exactly
-    symmetric, so :func:`_symmetrized` on the touched rows applies the full
-    check's rules and gives the full check's result: a non-finite entry in
-    a touched row, column or the mean is a finiteness error, and otherwise
-    rows and columns must agree to within the asymmetry bound.
+    ``idx`` is an index array or a basic slice, whose rows and columns are
+    read as views. ``GaussianState`` passes ``slice(None)``, every row of a
+    copy of its input: the full check. A derived state passes the rows its
+    last step touched, in arrays copied from a valid state and changed only
+    there. The untouched entries passed the full check of that state and
+    are exactly symmetric, so the same rules on the touched rows give the
+    full check's result: a non-finite entry in a touched row, column or the
+    mean is a finiteness error, and otherwise rows and columns must agree
+    to within the asymmetry bound.
 
-    Finite touched rows that already equal their columns bit for bit, with
-    a finite touched mean, pass every rule, and their average would write
-    each entry back with its own bits. So they are left as they are,
-    without the largest-entry bound, the average or the write-back. Bits,
-    not values, are compared: ``-0.0 == 0.0``, but their average is
-    ``+0.0``. Any other rows take the full rules, and their messages.
+    Finite rows whose bytes equal those of their columns, with a finite
+    mean, pass every rule, and their average would write each entry back
+    with its own bits. So they are left as they are, without the
+    largest-entry bound, the average or the write-back. Bytes, not values,
+    are compared: ``-0.0 == 0.0``, but their average is ``+0.0``. Any other
+    rows take the full rules, and their messages.
     """
     rows, cols, touched = cov[idx], cov[:, idx].T, mean[idx]
     if (
-        not np.count_nonzero(rows.view(np.uint64) != cols.view(np.uint64))
+        rows.tobytes() == cols.tobytes()
         and np.count_nonzero(np.isfinite(rows)) == rows.size
         and all(map(math.isfinite, touched.tolist()))
     ):
@@ -425,7 +451,7 @@ def _apply_steps(state, steps):
     for transform, modes in steps:
         if idx is not None:
             _check_rows(mean, cov, idx)
-        idx = _quadrature_rows(n, modes)
+        idx = _step_rows(n, modes)
         _apply_rows(mean, cov, factor, transform.matrix, idx)
     return _derived_state(n, mean, cov, factor, idx)
 

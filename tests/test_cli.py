@@ -386,6 +386,7 @@ def test_mode_bound_counts_every_cell_and_admits_the_largest_sizes():
         ),
         ({"name": "x", "wire": {"n_pairs": 2, "r": True}}, "wire.r"),
         (dict(MINIMAL, name="a\u0000b"), "config.name"),
+        (dict(MINIMAL, name="a\ud800b"), "config.name"),
     ],
 )
 def test_validation_errors_name_the_offending_field(

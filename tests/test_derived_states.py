@@ -29,7 +29,8 @@ from modecomb import (
     vacuum_state,
 )
 from modecomb.cluster import _rotated_modes
-from modecomb.gaussian import _derived_state
+from modecomb import gaussian
+from modecomb.gaussian import _derived_state, _step_rows
 
 from conftest import random_network
 
@@ -74,6 +75,23 @@ def _assert_bit_equal(derived, reference):
         assert np.array_equal(derived.factor, reference.factor)
 
 
+def _fancy_apply_reference(state, element, modes):
+    """The plain row-then-column update, fancy-indexed, through the full
+    check."""
+    n_modes = state.n_modes
+    idx = _quadrature_index(n_modes, modes)
+    s = element.matrix
+    mean, cov = state.mean.copy(), state.cov.copy()
+    mean[idx] = s @ mean[idx]
+    cov[idx, :] = s @ cov[idx, :]
+    cov[:, idx] = cov[:, idx] @ s.T
+    factor = None
+    if state.factor is not None:
+        factor = state.factor.copy()
+        factor[idx, :] = s @ factor[idx, :]
+    return GaussianState(n_modes, mean, cov, factor)
+
+
 STATES = st.tuples(
     st.sampled_from([1, 2, 7, 32]),
     st.sampled_from(["pure", "lossy", "random"]),
@@ -90,20 +108,8 @@ def test_apply_symplectic_equals_the_fully_checked_update(case):
     element = _random_element(rng, n_modes)
     modes = tuple(int(m) for m in rng.permutation(n_modes)[:element.n_modes])
 
-    # Reference: the plain row-then-column update, through the full check.
-    idx = _quadrature_index(n_modes, modes)
-    s = element.matrix
-    mean, cov = state.mean.copy(), state.cov.copy()
-    mean[idx] = s @ mean[idx]
-    cov[idx, :] = s @ cov[idx, :]
-    cov[:, idx] = cov[:, idx] @ s.T
-    factor = None
-    if state.factor is not None:
-        factor = state.factor.copy()
-        factor[idx, :] = s @ factor[idx, :]
-    reference = GaussianState(n_modes, mean, cov, factor)
-
-    _assert_bit_equal(apply_symplectic(state, element, modes), reference)
+    _assert_bit_equal(apply_symplectic(state, element, modes),
+                      _fancy_apply_reference(state, element, modes))
 
 
 @settings(max_examples=60, deadline=None)
@@ -151,6 +157,50 @@ def test_loss_channel_on_the_end_modes_equals_the_fancy_indexed_update(
     mode = n_modes - 1 if last else 0
     _assert_bit_equal(loss_channel(state, mode, eta),
                       _fancy_loss_reference(state, mode, eta))
+
+
+# (n_modes, modes, rows form a slice): the layouts of the comb, the wire and
+# the noise table, where rows m.., n + m.. are or are not evenly spaced.
+LAYOUTS = {
+    "comb pair, 1 cell": (8, (1, 5), True),
+    "comb pair, 2 cells": (16, (9, 13), False),
+    "adjacent pair": (5, (2, 3), False),
+    "first mode": (3, (0,), True),
+    "last mode": (3, (2,), True),
+    "only mode": (1, (0,), True),
+    "two-mode state": (2, (0, 1), True),
+    "decreasing pair": (8, (5, 1), False),
+    "decreasing two-mode state": (2, (1, 0), False),
+    "uneven pair": (5, (0, 3), False),
+}
+
+
+@pytest.mark.parametrize("kind", ["pure", "lossy", "random"])
+@pytest.mark.parametrize("layout", list(LAYOUTS))
+def test_apply_symplectic_on_each_row_layout_equals_the_fancy_indexed_update(
+        layout, kind):
+    # Evenly spaced rows are written and checked through slice views, the
+    # rest through index arrays; the hypothesis test above rarely draws the
+    # evenly spaced layouts, so each is pinned here.
+    n_modes, modes, _ = LAYOUTS[layout]
+    rng = np.random.default_rng(len(layout))
+    state = _random_state(rng, n_modes, kind)
+    if len(modes) == 1:
+        elements = [phase_shift(0.7)]
+    else:
+        elements = [two_mode_squeezer(1.3, 0.4), beamsplitter(0.6, 2.1)]
+    for element in elements:
+        _assert_bit_equal(apply_symplectic(state, element, modes),
+                          _fancy_apply_reference(state, element, modes))
+
+
+@pytest.mark.parametrize("layout", list(LAYOUTS))
+def test_step_rows_are_a_slice_exactly_when_evenly_spaced(layout):
+    n_modes, modes, even = LAYOUTS[layout]
+    rows = _step_rows(n_modes, modes)
+    assert isinstance(rows, slice) == even
+    assert np.array_equal(np.arange(2 * n_modes)[rows],
+                          _quadrature_index(n_modes, modes))
 
 
 def _wire_steps(spec):
@@ -273,6 +323,66 @@ def test_entries_beyond_half_the_float_range_average_without_overflow(
     derived = _derived_state(3, mean.copy(), cov.copy(), None, idx)
     assert full.cov.tobytes() == expected.tobytes()
     assert derived.cov.tobytes() == expected.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the full check is the same row check, over every row of a copy
+# ---------------------------------------------------------------------------
+
+def test_a_state_does_not_share_its_callers_covariance():
+    cov = np.eye(4)
+    cov[0, 2] = cov[2, 0] = 0.25
+    state = GaussianState(2, np.zeros(4), cov)
+    cov[0, 2] = cov[2, 0] = 7.0
+    cov[1, 1] = math.nan
+    assert state.cov[0, 2] == state.cov[2, 0] == 0.25
+    assert state.cov[1, 1] == 1.0
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_an_exactly_symmetric_covariance_keeps_its_bits(order):
+    cov = np.eye(6)
+    cov[0, 4] = cov[4, 0] = -0.0
+    cov[1, 2] = cov[2, 1] = -5e-324
+    cov[3, 5] = cov[5, 3] = 1.7e308
+    given = np.array(cov, order=order)
+    state = GaussianState(3, np.zeros(6), given)
+    assert state.cov.tobytes() == cov.tobytes()
+    assert state.cov.flags.c_contiguous
+    assert np.signbit(state.cov[[0, 4], [4, 0]]).all()
+
+
+def test_a_one_ulp_asymmetry_is_averaged():
+    cov = np.eye(4)
+    cov[0, 3] = 0.3
+    cov[3, 0] = np.nextafter(0.3, 1.0)
+    cov[1, 2], cov[2, 1] = -0.0, 0.0
+    expected = 0.5 * (cov + cov.T)
+    state = GaussianState(2, np.zeros(4), cov)
+    assert state.cov.tobytes() == expected.tobytes()
+    assert not np.signbit(state.cov[[1, 2], [2, 1]]).any()
+
+
+@pytest.fixture
+def averages(monkeypatch):
+    """Shapes of the rows each :func:`gaussian._symmetrized` call averages."""
+    shapes = []
+    original = gaussian._symmetrized
+
+    def counted(rows, cols, mean):
+        shapes.append(rows.shape)
+        return original(rows, cols, mean)
+
+    monkeypatch.setattr(gaussian, "_symmetrized", counted)
+    return shapes
+
+
+def test_only_an_asymmetric_covariance_is_averaged(averages):
+    vacuum_state(96)
+    GaussianState(1, [0.0, 0.0], [[2.0, 0.5], [0.5, 1.0]])
+    assert averages == []
+    GaussianState(1, [0.0, 0.0], [[2.0, 0.5], [0.5 + 1e-15, 1.0]])
+    assert averages == [(2, 2)]
 
 
 # ---------------------------------------------------------------------------
