@@ -90,11 +90,6 @@ class Decomposition:
         return self.passive_out.n_modes
 
 
-def _squeeze_core(squeeze):
-    """The diagonal symplectic ``diag(e^r, e^{-r})`` for squeeze vector r."""
-    return np.diag(np.concatenate([np.exp(squeeze), np.exp(-squeeze)]))
-
-
 def _degenerate_groups(values):
     """Contiguous (start, count) runs of nearly-equal descending values."""
     threshold = NEAR_DEGENERACY_GAP * values[0] if len(values) else 0.0
@@ -234,9 +229,11 @@ def recompose(decomposition):
     Returns:
         SymplecticTransform: ``passive_out * diag(e^r, e^{-r}) * passive_in``
     """
-    matrix = (
-        decomposition.passive_out.matrix
-        @ _squeeze_core(decomposition.squeeze)
-        @ decomposition.passive_in.matrix
+    squeeze = decomposition.squeeze
+    # Column scaling matches the dense product with diag(core): there each
+    # entry is the same one product plus exact zeros.
+    core = np.concatenate([np.exp(squeeze), np.exp(-squeeze)])
+    matrix = (decomposition.passive_out.matrix * core) @ (
+        decomposition.passive_in.matrix
     )
     return SymplecticTransform(matrix, decomposition.n_modes)

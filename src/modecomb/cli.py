@@ -5,7 +5,12 @@ Subcommands:
 * ``simulate <config.json>`` — build the comb and/or wire described by a
   scenario file, evaluate entanglement witnesses (optionally over a
   parameter sweep), and write ``<name>_witness.csv`` (or ``.json``) plus
-  ``<name>_graph.json`` into the output directory.
+  ``<name>_graph.json`` into the output directory. The ``detection``
+  section is stored as the :class:`~modecomb.detection.OverlapSpec` it
+  describes at unit LO power, its ``eta_d`` as the spec's
+  ``detector_eta``. Comb rows take the closed-form misaligned noise when
+  that spec puts LO power on a stray mode; otherwise, and for every wire
+  row, the witness is covariance-simulated at ``eta_d``.
 * ``decompose <network.json>`` — compose a network of elementary Gaussian
   elements and write its passive-squeeze-passive factorization as JSON.
 * ``noise-table --gains .. --etas .. --misalignments ..`` — tabulate the
@@ -103,43 +108,12 @@ def _load_json(path):
 
 
 @dataclass(frozen=True)
-class DetectionConfig:
-    """Detector efficiency and LO misalignment of a scenario.
-
-    The fields are checked as the :class:`OverlapSpec` they describe at unit
-    LO power, so ``eta_d`` lies in (0, 1], ``misalignment`` in [0, 1], each
-    of ``stray_etas`` in [0, eta_d), and ``misalignment > 0`` needs at least
-    one stray mode.
-    """
-
-    eta_d: float = 1.0
-    misalignment: float = 0.0
-    stray_etas: tuple = ()
-
-    def __post_init__(self):
-        if not isinstance(self.stray_etas, (list, tuple)):
-            raise FieldError("stray_etas", "must be a list of numbers")
-        try:
-            spec = self.overlap()
-        except FieldError as exc:
-            field = "eta_d" if exc.field == "detector_eta" else exc.field
-            raise FieldError(field, exc.reason) from exc
-        object.__setattr__(self, "eta_d", spec.detector_eta)
-        object.__setattr__(self, "misalignment", float(self.misalignment))
-        object.__setattr__(self, "stray_etas", spec.stray_etas)
-
-    def overlap(self):
-        """The LO power bookkeeping at unit total power."""
-        return OverlapSpec.from_misalignment(
-            1.0, self.misalignment, self.eta_d, self.stray_etas
-        )
-
-
-@dataclass(frozen=True)
 class Scenario:
     """A validated scenario file.
 
     Attributes:
+        detection (OverlapSpec): the ``detection`` section at unit LO power
+            (see :func:`_parse_detection`), ideal when the section is absent
         parameter (str): dotted name of the swept field, "" without a sweep
         points (tuple): ``(value, Scenario)`` pairs sorted by value, each
             point this scenario with the swept value put in; empty without
@@ -149,7 +123,7 @@ class Scenario:
     name: str
     comb: SpatialComb | None
     wire: DualRailSpec | None
-    detection: DetectionConfig
+    detection: OverlapSpec
     seed: int | None
     parameter: str = ""
     points: tuple = ()
@@ -219,12 +193,21 @@ def _parse_wire(raw):
 
 
 def _parse_detection(raw):
+    """The OverlapSpec a detection section describes at unit LO power; the
+    section's ``eta_d`` is the spec's ``detector_eta``, and named so."""
     _known(raw, ("eta_d", "misalignment", "stray_etas"))
-    return DetectionConfig(
-        eta_d=raw.get("eta_d", 1.0),
-        misalignment=raw.get("misalignment", 0.0),
-        stray_etas=raw.get("stray_etas", []),
-    )
+    stray_etas = raw.get("stray_etas", [])
+    if not isinstance(stray_etas, list):
+        raise FieldError("stray_etas", "must be a list of numbers")
+    try:
+        return OverlapSpec.from_misalignment(
+            1.0, raw.get("misalignment", 0.0), raw.get("eta_d", 1.0),
+            stray_etas,
+        )
+    except FieldError as exc:
+        if exc.field != "detector_eta":
+            raise
+        raise FieldError("eta_d", exc.reason) from exc
 
 
 #: Section parsers by section name.
@@ -327,7 +310,7 @@ def parse_scenario(raw):
         name=name,
         comb=comb,
         wire=wire,
-        detection=detection or DetectionConfig(),
+        detection=detection or _parse_detection({}),
         seed=seed,
     )
     swept = _section(
@@ -339,25 +322,24 @@ def parse_scenario(raw):
 def _witness_rows(scenario):
     """Evaluate all witnesses of one concrete (non-sweep) scenario."""
     det = scenario.detection
+    eta_d = det.detector_eta
     comb = scenario.comb
     rows = []
     if comb is not None:
         terms = _xdiff_terms(comb)
-        if det.misalignment > 0.0:
-            # Closed-form misaligned detection; identical for every pair.
-            report = misaligned_noise(det.overlap(), comb.amp.gain)
+        if any(det.stray_powers):
+            # LO power on a stray mode: the closed form, the same per pair.
+            report = misaligned_noise(det, comb.amp.gain)
             rows += [(label, report) for label, _ in terms]
         else:
             state = amplify_comb(vacuum_state(comb.n_modes), comb)
             for label, xdiff in terms:
                 witness = Witness.from_terms(comb.n_modes, xdiff)
-                rows.append(
-                    (label, measure_witness(state, witness, det.eta_d))
-                )
+                rows.append((label, measure_witness(state, witness, eta_d)))
     if scenario.wire is not None:
         state = build_dual_rail(scenario.wire)
         for label, witness in wire_witnesses(scenario.wire):
-            rows.append((label, measure_witness(state, witness, det.eta_d)))
+            rows.append((label, measure_witness(state, witness, eta_d)))
     return rows
 
 

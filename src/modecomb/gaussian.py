@@ -209,12 +209,12 @@ class GaussianState:
             caller passing one vouches that it factors ``cov``.
 
     A NaN or infinite entry of ``cov``, ``mean`` or ``factor`` is rejected
-    with ``ValueError``. The covariance matrix is copied on construction, so
-    a state never shares its caller's array, and the copy is checked by
-    :func:`_check_rows` over all its rows: a matrix that equals its
-    transpose bit for bit is stored as given, any other is symmetrized
-    without overflow for any finite entries. States derived from a valid
-    state by :func:`apply_symplectic` or
+    with ``ValueError``. The mean, covariance and factor are copied on
+    construction, so a state never shares its caller's arrays, and the
+    covariance copy is checked by :func:`_check_rows` over all its rows: a
+    matrix that equals its transpose bit for bit is stored as given, any
+    other is symmetrized without overflow for any finite entries. States
+    derived from a valid state by :func:`apply_symplectic` or
     :func:`~modecomb.elements.loss_channel` differ from it only in the rows
     and columns of the modes they touch, so the same check runs on those
     rows alone: the same rules in ``O(k * N)``, with an asymmetry bound
@@ -234,7 +234,7 @@ class GaussianState:
     def __post_init__(self):
         n_modes = _integer("n_modes", self.n_modes, 1, MAX_MODES)
         dim = 2 * n_modes
-        mean = np.asarray(self.mean, dtype=float).reshape(dim)
+        mean = np.array(self.mean, dtype=float).reshape(dim)
         cov = np.array(self.cov, dtype=float, order="C")
         if cov.shape != (dim, dim):
             raise ValueError(
@@ -243,7 +243,7 @@ class GaussianState:
             )
         _check_rows(mean, cov, slice(None))
         if self.factor is not None:
-            factor = np.asarray(self.factor, dtype=float)
+            factor = np.array(self.factor, dtype=float)
             if factor.shape != (dim, dim):
                 raise ValueError(
                     f"symplectic factor must be {dim}x{dim} for "
@@ -377,7 +377,9 @@ def vacuum_state(n_modes):
     """
     n_modes = _integer("n_modes", n_modes, 1, MAX_MODES)
     dim = 2 * n_modes
-    return GaussianState(n_modes, np.zeros(dim), np.eye(dim), np.eye(dim))
+    # The state copies the identity twice, as its covariance and its factor.
+    identity = np.eye(dim)
+    return GaussianState(n_modes, np.zeros(dim), identity, identity)
 
 
 def _apply_rows(mean, cov, factor, s, idx):

@@ -156,3 +156,38 @@ def test_single_beamsplitter_angle_sweep_recomposes():
     for theta in np.linspace(0.0, np.pi, 7):
         transform = beamsplitter(float(theta), 0.3)
         assert _roundtrip_error(transform) < 1e-12
+
+
+def _dense_recomposition(result):
+    r = result.squeeze
+    core = np.diag(np.concatenate([np.exp(r), np.exp(-r)]))
+    return result.passive_out.matrix @ core @ result.passive_in.matrix
+
+
+def test_recompose_equals_the_dense_diagonal_product_bit_for_bit():
+    rng = np.random.default_rng(17)
+    networks = [
+        random_network(rng, int(rng.integers(1, 9)), 12, r_max=1.5)
+        for _ in range(20)
+    ]
+    networks += [random_passive(rng, 3), SymplecticTransform(np.eye(4), 2)]
+    # Degenerate spectra: equal squeezers on disjoint pairs, mixed by passive
+    # networks or not.
+    for n in (2, 4, 6):
+        full = np.eye(2 * n)
+        for a in range(0, n, 2):
+            full = embed(n, two_mode_squeezer(0.7), (a, a + 1)) @ full
+        left, right = random_passive(rng, n), random_passive(rng, n)
+        networks += [
+            SymplecticTransform(full, n),
+            SymplecticTransform(left.matrix @ full @ right.matrix, n),
+        ]
+    for transform in networks:
+        result = decompose(transform)
+        matrix = recompose(result).matrix
+        dense = _dense_recomposition(result)
+        assert matrix.tobytes() == dense.tobytes()
+        error = np.linalg.norm(matrix - transform.matrix)
+        assert error.tobytes() == (
+            np.linalg.norm(dense - transform.matrix).tobytes()
+        )

@@ -9,7 +9,6 @@ import os
 import subprocess
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +20,7 @@ import modecomb.cli
 from modecomb import elements
 from modecomb.blochmessiah import _real_orthogonal
 from modecomb.cli import (
-    DetectionConfig,
+    _parse_detection,
     _parse_network,
     _write_json,
     _write_table,
@@ -32,6 +31,7 @@ from modecomb.cli import (
     parse_scenario,
     run_scenario,
 )
+from modecomb.detection import OverlapSpec
 from modecomb.gaussian import MAX_MODES, FieldError
 
 from conftest import embed
@@ -664,19 +664,47 @@ def test_parse_scenario_error_carries_field_attribute():
     assert excinfo.value.field == "comb.M"
 
 
-def test_detection_config_checks_every_replacement():
-    base = DetectionConfig(eta_d=0.9, misalignment=0.1, stray_etas=[0.5])
-    assert base.stray_etas == (0.5,)
+def test_parse_detection_checks_every_replacement():
+    base = {"eta_d": 0.9, "misalignment": 0.1, "stray_etas": [0.5]}
+    spec = _parse_detection(base)
+    assert spec == OverlapSpec.from_misalignment(1.0, 0.1, 0.9, [0.5])
+    assert spec.stray_etas == (0.5,)
     for change, field in (
         ({"eta_d": 0.0}, "eta_d"),
         ({"eta_d": 0.4}, "stray_etas"),
         ({"misalignment": 1.5}, "misalignment"),
-        ({"stray_etas": ()}, "stray_etas"),
+        ({"stray_etas": []}, "stray_etas"),
         ({"stray_etas": 0.5}, "stray_etas"),
     ):
         with pytest.raises(FieldError) as excinfo:
-            replace(base, **change)
+            _parse_detection({**base, **change})
         assert excinfo.value.field == field
+
+
+def test_scenario_detection_is_the_overlap_spec_of_each_point():
+    plain = parse_scenario({"name": "plain", "comb": {"M": 2, "r": 0.5}})
+    assert plain.detection == OverlapSpec.from_misalignment(1.0, 0.0, 1.0, [])
+    detection = {"eta_d": 0.9, "misalignment": 0.1, "stray_etas": [0.3, 0.5]}
+    for key, values in (
+        ("misalignment", [0.0, 0.25, 0.1]),
+        ("eta_d", [0.8, 1.0]),
+    ):
+        scenario = parse_scenario({
+            "name": "swept",
+            "comb": {"M": 2, "r": 0.5},
+            "detection": detection,
+            "sweep": {"parameter": f"detection.{key}", "values": values},
+        })
+        assert scenario.detection == OverlapSpec.from_misalignment(
+            1.0, 0.1, 0.9, [0.3, 0.5]
+        )
+        assert [value for value, _ in scenario.points] == sorted(values)
+        for value, point in scenario.points:
+            expected = {**detection, key: value}
+            assert point.detection == OverlapSpec.from_misalignment(
+                1.0, expected["misalignment"], expected["eta_d"],
+                expected["stray_etas"],
+            )
 
 
 def test_decompose_network_roundtrip(tmp_path):

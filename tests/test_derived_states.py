@@ -339,6 +339,27 @@ def test_a_state_does_not_share_its_callers_covariance():
     assert state.cov[1, 1] == 1.0
 
 
+def test_a_state_does_not_share_its_callers_mean():
+    mean = np.zeros(2)
+    state = GaussianState(1, mean, np.eye(2))
+    mean[0] = math.nan
+    assert state.mean.tolist() == [0.0, 0.0]
+
+
+def test_a_state_does_not_share_its_callers_factor():
+    factor = np.eye(2)
+    state = GaussianState(1, np.zeros(2), np.eye(2), factor)
+    factor[0, 0] = math.inf
+    assert state.factor.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+
+
+def test_vacuum_covariance_and_factor_are_separate_arrays():
+    state = vacuum_state(3)
+    assert not np.shares_memory(state.cov, state.factor)
+    state.factor[0, 0] = 2.0
+    assert state.cov[0, 0] == 1.0
+
+
 @pytest.mark.parametrize("order", ["C", "F"])
 def test_an_exactly_symmetric_covariance_keeps_its_bits(order):
     cov = np.eye(6)
