@@ -60,7 +60,7 @@ class Decomposition:
         n = self.passive_out.n_modes
         if self.passive_in.n_modes != n:
             raise ValueError("passive factors act on different mode counts")
-        squeeze = np.asarray(self.squeeze, dtype=float).reshape(-1)
+        squeeze = np.array(self.squeeze, dtype=float).reshape(-1)
         if squeeze.size != n:
             raise ValueError(
                 f"need one squeeze value per mode: got {squeeze.size} for "

@@ -6,11 +6,10 @@ Subcommands:
   scenario file, evaluate entanglement witnesses (optionally over a
   parameter sweep), and write ``<name>_witness.csv`` (or ``.json``) plus
   ``<name>_graph.json`` into the output directory. The ``detection``
-  section is stored as the :class:`~modecomb.detection.OverlapSpec` it
-  describes at unit LO power, its ``eta_d`` as the spec's
-  ``detector_eta``. Comb rows take the closed-form misaligned noise when
-  that spec puts LO power on a stray mode; otherwise, and for every wire
-  row, the witness is covariance-simulated at ``eta_d``.
+  section is an :class:`~modecomb.detection.OverlapSpec`, key for field.
+  Comb rows take the closed-form misaligned noise when that spec puts LO
+  power on a stray mode; otherwise, and for every wire row, the witness is
+  covariance-simulated at ``eta_d``.
 * ``decompose <network.json>`` — compose a network of elementary Gaussian
   elements and write its passive-squeeze-passive factorization as JSON.
 * ``noise-table --gains .. --etas .. --misalignments ..`` — tabulate the
@@ -112,8 +111,8 @@ class Scenario:
     """A validated scenario file.
 
     Attributes:
-        detection (OverlapSpec): the ``detection`` section at unit LO power
-            (see :func:`_parse_detection`), ideal when the section is absent
+        detection (OverlapSpec): the ``detection`` section, ideal when the
+            section is absent
         parameter (str): dotted name of the swept field, "" without a sweep
         points (tuple): ``(value, Scenario)`` pairs sorted by value, each
             point this scenario with the swept value put in; empty without
@@ -193,21 +192,8 @@ def _parse_wire(raw):
 
 
 def _parse_detection(raw):
-    """The OverlapSpec a detection section describes at unit LO power; the
-    section's ``eta_d`` is the spec's ``detector_eta``, and named so."""
     _known(raw, ("eta_d", "misalignment", "stray_etas"))
-    stray_etas = raw.get("stray_etas", [])
-    if not isinstance(stray_etas, list):
-        raise FieldError("stray_etas", "must be a list of numbers")
-    try:
-        return OverlapSpec.from_misalignment(
-            1.0, raw.get("misalignment", 0.0), raw.get("eta_d", 1.0),
-            stray_etas,
-        )
-    except FieldError as exc:
-        if exc.field != "detector_eta":
-            raise
-        raise FieldError("eta_d", exc.reason) from exc
+    return OverlapSpec(**raw)
 
 
 #: Section parsers by section name.
@@ -310,7 +296,7 @@ def parse_scenario(raw):
         name=name,
         comb=comb,
         wire=wire,
-        detection=detection or _parse_detection({}),
+        detection=detection or OverlapSpec(),
         seed=seed,
     )
     swept = _section(
@@ -322,12 +308,12 @@ def parse_scenario(raw):
 def _witness_rows(scenario):
     """Evaluate all witnesses of one concrete (non-sweep) scenario."""
     det = scenario.detection
-    eta_d = det.detector_eta
+    eta_d = det.eta_d
     comb = scenario.comb
     rows = []
     if comb is not None:
         terms = _xdiff_terms(comb)
-        if any(det.stray_powers):
+        if det.stray_power:
             # LO power on a stray mode: the closed form, the same per pair.
             report = misaligned_noise(det, comb.amp.gain)
             rows += [(label, report) for label, _ in terms]
@@ -680,12 +666,10 @@ def cmd_noise_table(gains, etas, misalignments, out_dir=".", fmt="csv"):
 
 def _misaligned_specs(eta, misalignments):
     """Check one noise-table efficiency; map each nonzero misalignment to the
-    LO power bookkeeping of its row."""
+    OverlapSpec of its row."""
     _fraction("eta", eta)
     return {
-        m: OverlapSpec.from_misalignment(
-            1.0, m, eta, (eta * STRAY_ETA_FRACTION,)
-        )
+        m: OverlapSpec(m, eta, (eta * STRAY_ETA_FRACTION,))
         for m in misalignments
         if m != 0.0
     }

@@ -7,10 +7,11 @@ a phase-insensitive amplifier of gain G seen through detector efficiency eta:
     variance = 1 + 2 eta (G - 1 - sqrt(G (G - 1)))
 
 which equals ``1 + eta (e^{-2r} - 1)`` under ``G = cosh^2 r``. The misaligned
-model splits the local-oscillator power into an aligned part (detected at
-eta_d), partially overlapped parts on stray modes (detected at reduced
+model splits unit local-oscillator power into an aligned part (detected at
+eta_d), equal partially overlapped parts on stray modes (detected at reduced
 eta_i), and leftover power contributing uncorrelated amplified noise. That
-power bookkeeping is an :class:`OverlapSpec`, owned by this module.
+bookkeeping is an :class:`OverlapSpec`, owned by this module, whose fields
+are the keys of a scenario's ``detection`` section.
 
 :func:`measure_witness` is the simulated counterpart: it applies an explicit
 loss channel to every witness mode and evaluates the covariance, and must
@@ -27,11 +28,6 @@ from .gaussian import FieldError, _real, witness_variance
 
 #: Self-consistency budget of a NoiseReport: components vs variance.
 REPORT_CONSISTENCY_TOL = 1e-12
-
-#: Absolute tolerance (per unit of total power) on the stray-power budget
-#: sum(stray_powers) = total_power - aligned_power.
-POWER_BUDGET_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class NoiseReport:
@@ -100,105 +96,70 @@ def ideal_epr_noise(gain, eta):
 
 @dataclass(frozen=True)
 class OverlapSpec:
-    """Power bookkeeping of a misaligned local oscillator at one detector.
+    """A misaligned local oscillator at one detector, at unit LO power.
 
-    ``aligned_power`` hits the intended signal mode; each entry of
-    ``stray_powers`` partially overlaps one stray comb mode, detected with the
-    reduced efficiency in ``stray_etas``. The remaining-power budget
-    ``sum(stray_powers) = total_power - aligned_power`` always holds.
+    This is the ``detection`` section of a scenario, field for field.
+    ``1 - misalignment`` of the LO power hits the intended signal mode; the
+    rest is split equally over the stray comb modes, one per entry of
+    ``stray_etas``, each detected with that reduced efficiency.
 
     Attributes:
-        total_power (float): total LO power, positive
-        aligned_power (float): power overlapped with the intended mode
-        stray_powers (tuple[float]): power per stray mode
-        detector_eta (float): detector efficiency for the aligned part, (0, 1]
-        stray_etas (tuple[float]): effective efficiency per stray mode, each
-            in [0, detector_eta)
+        misalignment (float): LO power off the intended mode, in [0, 1];
+            above 0 it needs at least one stray mode
+        eta_d (float): detector efficiency for the aligned part, in (0, 1]
+        stray_etas (tuple[float]): effective efficiency per stray mode, a
+            list or tuple of numbers, each in [0, eta_d)
     """
 
-    total_power: float
-    aligned_power: float
-    stray_powers: tuple
-    detector_eta: float
-    stray_etas: tuple
+    misalignment: float = 0.0
+    eta_d: float = 1.0
+    stray_etas: tuple = ()
 
     def __post_init__(self):
-        total = _real("total_power", self.total_power, 0.0, open_low=True)
-        aligned = _real("aligned_power", self.aligned_power, 0.0)
-        stray_powers = tuple(
-            _real("stray_powers", p, 0.0) for p in self.stray_powers
-        )
-        eta = _real("detector_eta", self.detector_eta, 0.0, 1.0, open_low=True)
-        stray_etas = tuple(
-            _real("stray_etas", e, 0.0, eta, open_high=True)
-            for e in self.stray_etas
-        )
-        if aligned > total * (1 + POWER_BUDGET_TOL):
-            raise FieldError("aligned_power", "exceeds total power")
-        if len(stray_powers) != len(stray_etas):
-            raise FieldError(
-                "stray_etas",
-                f"need one efficiency per stray mode: {len(stray_etas)} "
-                f"efficiencies for {len(stray_powers)} stray powers",
-            )
-        budget = total - aligned
-        if abs(sum(stray_powers) - budget) > POWER_BUDGET_TOL * max(
-            1.0, total
-        ):
-            raise FieldError(
-                "stray_powers",
-                f"sum to {sum(stray_powers)}, expected {budget} (total minus "
-                "aligned)",
-            )
-        object.__setattr__(self, "stray_powers", stray_powers)
-        object.__setattr__(self, "stray_etas", stray_etas)
-
-    @classmethod
-    def from_misalignment(cls, total_power, misalignment, detector_eta,
-                          stray_etas):
-        """Keep ``1 - misalignment`` (in [0, 1]) of ``total_power`` on the
-        target mode and split the rest equally over the stray modes, which
-        must exist when ``misalignment > 0``; the budget holds by
-        construction."""
-        total_power = _real("total_power", total_power, 0.0, open_low=True)
-        misalignment = _fraction("misalignment", misalignment)
-        stray_etas = tuple(stray_etas)
-        if misalignment > 0.0 and not stray_etas:
+        if not isinstance(self.stray_etas, (list, tuple)):
+            raise FieldError("stray_etas", "must be a list of numbers")
+        misalignment = _fraction("misalignment", self.misalignment)
+        if misalignment > 0.0 and not self.stray_etas:
             raise FieldError(
                 "stray_etas",
                 "at least one stray mode is required when misalignment > 0",
             )
-        k = len(stray_etas)
-        share = misalignment * total_power / k if k else 0.0
-        return cls(
-            total_power=total_power,
-            aligned_power=(1.0 - misalignment) * total_power,
-            stray_powers=(share,) * k,
-            detector_eta=detector_eta,
-            stray_etas=stray_etas,
+        eta = _real("eta_d", self.eta_d, 0.0, 1.0, open_low=True)
+        stray_etas = tuple(
+            _real("stray_etas", e, 0.0, eta, open_high=True)
+            for e in self.stray_etas
         )
+        object.__setattr__(self, "misalignment", misalignment)
+        object.__setattr__(self, "eta_d", eta)
+        object.__setattr__(self, "stray_etas", stray_etas)
+
+    @property
+    def stray_power(self):
+        """LO power on each stray mode: ``misalignment / len(stray_etas)``,
+        0.0 without strays."""
+        k = len(self.stray_etas)
+        return self.misalignment / k if k else 0.0
 
 
 def misaligned_noise(spec, gain):
     """Noise of a misaligned local oscillator, from its overlap bookkeeping.
 
-    Three kinds of terms, each weighted by its power fraction:
+    Three kinds of terms, each weighted by its share of the unit LO power:
 
-    * the aligned fraction ``aligned_power / total_power`` sees the full
-      correlation at ``detector_eta``;
-    * each stray overlap ``stray_powers[i] / total_power`` still sees the
-      correlation, but at the reduced efficiency ``stray_etas[i]``;
+    * the aligned share ``1 - misalignment`` sees the full correlation at
+      ``eta_d``;
+    * each stray share ``stray_power`` still sees the correlation, but at
+      the reduced efficiency ``stray_etas[i]``;
     * per stray mode, the power not accounted for by the aligned part and
-      that stray, ``(total - aligned - stray_powers[i]) / total``, detects
+      that stray, ``1 - (1 - misalignment) - stray_power``, detects
       uncorrelated amplified vacuum with excess noise ``1 + 2 eta_i (G-1)``.
 
     With a single stray mode the excess term vanishes identically (the
-    aligned and stray powers then exhaust the budget); it grows with the
+    aligned and stray shares then exhaust the power); it grows with the
     number of stray modes.
 
     Args:
-        spec (OverlapSpec): power bookkeeping (its power budget is enforced
-            at construction)
+        spec (OverlapSpec): the detector's LO overlap
         gain (float): intensity gain, in [1, MAX_GAIN]
 
     Returns:
@@ -206,17 +167,13 @@ def misaligned_noise(spec, gain):
         and ``excess{i}`` per stray mode
     """
     correlation = _gain_correlation(gain)
-    total = spec.total_power
-    components = {
-        "aligned": (spec.aligned_power / total)
-        * (1.0 + 2.0 * spec.detector_eta * correlation)
-    }
-    for i, (power, eta_i) in enumerate(zip(spec.stray_powers, spec.stray_etas)):
-        components[f"overlap{i}"] = (power / total) * (
-            1.0 + 2.0 * eta_i * correlation
-        )
-        leftover = total - spec.aligned_power - power
-        components[f"excess{i}"] = (leftover / total) * (
+    aligned = 1.0 - spec.misalignment
+    share = spec.stray_power
+    leftover = 1.0 - aligned - share
+    components = {"aligned": aligned * (1.0 + 2.0 * spec.eta_d * correlation)}
+    for i, eta_i in enumerate(spec.stray_etas):
+        components[f"overlap{i}"] = share * (1.0 + 2.0 * eta_i * correlation)
+        components[f"excess{i}"] = leftover * (
             1.0 + 2.0 * eta_i * (gain - 1.0)
         )
     return _report(components)

@@ -285,7 +285,7 @@ class SymplecticTransform:
     def __post_init__(self):
         n_modes = _integer("n_modes", self.n_modes, 1, MAX_MODES)
         dim = 2 * n_modes
-        matrix = np.asarray(self.matrix, dtype=float)
+        matrix = np.array(self.matrix, dtype=float)
         if matrix.shape != (dim, dim):
             raise ValueError(
                 f"matrix must be {dim}x{dim} for {n_modes} modes, "
@@ -322,7 +322,7 @@ class Witness:
     _support: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        coeffs = np.asarray(self.coeffs, dtype=float).reshape(-1)
+        coeffs = np.array(self.coeffs, dtype=float).reshape(-1)
         if coeffs.size == 0 or coeffs.size % 2 != 0:
             raise ValueError("witness coefficients must have even length 2N")
         norm = float(coeffs @ coeffs)

@@ -158,7 +158,7 @@ def test_criterion_3_misalignment_model(verdict):
     with verdict(3, "misaligned local oscillator noise"):
         # (a) full overlap at the detector efficiency is the aligned model
         for eta in (1.0, 0.95, 0.8):
-            aligned = OverlapSpec(1.0, 1.0, (), eta, ())
+            aligned = OverlapSpec(0.0, eta, ())
             for gain in (1.0, 1.5, 2.0, 3.0, 4.0):
                 delta = (
                     misaligned_noise(aligned, gain).variance
@@ -166,16 +166,14 @@ def test_criterion_3_misalignment_model(verdict):
                 )
                 assert abs(delta) <= 1e-14, (gain, eta)
         # (b) worked single- and two-stray examples at G=2
-        one_stray = OverlapSpec(1.0, 0.9, (0.1,), 0.95, (0.5,))
+        one_stray = OverlapSpec(0.1, 0.95, (0.5,))
         assert abs(misaligned_noise(one_stray, 2.0).variance - 0.250273) <= 1e-6
-        two_strays = OverlapSpec(1.0, 0.9, (0.05, 0.05), 0.95, (0.5, 0.5))
+        two_strays = OverlapSpec(0.1, 0.95, (0.5, 0.5))
         assert abs(misaligned_noise(two_strays, 2.0).variance - 0.450273) <= 1e-6
         # (c) noise falls monotonically as the aligned fraction grows
         variances = []
         for aligned_power in np.linspace(0.5, 1.0, 11):
-            spec = OverlapSpec(
-                1.0, aligned_power, (1.0 - aligned_power,), 0.95, (0.475,)
-            )
+            spec = OverlapSpec(1.0 - aligned_power, 0.95, (0.475,))
             variances.append(misaligned_noise(spec, 2.0).variance)
         assert np.all(np.diff(variances) < 0.0)
 

@@ -144,6 +144,14 @@ def test_decomposition_rejects_non_finite_squeeze(squeeze):
         Decomposition(identity, squeeze, identity)
 
 
+def test_decomposition_keeps_its_own_squeeze():
+    identity = SymplecticTransform(np.eye(4), 2)
+    s = np.array([0.5, 0.1])
+    d = Decomposition(identity, s, identity)
+    s[1] = -np.inf
+    assert np.array_equal(d.squeeze, [0.5, 0.1])
+
+
 def test_decomposition_factors_are_orthogonal_symplectics():
     rng = np.random.default_rng(9)
     result = decompose(random_network(rng, 3, 8))

@@ -174,6 +174,34 @@ def test_misaligned_scenario_uses_closed_form(tmp_path):
     assert float(row["variance"]) == pytest.approx(0.250273, abs=1e-6)
 
 
+def test_misalignment_whose_stray_share_underflows_is_simulated(tmp_path):
+    # 5e-324 / 3 rounds to 0.0: no LO power reaches a stray mode, so the
+    # rows are the simulated ones of a perfectly aligned LO.
+    rows = {}
+    for misalignment in (0.0, 5e-324):
+        name = "aligned" if misalignment == 0.0 else "underflow"
+        config = write_config(
+            tmp_path / f"{name}.json",
+            {
+                "version": "v1",
+                "name": name,
+                "comb": {"M": 4, "gain": 2.0},
+                "detection": {
+                    "eta_d": 0.9,
+                    "misalignment": misalignment,
+                    "stray_etas": [0.1, 0.3, 0.5],
+                },
+            },
+        )
+        assert main(["simulate", config, "--out-dir", str(tmp_path)]) == 0
+        rows[name] = [
+            {k: v for k, v in row.items() if k != "scenario"}
+            for row in read_rows(tmp_path / f"{name}_witness.csv")
+        ]
+    assert len(rows["aligned"]) == 2
+    assert rows["underflow"] == rows["aligned"]
+
+
 def test_parse_error_reports_line_and_column(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"name": "x",\n  "comb": }', encoding="utf-8")
@@ -667,7 +695,7 @@ def test_parse_scenario_error_carries_field_attribute():
 def test_parse_detection_checks_every_replacement():
     base = {"eta_d": 0.9, "misalignment": 0.1, "stray_etas": [0.5]}
     spec = _parse_detection(base)
-    assert spec == OverlapSpec.from_misalignment(1.0, 0.1, 0.9, [0.5])
+    assert spec == OverlapSpec(0.1, 0.9, (0.5,))
     assert spec.stray_etas == (0.5,)
     for change, field in (
         ({"eta_d": 0.0}, "eta_d"),
@@ -675,6 +703,8 @@ def test_parse_detection_checks_every_replacement():
         ({"misalignment": 1.5}, "misalignment"),
         ({"stray_etas": []}, "stray_etas"),
         ({"stray_etas": 0.5}, "stray_etas"),
+        ({"stray_etas": "0.5"}, "stray_etas"),
+        ({"detector_eta": 0.9}, "detector_eta"),
     ):
         with pytest.raises(FieldError) as excinfo:
             _parse_detection({**base, **change})
@@ -683,7 +713,7 @@ def test_parse_detection_checks_every_replacement():
 
 def test_scenario_detection_is_the_overlap_spec_of_each_point():
     plain = parse_scenario({"name": "plain", "comb": {"M": 2, "r": 0.5}})
-    assert plain.detection == OverlapSpec.from_misalignment(1.0, 0.0, 1.0, [])
+    assert plain.detection == OverlapSpec()
     detection = {"eta_d": 0.9, "misalignment": 0.1, "stray_etas": [0.3, 0.5]}
     for key, values in (
         ("misalignment", [0.0, 0.25, 0.1]),
@@ -695,16 +725,11 @@ def test_scenario_detection_is_the_overlap_spec_of_each_point():
             "detection": detection,
             "sweep": {"parameter": f"detection.{key}", "values": values},
         })
-        assert scenario.detection == OverlapSpec.from_misalignment(
-            1.0, 0.1, 0.9, [0.3, 0.5]
-        )
+        assert scenario.detection == OverlapSpec(0.1, 0.9, (0.3, 0.5))
         assert [value for value, _ in scenario.points] == sorted(values)
         for value, point in scenario.points:
             expected = {**detection, key: value}
-            assert point.detection == OverlapSpec.from_misalignment(
-                1.0, expected["misalignment"], expected["eta_d"],
-                expected["stray_etas"],
-            )
+            assert point.detection == OverlapSpec(**expected)
 
 
 def test_decompose_network_roundtrip(tmp_path):
@@ -920,7 +945,7 @@ def test_noise_table_diff_column_is_tiny(tmp_path):
         ("2", "1.5", "0", "etas[0].eta"),
         ("2", "0.5,-0.1", "0", "etas[1].eta"),
         ("2", "0.5,-inf", "0", "etas[1].eta"),
-        ("2", "0", "0,0.1", "etas[0].detector_eta"),
+        ("2", "0", "0,0.1", "etas[0].eta_d"),
         ("2", "1", "1.5", "misalignments[0].misalignment"),
         ("2", "1", "0,-0.2", "misalignments[1].misalignment"),
         ("2", "1", "nan", "misalignments[0].misalignment"),

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modecomb import (
     AmplifierSpec,
@@ -59,56 +61,56 @@ def test_ideal_epr_noise_validation():
         ideal_epr_noise(2.0, -0.1)
 
 
-def test_overlap_spec_enforces_power_budget():
-    spec = OverlapSpec(1.0, 0.9, (0.1,), 0.95, (0.5,))
-    assert spec.total_power == 1.0
+def test_overlap_spec_rejects_bad_efficiencies():
+    spec = OverlapSpec(0.1, 0.95, (0.5,))
+    assert spec.eta_d == 0.95
 
     with pytest.raises(ValueError):
-        OverlapSpec(1.0, 0.9, (0.2,), 0.95, (0.5,))  # budget exceeded
+        OverlapSpec(0.1, 0.95, (0.95,))  # stray eta too high
     with pytest.raises(ValueError):
-        OverlapSpec(1.0, 1.1, (), 0.95, ())  # aligned above total
-    with pytest.raises(ValueError):
-        OverlapSpec(1.0, 0.9, (0.1,), 0.95, (0.95,))  # stray eta too high
-    with pytest.raises(ValueError):
-        OverlapSpec(1.0, 0.9, (0.1, 0.0), 0.95, (0.5,))  # length mismatch
-    with pytest.raises(ValueError):
-        OverlapSpec(1.0, 0.9, (0.1,), 0.0, (0.0,))  # detector eta zero
-    with pytest.raises(ValueError):
-        OverlapSpec(0.0, 0.0, (), 0.95, ())  # no power at all
+        OverlapSpec(0.1, 0.0, (0.0,))  # detector eta zero
 
 
-def test_overlap_spec_from_misalignment_splits_power_exactly():
-    spec = OverlapSpec.from_misalignment(1.0, 0.3, 0.9, (0.2, 0.4, 0.6))
-    assert spec.aligned_power == 1.0 - 0.3
-    assert spec.stray_powers == (0.3 / 3,) * 3
+def test_overlap_spec_splits_power_exactly():
+    spec = OverlapSpec(0.3, 0.9, (0.2, 0.4, 0.6))
+    assert spec.misalignment == 0.3
+    assert spec.stray_power == 0.3 / 3
     assert spec.stray_etas == (0.2, 0.4, 0.6)
+    assert OverlapSpec(0.3, 0.9, [0.2, 0.4, 0.6]) == spec
+    assert OverlapSpec() == OverlapSpec(0.0, 1.0, ())
+    assert OverlapSpec().stray_power == 0.0
+    # m / k rounds to 0.0 below half the smallest subnormal.
+    assert OverlapSpec(5e-324, 0.9, (0.1, 0.3, 0.5)).stray_power == 0.0
+    assert OverlapSpec(5e-324, 0.9, (0.1,)).stray_power == 5e-324
     cases = [
-        ((1.0, 0.1, 0.9, ()), "stray_etas"),
-        ((1.0, 1.5, 0.9, (0.5,)), "misalignment"),
-        ((1.0, 0.1, 0.0, (0.0,)), "detector_eta"),
-        ((1.0, 0.1, 0.9, (0.95,)), "stray_etas"),
-        ((1.0, 0.1, float("nan"), (0.5,)), "detector_eta"),
-        ((0.0, 0.0, 0.9, ()), "total_power"),
+        ((0.1, 0.9, ()), "stray_etas"),
+        ((1.5, 0.9, (0.5,)), "misalignment"),
+        ((0.1, 0.0, (0.0,)), "eta_d"),
+        ((0.1, 0.9, (0.95,)), "stray_etas"),
+        ((0.1, float("nan"), (0.5,)), "eta_d"),
     ]
     for args, field in cases:
         with pytest.raises(FieldError) as excinfo:
-            OverlapSpec.from_misalignment(*args)
+            OverlapSpec(*args)
         assert excinfo.value.field == field
 
 
 @pytest.mark.parametrize(
     "args, field",
     [
-        ((1.0, 0.9, (0.2,), 0.95, (0.5,)), "stray_powers"),
-        ((1.0, 0.9, (math.nan,), 0.95, (0.5,)), "stray_powers"),
-        ((1.0, 1.1, (), 0.95, ()), "aligned_power"),
-        ((1.0, -0.1, (1.1,), 0.95, (0.5,)), "aligned_power"),
-        ((1.0, 0.9, (0.1,), 0.95, (0.95,)), "stray_etas"),
-        ((1.0, 0.9, (0.1, 0.0), 0.95, (0.5,)), "stray_etas"),
-        ((1.0, 0.9, (0.1,), 0.0, (0.0,)), "detector_eta"),
-        ((1.0, 1.0, (), 1.5, ()), "detector_eta"),
-        ((0.0, 0.0, (), 0.95, ()), "total_power"),
-        (("1", 1.0, (), 0.95, ()), "total_power"),
+        ((0.1, 0.95, (0.95,)), "stray_etas"),
+        ((0.1, 0.0, (0.0,)), "eta_d"),
+        ((0.0, 1.5, ()), "eta_d"),
+        ((0.1, 0.95, "0.5"), "stray_etas"),
+        ((0.1, 0.95, 0.5), "stray_etas"),
+        ((0.1, 0.95, (math.nan,)), "stray_etas"),
+        ((0.1, "0.95", (0.5,)), "eta_d"),
+        # The first broken rule is named: not a list, then the misalignment,
+        # then the stray it needs, then eta_d, then each stray eta.
+        ((2.0, 0.0, "x"), "stray_etas"),
+        ((2.0, 0.0, ()), "misalignment"),
+        ((0.5, 0.0, ()), "stray_etas"),
+        ((0.5, 0.0, (2.0,)), "eta_d"),
     ],
 )
 def test_overlap_spec_names_the_offending_field(args, field):
@@ -117,33 +119,45 @@ def test_overlap_spec_names_the_offending_field(args, field):
     assert excinfo.value.field == field
 
 
-@pytest.mark.parametrize("total_power", ["1", None, True, math.nan, math.inf,
-                                         -1.0, 0.0])
-def test_from_misalignment_names_a_bad_total_power(total_power):
-    with pytest.raises(FieldError) as excinfo:
-        OverlapSpec.from_misalignment(total_power, 0.5, 0.9, (0.5,))
-    assert excinfo.value.field == "total_power"
-
-
 @pytest.mark.parametrize("misalignment", [-0.1, math.nan, True, "0.1"])
-def test_from_misalignment_is_a_fraction(misalignment):
+def test_overlap_spec_misalignment_is_a_fraction(misalignment):
     with pytest.raises(FieldError) as excinfo:
-        OverlapSpec.from_misalignment(1.0, misalignment, 0.9, (0.5,))
+        OverlapSpec(misalignment, 0.9, (0.5,))
     assert excinfo.value.field == "misalignment"
 
 
-def test_from_misalignment_scales_with_total_power():
-    spec = OverlapSpec.from_misalignment(2, 0.3, 0.9, (0.4, 0.4, 0.4))
-    assert spec.total_power == 2.0
-    assert spec.aligned_power == pytest.approx(1.4, abs=1e-15)
-    assert spec.stray_powers == pytest.approx((0.2, 0.2, 0.2), abs=1e-15)
-    perfect = OverlapSpec.from_misalignment(2.0, 0.0, 0.9, ())
-    assert perfect.aligned_power == perfect.total_power
-    assert perfect.stray_powers == ()
+@settings(max_examples=300, deadline=None)
+@given(
+    misalignment=st.floats(0.0, 1.0),
+    eta=st.floats(1e-9, 1.0),
+    fractions=st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1,
+                       max_size=4),
+    gain=st.floats(1.0, 1e3),
+)
+def test_misaligned_noise_keeps_unit_power_arithmetic(
+    misalignment, eta, fractions, gain
+):
+    # The components of the unit-power bookkeeping, in plain floats: the
+    # aligned share 1 - m, the stray share m / k and the leftover
+    # 1 - (1 - m) - m / k, each times its own noise term.
+    strays = tuple(eta * f for f in fractions)
+    k = len(strays)
+    aligned, share = 1.0 - misalignment, misalignment / k
+    leftover = 1.0 - (1.0 - misalignment) - misalignment / k
+    correlation = gain - 1.0 - math.sqrt(gain * (gain - 1.0))
+    expected = {"aligned": aligned * (1.0 + 2.0 * eta * correlation)}
+    for i, eta_i in enumerate(strays):
+        expected[f"overlap{i}"] = share * (1.0 + 2.0 * eta_i * correlation)
+        expected[f"excess{i}"] = leftover * (1.0 + 2.0 * eta_i * (gain - 1.0))
+    spec = OverlapSpec(misalignment, eta, strays)
+    components = misaligned_noise(spec, gain).components
+    assert list(components) == list(expected)
+    for key, value in expected.items():
+        assert components[key] == value, key
 
 
 def test_misaligned_noise_single_stray_worked_example():
-    spec = OverlapSpec(1.0, 0.9, (0.1,), 0.95, (0.5,))
+    spec = OverlapSpec(0.1, 0.95, (0.5,))
     report = misaligned_noise(spec, 2.0)
     assert report.variance == pytest.approx(EX1_SINGLE_STRAY, abs=1e-12)
     # Single stray: all unmatched power belongs to that stray, no excess term.
@@ -152,7 +166,7 @@ def test_misaligned_noise_single_stray_worked_example():
 
 
 def test_misaligned_noise_two_strays_worked_example():
-    spec = OverlapSpec(1.0, 0.9, (0.05, 0.05), 0.95, (0.5, 0.5))
+    spec = OverlapSpec(0.1, 0.95, (0.5, 0.5))
     report = misaligned_noise(spec, 2.0)
     assert report.variance == pytest.approx(EX2_TWO_STRAYS, abs=1e-12)
     # Each stray now sees the other's power as uncorrelated amplified noise.
@@ -163,7 +177,7 @@ def test_misaligned_noise_two_strays_worked_example():
 def test_perfect_overlap_reduces_to_ideal_noise():
     for gain in (1.0, 2.0, 3.5):
         for eta in (1.0, 0.95, 0.8):
-            spec = OverlapSpec(2.0, 2.0, (), eta, ())
+            spec = OverlapSpec(0.0, eta, ())
             assert misaligned_noise(spec, gain).variance == ideal_epr_noise(
                 gain, eta
             ).variance
@@ -171,21 +185,13 @@ def test_perfect_overlap_reduces_to_ideal_noise():
 
 def test_noise_is_monotone_in_aligned_fraction():
     previous = None
-    for aligned in np.linspace(0.0, 1.0, 11):
-        strays = (1.0 - float(aligned),) if aligned < 1.0 else ()
-        etas = (0.5,) if aligned < 1.0 else ()
-        spec = OverlapSpec(1.0, float(aligned), strays, 0.95, etas)
+    for misalignment in np.linspace(1.0, 0.0, 11):
+        etas = (0.5,) if misalignment > 0.0 else ()
+        spec = OverlapSpec(float(misalignment), 0.95, etas)
         variance = misaligned_noise(spec, 2.0).variance
         if previous is not None:
             assert variance < previous
         previous = variance
-
-
-def test_misaligned_noise_scale_invariance():
-    # Only power fractions matter, not the absolute LO power.
-    a = misaligned_noise(OverlapSpec(1.0, 0.9, (0.1,), 0.95, (0.5,)), 2.0)
-    b = misaligned_noise(OverlapSpec(5.0, 4.5, (0.5,), 0.95, (0.5,)), 2.0)
-    assert a.variance == pytest.approx(b.variance, abs=1e-14)
 
 
 def test_measure_witness_matches_closed_form_on_amplified_pair():

@@ -123,6 +123,13 @@ def test_symplectic_transform_rejects_non_symplectic():
         SymplecticTransform(bad, 2)
 
 
+def test_symplectic_transform_keeps_its_own_matrix():
+    m = np.eye(2)
+    t = SymplecticTransform(m, 1)
+    m[0, 0] = np.nan
+    assert np.array_equal(t.matrix, np.eye(2))
+
+
 def test_squeezer_defect_stays_at_rounding_level_relative_to_its_scale():
     # The rounding of cosh^2 - sinh^2 grows as eps e^{2r}; an absolute bound
     # rejected 53 of these r, the first at 6.375.
@@ -203,6 +210,16 @@ def test_witness_support_is_found_once_for_its_own_mode_count():
     for wrong in (1, 2, 4):
         with pytest.raises(ValueError, match=f"3 modes, not {wrong}"):
             w.support(wrong)
+
+
+def test_witness_keeps_its_own_coefficients():
+    c = np.array([1.0, 0.0, 0.0, 0.0])
+    w = Witness(c)
+    c[0] = np.nan
+    c[1] = 2.0
+    assert np.array_equal(w.coeffs, [1.0, 0.0, 0.0, 0.0])
+    assert w.normalization == 1.0
+    assert w.support(2) == (0,)
 
 
 def test_witness_rejects_degenerate_or_out_of_range_terms():
