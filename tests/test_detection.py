@@ -126,6 +126,14 @@ def test_overlap_spec_misalignment_is_a_fraction(misalignment):
     assert excinfo.value.field == "misalignment"
 
 
+@pytest.mark.parametrize("eta_d", ["1", None, True, math.nan, math.inf,
+                                   -1.0, 0.0])
+def test_overlap_spec_names_a_bad_eta_d(eta_d):
+    with pytest.raises(FieldError) as excinfo:
+        OverlapSpec(0.5, eta_d, (0.5,))
+    assert excinfo.value.field == "eta_d"
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     misalignment=st.floats(0.0, 1.0),
