@@ -305,22 +305,37 @@ def parse_scenario(raw):
     return swept or scenario
 
 
-def _witness_rows(scenario):
-    """Evaluate all witnesses of one concrete (non-sweep) scenario."""
+def _comb_basis(comb):
+    """The vacuum of ``comb``'s modes and its ``(label, Witness)``
+    x-difference witnesses in pair order. They depend only on ``M`` and
+    ``cells``, which no sweep changes."""
+    n = comb.n_modes
+    witnesses = [(label, Witness.from_terms(n, xdiff))
+                 for label, xdiff in _xdiff_terms(comb)]
+    return vacuum_state(n), witnesses
+
+
+def _witness_rows(scenario, comb_basis):
+    """Evaluate all witnesses of one concrete (non-sweep) scenario.
+
+    ``comb_basis()`` returns :func:`_comb_basis` of the scenario's comb; it
+    is called only when a comb row is simulated. The comb is amplified from
+    that vacuum, which nothing mutates, so :func:`run_scenario` shares one
+    basis across its points.
+    """
     det = scenario.detection
     eta_d = det.eta_d
     comb = scenario.comb
     rows = []
     if comb is not None:
-        terms = _xdiff_terms(comb)
         if det.stray_power:
             # LO power on a stray mode: the closed form, the same per pair.
             report = misaligned_noise(det, comb.amp.gain)
-            rows += [(label, report) for label, _ in terms]
+            rows += [(label, report) for label, _ in _xdiff_terms(comb)]
         else:
-            state = amplify_comb(vacuum_state(comb.n_modes), comb)
-            for label, xdiff in terms:
-                witness = Witness.from_terms(comb.n_modes, xdiff)
+            vacuum, witnesses = comb_basis()
+            state = amplify_comb(vacuum, comb)
+            for label, witness in witnesses:
                 rows.append((label, measure_witness(state, witness, eta_d)))
     if scenario.wire is not None:
         state = build_dual_rail(scenario.wire)
@@ -353,6 +368,11 @@ def _graph_report(scenario):
 def run_scenario(config_path, out_dir=".", fmt="csv"):
     """Run a scenario file and write its witness table and graph report.
 
+    Each sweep point is evaluated as its own scenario would be. The comb's
+    vacuum and pair witnesses are built at most once per call, on the first
+    point that simulates the comb; each point amplifies its own comb from
+    that vacuum. Points that take the closed form build neither.
+
     Args:
         config_path: path of the JSON scenario
         out_dir: directory receiving the report files
@@ -362,11 +382,13 @@ def run_scenario(config_path, out_dir=".", fmt="csv"):
         list[Path]: the written file paths
     """
     scenario = parse_scenario(_load_json(config_path))
+    # No sweep changes the comb's modes, so every point shares one basis.
+    comb_basis = functools.cache(lambda: _comb_basis(scenario.comb))
 
     rows = []
     for value, point in scenario.points or ((None, scenario),):
         value_text = "" if value is None else format(value, FLOAT_FORMAT)
-        for witness_id, report in _witness_rows(point):
+        for witness_id, report in _witness_rows(point, comb_basis):
             rows.append((
                 scenario.name,
                 scenario.parameter,

@@ -540,28 +540,38 @@ def test_every_sweep_point_is_validated_before_any_compute(
 #: The key of its section that each sweepable field's value replaces.
 _REPLACED = {"comb.gain": "r", "comb.r": "gain"}
 
+#: ``(parameter, base sections, values)`` of one sweep per sweepable field.
+_SWEEPS = [
+    ("comb.gain", {"comb": {"M": 4, "cells": 2, "r": 0.5}}, [3.0, 1.5]),
+    ("comb.r", {"comb": {"M": 4, "gain": 2.0}}, [0.25, 0.0]),
+    (
+        "wire.r",
+        {"wire": {"n_pairs": 3, "r": 1.0, "phase_convention": "none"}},
+        [2.0, 0.5],
+    ),
+    ("detection.eta_d", {"comb": {"M": 2, "r": 0.5}}, [0.9, 0.7]),
+    (
+        "detection.misalignment",
+        {
+            "comb": {"M": 2, "r": 0.5},
+            "detection": {"eta_d": 0.9, "stray_etas": [0.4]},
+        },
+        [0.2, 0.0],
+    ),
+]
 
-@pytest.mark.parametrize(
-    "parameter, base, values",
-    [
-        ("comb.gain", {"comb": {"M": 4, "cells": 2, "r": 0.5}}, [3.0, 1.5]),
-        ("comb.r", {"comb": {"M": 4, "gain": 2.0}}, [0.25, 0.0]),
-        (
-            "wire.r",
-            {"wire": {"n_pairs": 3, "r": 1.0, "phase_convention": "none"}},
-            [2.0, 0.5],
-        ),
-        ("detection.eta_d", {"comb": {"M": 2, "r": 0.5}}, [0.9, 0.7]),
-        (
-            "detection.misalignment",
-            {
-                "comb": {"M": 2, "r": 0.5},
-                "detection": {"eta_d": 0.9, "stray_etas": [0.4]},
-            },
-            [0.2, 0.0],
-        ),
-    ],
-)
+
+def _point_sections(parameter, base, value):
+    """The sections of ``base`` with the swept key set to ``value``."""
+    section, key = parameter.split(".")
+    fixed = json.loads(json.dumps(base))
+    swept = fixed.setdefault(section, {})
+    swept.pop(_REPLACED.get(parameter), None)
+    swept[key] = value
+    return fixed
+
+
+@pytest.mark.parametrize("parameter, base, values", _SWEEPS)
 def test_each_sweep_point_is_its_scenario_with_the_value_put_in(
     parameter, base, values
 ):
@@ -570,15 +580,53 @@ def test_each_sweep_point_is_its_scenario_with_the_value_put_in(
     )
     assert scenario.parameter == parameter
     assert [value for value, _ in scenario.points] == sorted(values)
-    section, key = parameter.split(".")
+    section = parameter.split(".")[0]
     for value, point in scenario.points:
-        fixed = json.loads(json.dumps(base))
-        swept = fixed.setdefault(section, {})
-        swept.pop(_REPLACED.get(parameter), None)
-        swept[key] = value
+        fixed = _point_sections(parameter, base, value)
         expected = parse_scenario({"name": "x", **fixed})
         assert getattr(point, section) == getattr(expected, section)
         assert point == expected
+
+
+def _witness_cells(out_dir, name):
+    """``(value, witness_id, variance, dB)`` of each row of a witness CSV."""
+    with (out_dir / f"{name}_witness.csv").open(newline="") as fh:
+        return [(row["value"], row["witness_id"], row["variance"], row["dB"])
+                for row in csv.DictReader(fh)]
+
+
+@pytest.mark.parametrize("parameter, base, values", [
+    *_SWEEPS,
+    (
+        "comb.gain",
+        {
+            "comb": {"M": 6, "gain": 2.0},
+            "wire": {"n_pairs": 2, "r": 0.8},
+            "detection": {"eta_d": 0.85},
+        },
+        [4.0, 1.2, 2.5],
+    ),
+])
+def test_each_sweep_row_is_the_row_of_its_point_run_alone(
+    tmp_path, parameter, base, values
+):
+    # The points of a sweep share objects built once per scenario; a point
+    # must read the same as when it is the whole scenario.
+    sweep = {"name": "x", **base,
+             "sweep": {"parameter": parameter, "values": values}}
+    config = write_config(tmp_path / "sweep.json", sweep)
+    assert main(["simulate", config, "--out-dir", str(tmp_path / "sweep")]) == 0
+    swept = _witness_cells(tmp_path / "sweep", "x")
+    alone = []
+    for i, value in enumerate(sorted(values)):
+        fixed = {"name": "x", **_point_sections(parameter, base, value)}
+        config = write_config(tmp_path / f"point{i}.json", fixed)
+        out = tmp_path / f"point{i}"
+        assert main(["simulate", config, "--out-dir", str(out)]) == 0
+        text = format(value, ".12g")
+        alone += [(text, *cells[1:]) for cells in _witness_cells(out, "x")]
+    assert len(swept) >= len(values)
+    assert swept == alone
 
 
 def test_only_tabular_commands_take_format(tmp_path, capsys):

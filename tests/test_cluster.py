@@ -13,7 +13,6 @@ from modecomb import (
     GaussianState,
     GraphSpec,
     NotAGraphStateError,
-    amplify_comb,
     apply_symplectic,
     bipartite_graph,
     build_comb,

@@ -21,6 +21,7 @@ from modecomb import (
     witness_variance,
 )
 
+import modecomb.cli
 from modecomb.cli import main
 
 EXP_MINUS_TWO = 0.1353352832366127
@@ -169,7 +170,25 @@ def witness_count(monkeypatch):
     return count
 
 
-def test_comb_simulate_builds_one_witness_per_row(tmp_path, witness_count):
+@pytest.fixture
+def vacuum_count(monkeypatch):
+    """Count every vacuum state the CLI builds while the test runs."""
+    count = [0]
+    build = modecomb.cli.vacuum_state
+
+    def counted(n_modes):
+        count[0] += 1
+        return build(n_modes)
+
+    monkeypatch.setattr(modecomb.cli, "vacuum_state", counted)
+    return count
+
+
+def test_comb_simulate_builds_one_witness_per_pair(
+    tmp_path, witness_count, vacuum_count
+):
+    # The points differ only in gain, so they share one vacuum and one
+    # witness per pair; each point still gets its own row per pair.
     config = tmp_path / "comb.json"
     config.write_text(json.dumps({
         "version": "v1", "name": "comb", "comb": {"M": 6, "gain": 2.0},
@@ -179,7 +198,25 @@ def test_comb_simulate_builds_one_witness_per_row(tmp_path, witness_count):
     assert main(["simulate", str(config), "--out-dir", str(tmp_path)]) == 0
     rows = (tmp_path / "comb_witness.csv").read_text().splitlines()[1:]
     assert len(rows) == 9
-    assert witness_count[0] == 9
+    assert witness_count[0] == 3
+    assert vacuum_count[0] == 1
+
+
+def test_closed_form_sweep_builds_no_vacuum(
+    tmp_path, witness_count, vacuum_count
+):
+    config = tmp_path / "stray.json"
+    config.write_text(json.dumps({
+        "version": "v1", "name": "stray", "comb": {"M": 6, "gain": 2.0},
+        "detection": {"eta_d": 0.9, "stray_etas": [0.3, 0.5]},
+        "sweep": {"parameter": "detection.misalignment",
+                  "values": [0.1, 0.2, 1.0]},
+    }), encoding="utf-8")
+    assert main(["simulate", str(config), "--out-dir", str(tmp_path)]) == 0
+    rows = (tmp_path / "stray_witness.csv").read_text().splitlines()[1:]
+    assert len(rows) == 9
+    assert witness_count[0] == 0
+    assert vacuum_count[0] == 0
 
 
 def test_noise_table_builds_one_witness_per_gain(tmp_path, witness_count):
