@@ -7,7 +7,6 @@ from .cluster import (
     NotAGraphStateError,
     bipartite_graph,
     build_dual_rail,
-    condition_on_homodyne,
     extract_graph,
     ideal_wire_graph,
     nullifier_residual,
@@ -66,7 +65,6 @@ __all__ = [
     "build_comb",
     "build_dual_rail",
     "check_physicality",
-    "condition_on_homodyne",
     "decompose",
     "extract_graph",
     "gain_to_squeezing",

@@ -308,11 +308,17 @@ def parse_scenario(raw):
 def _comb_basis(comb):
     """The vacuum of ``comb``'s modes and its ``(label, Witness)``
     x-difference witnesses in pair order. They depend only on ``M`` and
-    ``cells``, which no sweep changes."""
+    ``cells``, which no sweep changes.
+
+    The vacuum carries no symplectic factor. A comb row reads only the
+    covariance, and the comb's graph report is its pair graph, so nothing
+    reads the factor; without it, each pair's squeezer in
+    :func:`~modecomb.comb.amplify_comb` copies and updates the covariance
+    alone."""
     n = comb.n_modes
     witnesses = [(label, Witness.from_terms(n, xdiff))
                  for label, xdiff in _xdiff_terms(comb)]
-    return vacuum_state(n), witnesses
+    return replace(vacuum_state(n), factor=None), witnesses
 
 
 def _witness_rows(scenario, comb_basis):
@@ -371,7 +377,10 @@ def run_scenario(config_path, out_dir=".", fmt="csv"):
     Each sweep point is evaluated as its own scenario would be. The comb's
     vacuum and pair witnesses are built at most once per call, on the first
     point that simulates the comb; each point amplifies its own comb from
-    that vacuum. Points that take the closed form build neither.
+    that vacuum. Points that take the closed form build neither. The
+    vacuum carries no symplectic factor, since comb rows read only the
+    covariance, and each row is read from its pair's ``4 x 4`` covariance
+    block by :func:`~modecomb.detection.measure_witness`.
 
     Args:
         config_path: path of the JSON scenario

@@ -31,11 +31,9 @@ from .elements import (
 from .gaussian import (
     MAX_MODES,
     FieldError,
-    GaussianState,
     Witness,
     _apply_steps,
     _integer,
-    _mode,
     purity,
     vacuum_state,
 )
@@ -357,41 +355,3 @@ def nullifier_residual(state, graph):
     residual = cpp - z @ cxx @ z.conj().T
     residual = 0.5 * (residual + residual.conj().T)
     return float(np.linalg.norm(residual))
-
-
-def condition_on_homodyne(state, mode, quadrature, outcome):
-    """Condition a state on a homodyne measurement of one quadrature.
-
-    The measured mode is removed; remaining modes keep their order with
-    indices above ``mode`` shifted down by one. The covariance update is the
-    Schur complement on the measured row/column and is independent of the
-    outcome; only the conditional mean depends on it.
-
-    Args:
-        state (GaussianState): state to measure, at least two modes
-        mode (int): mode index to measure and remove
-        quadrature (str): "x" or "p"
-        outcome (float): measured value
-
-    Returns:
-        GaussianState: conditional state on the remaining modes, without a
-        symplectic factor
-    """
-    n = state.n_modes
-    mode = _mode(mode, n)
-    if quadrature not in ("x", "p"):
-        raise ValueError(f"quadrature must be 'x' or 'p', got {quadrature!r}")
-    if n == 1:
-        raise ValueError("cannot remove the last mode of a state")
-    measured = mode if quadrature == "x" else n + mode
-    keep = np.array([i for i in range(2 * n) if i not in (mode, n + mode)])
-
-    var = state.cov[measured, measured]
-    if var <= 0:
-        raise ValueError(
-            f"measured quadrature has nonpositive variance {var}"
-        )
-    cross = state.cov[keep, measured]
-    cov = state.cov[np.ix_(keep, keep)] - np.outer(cross, cross) / var
-    mean = state.mean[keep] + cross * (outcome - state.mean[measured]) / var
-    return GaussianState(n - 1, mean, cov)

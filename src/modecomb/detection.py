@@ -15,7 +15,11 @@ are the keys of a scenario's ``detection`` section.
 
 :func:`measure_witness` is the simulated counterpart: it applies an explicit
 loss channel to every witness mode and evaluates the covariance, and must
-agree with the closed forms to near machine precision.
+agree with the closed forms to near machine precision. A Gaussian
+marginal is its covariance block, and loss on a mode changes only that
+mode's rows and columns, so a witness on ``k`` modes is read from the
+``2k x 2k`` block of its support: ``O(k^2)`` work, never a copy of the
+``2N x 2N`` state.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import math
 from dataclasses import dataclass
 
 from .elements import _fraction, _gain, loss_channel
-from .gaussian import FieldError, _real, witness_variance
+from .gaussian import FieldError, _marginal, _real, _step_rows
 
 #: Self-consistency budget of a NoiseReport: components vs variance.
 REPORT_CONSISTENCY_TOL = 1e-12
@@ -182,9 +186,17 @@ def misaligned_noise(spec, gain):
 def measure_witness(state, witness, eta_d):
     """Simulate a balanced homodyne witness measurement at finite efficiency.
 
-    Applies a loss channel of transmission ``eta_d`` to every mode in the
-    witness support, then evaluates the normalized witness variance on the
-    resulting covariance. For the x-difference witness of an amplified pair
+    Takes the marginal of ``state`` on the ``k`` modes of the witness
+    support, its ``2k x 2k`` covariance block (a view of the state's
+    covariance when the support's quadrature rows are evenly spaced, as for
+    a one-cell comb pair). A support of every mode, as on noise-table's
+    two-mode states, is its own marginal: the state itself is read.
+    Applies a loss channel of transmission ``eta_d`` to every mode of that
+    marginal, then evaluates ``w_s^T C_s w_s / (w^T w)`` with ``w_s`` the
+    witness coefficients on the support. The entries of the block are
+    computed exactly as on the full state, so a witness of two unit terms,
+    as every comb row, reads the same bits; another may differ in its
+    summation order. For the x-difference witness of an amplified pair
     this agrees with :func:`ideal_epr_noise` to near machine precision.
 
     Args:
@@ -200,10 +212,15 @@ def measure_witness(state, witness, eta_d):
         FieldError: naming ``eta_d`` if it is not a number in [0, 1].
     """
     eta_d = _fraction("eta_d", eta_d)
-    lossy = state
-    for mode in witness.support(state.n_modes):
+    support = witness.support(state.n_modes)
+    if len(support) == state.n_modes:
+        lossy, w = state, witness.coeffs
+    else:
+        rows = _step_rows(state.n_modes, support)
+        lossy, w = _marginal(state, rows), witness.coeffs[rows]
+    for mode in range(lossy.n_modes):
         lossy = loss_channel(lossy, mode, eta_d)
-    variance = witness_variance(lossy, witness)
+    variance = float(w @ lossy.cov @ w) / witness.normalization
     vacuum = 1.0 - eta_d
     return NoiseReport(
         variance=variance,

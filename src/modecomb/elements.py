@@ -24,7 +24,7 @@ GAIN_CONSISTENCY_TOL = 1e-12
 
 #: Largest accepted squeezing parameter. The float64 witness readout
 #: ``w^T C w`` loses about ``eps e^{4r}`` of its value: 2.4e-5 at 6.9 on a
-#: 16-pair wire, 9e-4 at 7.5.
+#: 16-pair wire, 8e-4 at 7.5.
 MAX_SQUEEZING = 6.9
 
 #: Intensity gain ``cosh^2(MAX_SQUEEZING)``, about 2.46e5.

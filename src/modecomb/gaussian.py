@@ -203,10 +203,10 @@ class GaussianState:
             factor ``S`` with ``cov = S S^T``, the product of every
             transform applied since vacuum. :func:`vacuum_state` starts it
             at the identity and :func:`apply_symplectic` carries it along.
-            Every non-unitary step (loss, homodyne conditioning) drops it to
-            ``None``, as does direct construction unless one is passed. Only
-            its shape and the finiteness of its entries are checked; a
-            caller passing one vouches that it factors ``cov``.
+            A loss channel, being non-unitary, drops it to ``None``, as does
+            direct construction unless one is passed. Only its shape and
+            the finiteness of its entries are checked; a caller passing one
+            vouches that it factors ``cov``.
 
     A NaN or infinite entry of ``cov``, ``mean`` or ``factor`` is rejected
     with ``ValueError``. The mean, covariance and factor are copied on
@@ -432,14 +432,38 @@ def _check_rows(mean, cov, idx):
     cov[:, idx] = rows.T
 
 
+def _unchecked_state(n_modes, mean, cov, factor):
+    """The state of arrays that already pass the full check, built without
+    repeating it or copying them."""
+    state = object.__new__(GaussianState)
+    state.__dict__.update(n_modes=n_modes, mean=mean, cov=cov, factor=factor)
+    return state
+
+
 def _derived_state(n_modes, mean, cov, factor, idx):
     """The state of arrays copied from a valid state and changed only in
     rows and columns ``idx``, checked on those rows by :func:`_check_rows`
     instead of by a full ``O(N^2)`` pass."""
     _check_rows(mean, cov, idx)
-    state = object.__new__(GaussianState)
-    state.__dict__.update(n_modes=n_modes, mean=mean, cov=cov, factor=factor)
-    return state
+    return _unchecked_state(n_modes, mean, cov, factor)
+
+
+def _marginal(state, rows):
+    """The marginal of ``state`` on ``k`` of its modes, whose quadrature
+    rows ``rows`` come from :func:`_step_rows`: the ``2k x 2k`` covariance
+    block and the ``2k`` means on those rows, without a factor.
+
+    A slice's block and means are views of ``state``'s arrays, so the
+    marginal must not be changed in place; an index array's are copies.
+    Every entry of the block is an entry of a checked, exactly symmetric
+    covariance, so the block passes the full check and is not checked
+    again."""
+    mean = state.mean[rows]
+    if type(rows) is slice:
+        cov = state.cov[rows, rows]
+    else:
+        cov = state.cov[np.ix_(rows, rows)]
+    return _unchecked_state(mean.size // 2, mean, cov, None)
 
 
 def _apply_steps(state, steps):

@@ -1,4 +1,4 @@
-"""Tests for dual-rail wire construction, graph extraction, conditioning."""
+"""Tests for dual-rail wire construction and graph extraction."""
 
 import math
 
@@ -13,25 +13,19 @@ from modecomb import (
     GaussianState,
     GraphSpec,
     NotAGraphStateError,
-    apply_symplectic,
     bipartite_graph,
     build_comb,
     build_dual_rail,
     check_physicality,
-    condition_on_homodyne,
     extract_graph,
     ideal_wire_graph,
     loss_channel,
     nullifier_residual,
     purity,
-    two_mode_squeezer,
-    vacuum_state,
     wire_witnesses,
     witness_variance,
 )
 from modecomb.gaussian import MAX_MODES
-
-from conftest import random_network
 
 HALF_INV_SQRT2 = 0.7071067811865476
 
@@ -265,58 +259,3 @@ def test_bipartite_graph_mirrors_comb_pairing():
     graph = bipartite_graph(comb)
     assert graph.n_nodes == 6
     assert graph.edges == ((0, 3, 1.0), (1, 4, 1.0), (2, 5, 1.0))
-
-
-# ---------------------------------------------------------------------------
-# homodyne conditioning
-# ---------------------------------------------------------------------------
-
-def test_conditioning_on_epr_half_collapses_partner_variance():
-    r = 1.2
-    state = apply_symplectic(vacuum_state(2), two_mode_squeezer(r))
-    post = condition_on_homodyne(state, 0, "x", 0.7)
-    assert post.n_modes == 1
-    # Var(x_partner | x measurement) = 1 / cosh(2r); p stays thermal.
-    assert post.cov[0, 0] == pytest.approx(0.17995492308163727, abs=1e-12)
-    assert post.cov[1, 1] == pytest.approx(math.cosh(2.4), rel=1e-12)
-    # The measured x pushes the partner mean toward tanh(2r) * outcome.
-    assert post.mean[0] == pytest.approx(0.7 * math.tanh(2.4), abs=1e-12)
-    assert post.mean[1] == 0.0
-
-
-def test_conditional_covariance_is_outcome_independent():
-    state = build_dual_rail(DualRailSpec(n_pairs=3, r=1.0))
-    a = condition_on_homodyne(state, 2, "p", -1.3)
-    b = condition_on_homodyne(state, 2, "p", 4.2)
-    assert np.array_equal(a.cov, b.cov)
-    assert not np.array_equal(a.mean, b.mean)
-
-
-def test_conditioning_random_states_stays_physical():
-    rng = np.random.default_rng(17)
-    for _ in range(100):
-        n = int(rng.integers(2, 6))
-        state = apply_symplectic(vacuum_state(n), random_network(rng, n, 10))
-        mode = int(rng.integers(n))
-        quadrature = "x" if rng.random() < 0.5 else "p"
-        post = condition_on_homodyne(state, mode, quadrature, float(rng.normal()))
-        assert post.n_modes == n - 1
-        ok, min_eig = check_physicality(post)
-        assert ok, min_eig
-
-
-@pytest.mark.parametrize("mode", [0.5, 1.0, True])
-def test_conditioning_rejects_non_integer_modes(mode):
-    state = apply_symplectic(vacuum_state(2), two_mode_squeezer(1.0))
-    with pytest.raises(ValueError, match="must be an integer"):
-        condition_on_homodyne(state, mode, "x", 0.0)
-
-
-def test_conditioning_argument_validation():
-    state = vacuum_state(2)
-    with pytest.raises(ValueError):
-        condition_on_homodyne(state, 2, "x", 0.0)
-    with pytest.raises(ValueError):
-        condition_on_homodyne(state, 0, "y", 0.0)
-    with pytest.raises(ValueError):
-        condition_on_homodyne(vacuum_state(1), 0, "x", 0.0)

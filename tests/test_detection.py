@@ -17,13 +17,16 @@ from modecomb import (
     build_comb,
     build_dual_rail,
     ideal_epr_noise,
+    loss_channel,
     measure_witness,
     misaligned_noise,
     pair_witnesses,
     squeezing_db,
     vacuum_state,
     wire_witnesses,
+    witness_variance,
 )
+from modecomb.gaussian import Witness, _step_rows
 
 # Frozen reference values (independent closed-form evaluations).
 G2_ETA1 = 0.1715728752538097            # 3 - 2 sqrt(2)
@@ -247,6 +250,64 @@ def test_measure_witness_names_its_own_efficiency_field(eta_d):
     with pytest.raises(FieldError) as excinfo:
         measure_witness(state, wx, eta_d)
     assert excinfo.value.field == "eta_d"
+
+
+def _full_state_readout(state, witness, eta_d):
+    """The reference readout: loss on every support mode of the whole state,
+    then the witness variance of the whole covariance."""
+    for mode in witness.support(state.n_modes):
+        state = loss_channel(state, mode, eta_d)
+    return witness_variance(state, witness)
+
+
+@pytest.mark.parametrize("gain", [1.2, 9.0, 1e3])
+@pytest.mark.parametrize("cells", [1, 2])
+@pytest.mark.parametrize("M", [2, 6, 96])
+def test_comb_rows_read_from_the_marginal_are_bit_equal_to_the_full_state(
+    M, cells, gain
+):
+    comb = build_comb(M, AmplifierSpec.from_gain(gain), cells)
+    state = amplify_comb(vacuum_state(comb.n_modes), comb)
+    for witnesses in pair_witnesses(comb):
+        # One cell's pairs have evenly spaced rows, read through a slice;
+        # two cells' pairs, through an index array.
+        rows = _step_rows(comb.n_modes, witnesses[0].support(comb.n_modes))
+        assert isinstance(rows, slice if cells == 1 else np.ndarray)
+        for witness in witnesses:
+            for eta in (0.5, 0.99, 1.0):
+                assert measure_witness(state, witness, eta).variance == (
+                    _full_state_readout(state, witness, eta)
+                )
+
+
+@pytest.mark.parametrize("convention", ["odd_mode_minus_half_pi", "none"])
+@pytest.mark.parametrize("r", [0.5, 1.0, 2.0])
+def test_wire_rows_read_from_the_marginal_agree_with_the_full_state(
+    r, convention
+):
+    # A wire witness has three or four terms, summed in another order over
+    # the block than over the whole state. Both readouts lose about
+    # eps * e^{4r} of the value, so their gap grows with r; at r = 3 it is
+    # already 4e-12 relative, and the oracle tests bound each readout.
+    spec = DualRailSpec(8, r, convention)
+    state = build_dual_rail(spec)
+    for _, witness in wire_witnesses(spec):
+        for eta in (0.5, 0.99, 1.0):
+            assert measure_witness(state, witness, eta).variance == (
+                pytest.approx(_full_state_readout(state, witness, eta),
+                              rel=1e-12, abs=0.0)
+            )
+
+
+def test_witness_on_every_mode_reads_the_whole_state():
+    spec = DualRailSpec(4, 1.5)
+    state = build_dual_rail(spec)
+    witness = Witness(np.random.default_rng(5).normal(size=state.dim))
+    assert witness.support(state.n_modes) == tuple(range(state.n_modes))
+    for eta in (0.5, 0.99, 1.0):
+        assert measure_witness(state, witness, eta).variance == (
+            _full_state_readout(state, witness, eta)
+        )
 
 
 def test_squeezing_db_round_trip():

@@ -20,7 +20,6 @@ from modecomb import (
     build_comb,
     build_dual_rail,
     check_physicality,
-    condition_on_homodyne,
     loss_channel,
     purity,
     symplectic_form,
@@ -320,7 +319,6 @@ def test_non_unitary_steps_and_direct_construction_drop_the_factor():
     assert state.factor is not None
     assert loss_channel(state, 1, 1.0).factor is None
     assert loss_channel(state, 0, 0.9).factor is None
-    assert condition_on_homodyne(state, 2, "x", 0.3).factor is None
     assert GaussianState(3, state.mean, state.cov).factor is None
 
 
