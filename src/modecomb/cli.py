@@ -641,9 +641,11 @@ def cmd_noise_table(gains, etas, misalignments, out_dir=".", fmt="csv"):
 
     One row per (gain, eta, misalignment) triple, sorted ascending. The
     simulated column drives an explicit amplified pair through loss channels
-    and is only defined at zero misalignment; misaligned rows use the
-    closed form with one stray mode at ``eta_i = eta / 2``. Every value is
-    validated before any row is computed.
+    and is only defined at zero misalignment. Every gain's comb is one pair,
+    so all gains share the factorless vacuum and x-difference witness of
+    one :func:`_comb_basis`, as ``simulate`` reads them. Misaligned rows use
+    the closed form with one stray mode at ``eta_i = eta / 2``. Every value
+    is validated before any row is computed.
 
     Returns:
         Path: the written table path
@@ -657,14 +659,12 @@ def cmd_noise_table(gains, etas, misalignments, out_dir=".", fmt="csv"):
     etas = _checked(
         "etas", etas, lambda eta: _misaligned_specs(eta, misalignments)
     )
-    vacuum = vacuum_state(2)
+    vacuum, ((_, xdiff),) = _comb_basis(combs[0][1])
     etas = [(eta, format(eta, FLOAT_FORMAT), specs) for eta, specs in etas]
     misalignments = [(m, format(m, FLOAT_FORMAT)) for m in misalignments]
     rows = []
     for gain, comb in combs:
         gain_text = format(gain, FLOAT_FORMAT)
-        (_, terms), = _xdiff_terms(comb)
-        xdiff = Witness.from_terms(comb.n_modes, terms)
         for eta, eta_text, specs in etas:
             for misalignment, m_text in misalignments:
                 if misalignment == 0.0:

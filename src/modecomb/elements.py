@@ -199,17 +199,17 @@ def loss_channel(state, mode, eta):
 
     On the selected mode the covariance blocks update as
     ``cov -> eta * cov + (1 - eta) * I`` with cross-correlations to other
-    modes scaled by ``sqrt(eta)``; the mean scales by ``sqrt(eta)``. This is
-    the standard model for detector efficiency and propagation loss.
+    modes scaled by ``sqrt(eta)``. That is the whole update: a state has no
+    mean to scale. This is the standard model for detector efficiency and
+    propagation loss.
 
     The mode's x and p rows, ``mode`` and ``n + mode``, are addressed as the
     basic slice ``slice(mode, None, n)`` and scaled through views of a copy
-    of the state, bit for bit as with an index array. The two mean entries
-    and the two diagonal entries are updated one by one: for two entries,
-    scalar indexing costs less than a strided view. Only those rows and
-    columns are checked, by :func:`~modecomb.gaussian._check_rows` through
-    the same slice, so a NaN or infinite entry there is rejected as
-    non-finite.
+    of the state's covariance, bit for bit as with an index array. The two
+    diagonal entries are updated one by one: for two entries, scalar
+    indexing costs less than a strided view. Only those rows and columns
+    are checked, by :func:`~modecomb.gaussian._check_rows` through the same
+    slice, so a NaN or infinite entry there is rejected as non-finite.
 
     Args:
         state (GaussianState): input state
@@ -228,15 +228,12 @@ def loss_channel(state, mode, eta):
     mode = _mode(mode, n)
     root = math.sqrt(eta)
     rows = slice(mode, None, n)  # rows mode and n + mode, read as views
-    mean = state.mean.copy()
-    mean[mode] *= root
-    mean[n + mode] *= root
     cov = state.cov.copy()
     cov[rows] *= root
     cov[:, rows] *= root
     cov[mode, mode] += 1.0 - eta
     cov[n + mode, n + mode] += 1.0 - eta
-    return _derived_state(n, mean, cov, None, rows)
+    return _derived_state(n, cov, None, rows)
 
 
 def gain_to_squeezing(gain):

