@@ -23,12 +23,18 @@ from modecomb import (
     beamsplitter,
     build_comb,
     build_dual_rail,
+    check_physicality,
+    extract_graph,
+    ideal_wire_graph,
     loss_channel,
     measure_witness,
+    nullifier_residual,
     pair_witnesses,
     phase_shift,
+    purity,
     two_mode_squeezer,
     vacuum_state,
+    witness_variance,
 )
 from modecomb.cluster import _rotated_modes
 from modecomb import gaussian
@@ -328,12 +334,19 @@ def _first_xdiff(M, cells):
 
 # (n_modes, call on a state of n_modes): every public operation that takes a
 # state. A marginal's block on evenly spaced rows is a view of the input's
-# covariance, so measure_witness is run on each of its three branches.
+# covariance, so measure_witness is run on each of its three branches. The
+# readers take their blocks of the covariance as views too. A factorless
+# input, as the command line's comb vacuum is, updates the covariance alone.
 OPERATIONS = {
     "apply_symplectic": (
         5, lambda s: apply_symplectic(s, two_mode_squeezer(0.9), (3, 1))),
+    "apply_symplectic, no factor": (
+        5, lambda s: apply_symplectic(s, two_mode_squeezer(0.9), (3, 1))),
     "loss_channel": (3, lambda s: loss_channel(s, 1, 0.6)),
     "amplify_comb": (
+        8, lambda s: amplify_comb(
+            s, build_comb(4, AmplifierSpec.from_gain(3.0), 2))),
+    "amplify_comb, no factor": (
         8, lambda s: amplify_comb(
             s, build_comb(4, AmplifierSpec.from_gain(3.0), 2))),
     "measure_witness, slice marginal": (
@@ -342,17 +355,30 @@ OPERATIONS = {
         8, lambda s: measure_witness(s, _first_xdiff(4, 2), 0.7)),
     "measure_witness, whole state": (
         2, lambda s: measure_witness(s, _first_xdiff(2, 1), 0.7)),
+    "witness_variance": (
+        8, lambda s: witness_variance(s, _first_xdiff(8, 1))),
+    "purity": (4, purity),
+    "check_physicality": (4, check_physicality),
+    "extract_graph": (4, extract_graph),
+    "nullifier_residual": (
+        4, lambda s: nullifier_residual(s, ideal_wire_graph(2))),
 }
+
+
+def _factor_bytes(state):
+    return None if state.factor is None else state.factor.tobytes()
 
 
 @pytest.mark.parametrize("operation", list(OPERATIONS))
 def test_public_operations_leave_their_input_state_unchanged(operation):
     n_modes, call = OPERATIONS[operation]
     state = _random_state(np.random.default_rng(n_modes), n_modes, "pure")
-    cov, factor = state.cov.tobytes(), state.factor.tobytes()
+    if operation.endswith(", no factor"):
+        state = GaussianState(n_modes, state.cov)
+    cov, factor = state.cov.tobytes(), _factor_bytes(state)
     call(state)
     assert state.cov.tobytes() == cov
-    assert state.factor.tobytes() == factor
+    assert _factor_bytes(state) == factor
 
 
 def test_a_state_does_not_share_its_callers_factor():
