@@ -71,11 +71,11 @@ from .elements import AmplifierSpec, _fraction
 from .gaussian import (
     MAX_MODES,
     FieldError,
+    GaussianState,
     SymplecticTransform,
     Witness,
     _integer,
     _quadrature_rows,
-    vacuum_state,
 )
 
 CONFIG_VERSION = "v1"
@@ -310,15 +310,15 @@ def _comb_basis(comb):
     x-difference witnesses in pair order. They depend only on ``M`` and
     ``cells``, which no sweep changes.
 
-    The vacuum carries no symplectic factor. A comb row reads only the
-    covariance, and the comb's graph report is its pair graph, so nothing
-    reads the factor; without it, each pair's squeezer in
-    :func:`~modecomb.comb.amplify_comb` copies and updates the covariance
-    alone."""
+    The vacuum is constructed directly, so it has no symplectic factor. A
+    comb row reads only the covariance, and the comb's graph report is its
+    pair graph, so nothing reads the factor; without it, each pair's
+    squeezer in :func:`~modecomb.comb.amplify_comb` copies and updates the
+    covariance alone."""
     n = comb.n_modes
     witnesses = [(label, Witness.from_terms(n, xdiff))
                  for label, xdiff in _xdiff_terms(comb)]
-    return replace(vacuum_state(n), factor=None), witnesses
+    return GaussianState(n, np.eye(2 * n)), witnesses
 
 
 def _witness_rows(scenario, comb_basis):
@@ -378,9 +378,10 @@ def run_scenario(config_path, out_dir=".", fmt="csv"):
     vacuum and pair witnesses are built at most once per call, on the first
     point that simulates the comb; each point amplifies its own comb from
     that vacuum. Points that take the closed form build neither. The
-    vacuum carries no symplectic factor, since comb rows read only the
-    covariance, and each row is read from its pair's ``4 x 4`` covariance
-    block by :func:`~modecomb.detection.measure_witness`.
+    vacuum is constructed directly, without a symplectic factor, since comb
+    rows read only the covariance, and each row is read from its pair's
+    ``4 x 4`` covariance block by
+    :func:`~modecomb.detection.measure_witness`.
 
     Args:
         config_path: path of the JSON scenario

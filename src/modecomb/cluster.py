@@ -84,7 +84,9 @@ class GraphSpec:
         asym = np.abs(adj - adj.T).max() if self.n_nodes else 0.0
         if asym > 1e-10:
             raise ValueError(f"adjacency must be symmetric; asymmetry {asym:.3e}")
-        adj = 0.5 * (adj + adj.T)
+        # Halved before adding, so finite entries near the float limit stay
+        # finite; for normal entries the bits equal 0.5 * (adj + adj.T).
+        adj = 0.5 * adj + 0.5 * adj.T
         heavy = abs(adj.real) > EDGE_WEIGHT_THRESHOLD
         rows, cols = np.nonzero(np.triu(heavy, 1))
         edges = tuple(zip(rows.tolist(), cols.tolist(),

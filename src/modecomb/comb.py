@@ -111,8 +111,8 @@ def _xdiff_terms(comb):
 def pair_witnesses(comb):
     """Per-pair EPR witnesses: (x_probe - x_conj, p_probe + p_conj).
 
-    Both have normalized variance ``e^{-2r}`` on the amplified vacuum (for
-    pump phase 0) and 1 on vacuum.
+    Both have normalized variance ``e^{-2r}`` on the amplified vacuum and 1
+    on vacuum.
 
     Returns:
         list[tuple[Witness, Witness]]: one (x-type, p-type) pair of witnesses

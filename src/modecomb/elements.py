@@ -52,22 +52,21 @@ class AmplifierSpec:
 
     The intensity gain and the squeezing parameter describe the same physical
     knob: ``gain = cosh^2(r)``. Both are stored so either view is available
-    without recomputation, and consistency is enforced on construction.
+    without recomputation, and consistency is enforced on construction. The
+    amplifier is phase-insensitive: every pair is squeezed at phase 0, the
+    phase its EPR witnesses and the closed-form noise read.
 
     Attributes:
         gain (float): intensity gain, in [1, MAX_GAIN]
         r (float): squeezing parameter, in [0, MAX_SQUEEZING]
-        pump_phase (float): pump phase in radians, passed through to the
-            two-mode squeezer acting on each mode pair
-        squeezer (SymplecticTransform): ``two_mode_squeezer(r, pump_phase)``,
-            built and checked on first use and then kept by this spec
-            object; not a field, so equality, hashing, ``repr`` and
+        squeezer (SymplecticTransform): ``two_mode_squeezer(r)``, built and
+            checked on first use and then kept by this spec object; not a
+            field, so equality, hashing, ``repr`` and
             ``dataclasses.replace`` ignore it
     """
 
     gain: float
     r: float
-    pump_phase: float = 0.0
 
     def __post_init__(self):
         gain, r = _gain(self.gain), _squeezing(self.r)
@@ -80,24 +79,21 @@ class AmplifierSpec:
             )
         object.__setattr__(self, "gain", gain)
         object.__setattr__(self, "r", r)
-        object.__setattr__(
-            self, "pump_phase", _real("pump_phase", self.pump_phase)
-        )
 
     @classmethod
-    def from_gain(cls, gain, pump_phase=0.0):
+    def from_gain(cls, gain):
         """Build a spec from the intensity gain."""
-        return cls(gain=gain, r=gain_to_squeezing(gain), pump_phase=pump_phase)
+        return cls(gain=gain, r=gain_to_squeezing(gain))
 
     @classmethod
-    def from_squeezing(cls, r, pump_phase=0.0):
+    def from_squeezing(cls, r):
         """Build a spec from the squeezing parameter."""
-        return cls(gain=squeezing_to_gain(r), r=r, pump_phase=pump_phase)
+        return cls(gain=squeezing_to_gain(r), r=r)
 
     @cached_property
     def squeezer(self):
         """The two-mode squeezer of this operating point."""
-        return two_mode_squeezer(self.r, self.pump_phase)
+        return two_mode_squeezer(self.r)
 
 
 def two_mode_squeezer(r, phase=0.0):

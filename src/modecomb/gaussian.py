@@ -201,18 +201,18 @@ class GaussianState:
     Attributes:
         n_modes (int): number of modes ``N``, in [1, MAX_MODES]
         cov (array[float]): ``2N x 2N`` covariance matrix, vacuum = identity
-        factor (array[float] or None): optional ``2N x 2N`` symplectic
-            factor ``S`` with ``cov = S S^T``, the product of every
-            transform applied since vacuum. :func:`vacuum_state` starts it
-            at the identity and :func:`apply_symplectic` carries it along.
-            A loss channel, being non-unitary, drops it to ``None``, as does
-            direct construction unless one is passed. Only its shape and
-            the finiteness of its entries are checked; a caller passing one
-            vouches that it factors ``cov``.
+        factor (array[float] or None): ``2N x 2N`` symplectic factor ``S``
+            with ``cov = S S^T``, the product of every transform applied
+            since vacuum; not a constructor argument. Only the library
+            writes it: :func:`vacuum_state` starts it at the identity and
+            :func:`apply_symplectic` carries it along. A loss channel, being
+            non-unitary, drops it to ``None``, and a directly constructed
+            state has none. A caller holding ``S`` gets a state with it from
+            ``apply_symplectic(vacuum_state(n), SymplecticTransform(S, n))``.
 
-    A NaN or infinite entry of ``cov`` or ``factor`` is rejected with
-    ``ValueError``. The covariance and factor are copied on construction,
-    so a state never shares its caller's arrays, and the covariance copy is
+    A NaN or infinite entry of ``cov`` is rejected with ``ValueError``. The
+    covariance is copied on construction, so a state never shares its
+    caller's array, and the copy is
     checked by :func:`_check_rows` over all its rows: a matrix that equals
     its transpose bit for bit is stored as given, any other is symmetrized
     without overflow for any finite entries. States
@@ -230,7 +230,7 @@ class GaussianState:
 
     n_modes: int
     cov: np.ndarray
-    factor: np.ndarray | None = None
+    factor: np.ndarray | None = field(default=None, init=False)
 
     def __post_init__(self):
         n_modes = _integer("n_modes", self.n_modes, 1, MAX_MODES)
@@ -242,16 +242,6 @@ class GaussianState:
                 f"got {cov.shape}"
             )
         _check_rows(cov, slice(None))
-        if self.factor is not None:
-            factor = np.array(self.factor, dtype=float)
-            if factor.shape != (dim, dim):
-                raise ValueError(
-                    f"symplectic factor must be {dim}x{dim} for "
-                    f"{n_modes} modes, got {factor.shape}"
-                )
-            if not np.isfinite(factor).all():
-                raise ValueError("symplectic factor must be finite")
-            object.__setattr__(self, "factor", factor)
         object.__setattr__(self, "n_modes", n_modes)
         object.__setattr__(self, "cov", cov)
 
@@ -275,7 +265,8 @@ class SymplecticTransform:
             :data:`SYMPLECTIC_TOL` times ``max(1, |S|_F^2)`` in Frobenius
             norm. The bound scales with the matrix because rounding its
             entries moves ``S Omega S^T`` by about ``eps |S|^2``: a squeezer
-            of strength ``r`` has ``|S|^2 ~ e^{2r}``.
+            of strength ``r`` has ``|S|^2 ~ e^{2r}``. A matrix whose
+            ``|S|_F^2`` overflows is rejected as too large to check.
     """
 
     matrix: np.ndarray
@@ -291,8 +282,15 @@ class SymplecticTransform:
                 f"got {matrix.shape}"
             )
         omega = symplectic_form(n_modes)
-        defect = np.linalg.norm(matrix @ omega @ matrix.T - omega)
-        scale = max(1.0, float(np.linalg.norm(matrix)) ** 2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            gap = matrix @ omega @ matrix.T - omega
+        # np.linalg.norm's square sums, by np.vdot, which neither warns on
+        # overflow nor pays norm's overhead. Huge finite entries overflow the
+        # scale to inf, against which any defect would pass: it is rejected.
+        defect = math.sqrt(np.vdot(gap, gap))
+        scale = max(1.0, float(np.vdot(matrix, matrix)))
+        if not math.isfinite(scale):
+            raise ValueError("matrix is too large to check: |S|^2 overflows")
         if not defect <= SYMPLECTIC_TOL * scale:
             raise ValueError(
                 f"matrix is not symplectic: |S Omega S^T - Omega| = {defect:.3e}"
@@ -324,7 +322,9 @@ class Witness:
         coeffs = np.array(self.coeffs, dtype=float).reshape(-1)
         if coeffs.size == 0 or coeffs.size % 2 != 0:
             raise ValueError("witness coefficients must have even length 2N")
-        norm = float(coeffs @ coeffs)
+        # np.vdot gives the bits of ``coeffs @ coeffs`` without its overflow
+        # warning, so a huge coefficient just reads as an infinite sum.
+        norm = float(np.vdot(coeffs, coeffs))
         if not math.isfinite(norm):
             raise ValueError(
                 "witness coefficients must be finite, with a finite square sum"
@@ -340,11 +340,17 @@ class Witness:
     @classmethod
     def from_terms(cls, n_modes, terms):
         """Build a witness from sparse ``{(mode, "x"|"p"): coefficient}`` terms
-        on ``n_modes`` modes, an integer in [1, MAX_MODES]."""
+        on ``n_modes`` modes, an integer in [1, MAX_MODES]. Each coefficient
+        is a finite number, not a bool; a FieldError names the term of any
+        other."""
         n_modes = _integer("n_modes", n_modes, 1, MAX_MODES)
         coeffs = np.zeros(2 * n_modes)
         for (mode, quad), value in terms.items():
             mode = _mode(mode, n_modes)
+            # A finite plain float passes the rule as it is; only another
+            # value pays for the check and the term's name.
+            if type(value) is not float or not math.isfinite(value):
+                value = _real(f"terms[{mode}, {quad!r}]", value)
             if quad == "x":
                 coeffs[mode] += value
             elif quad == "p":
@@ -366,8 +372,8 @@ class Witness:
 
 
 def vacuum_state(n_modes):
-    """Return the ``n_modes``-mode vacuum: the identity covariance. A state
-    has no mean to set; the vacuum's would be zero.
+    """Return the ``n_modes``-mode vacuum: the identity covariance. With
+    :func:`apply_symplectic`, it is the only writer of a symplectic factor.
 
     Args:
         n_modes (int): number of modes, in [1, MAX_MODES]
@@ -376,9 +382,10 @@ def vacuum_state(n_modes):
         GaussianState: the vacuum state, with the identity as its factor
     """
     n_modes = _integer("n_modes", n_modes, 1, MAX_MODES)
-    # The state copies the identity twice, as its covariance and its factor.
-    identity = np.eye(2 * n_modes)
-    return GaussianState(n_modes, identity, identity)
+    # The exact identity passes the full check; the state adopts two
+    # separate arrays, as its covariance and its factor.
+    dim = 2 * n_modes
+    return _unchecked_state(n_modes, np.eye(dim), np.eye(dim))
 
 
 def _apply_rows(cov, factor, s, idx):

@@ -254,6 +254,14 @@ def test_graph_spec_rejects_non_finite_adjacency(bad, part):
         GraphSpec(2, adjacency)
 
 
+@pytest.mark.parametrize("weight", [1e308, -1e308])
+def test_graph_spec_keeps_finite_weights_near_the_float_limit_finite(weight):
+    adjacency = np.zeros((2, 2))
+    adjacency[0, 1] = adjacency[1, 0] = weight
+    graph = GraphSpec(2, adjacency)
+    assert graph.edges == ((0, 1, weight),)
+
+
 def test_bipartite_graph_mirrors_comb_pairing():
     comb = build_comb(6, AmplifierSpec.from_gain(2.0))
     graph = bipartite_graph(comb)

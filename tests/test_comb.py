@@ -8,6 +8,7 @@ import pytest
 from modecomb import (
     AmplifierSpec,
     FieldError,
+    GaussianState,
     SpatialComb,
     Witness,
     amplify_comb,
@@ -120,9 +121,9 @@ def test_zero_gain_amplifier_leaves_vacuum_untouched():
 
 @pytest.mark.parametrize("amp", [
     AmplifierSpec.from_squeezing(0.8),
-    AmplifierSpec.from_squeezing(1.5, 0.4),
+    AmplifierSpec.from_squeezing(1.5),
     AmplifierSpec.from_gain(1.0),
-    AmplifierSpec.from_squeezing(0.0, 1.0),
+    AmplifierSpec.from_squeezing(0.0),
 ])
 def test_amplify_comb_matches_fresh_squeezers_bit_for_bit(amp):
     comb = build_comb(12, amp)
@@ -130,7 +131,7 @@ def test_amplify_comb_matches_fresh_squeezers_bit_for_bit(amp):
                          build_comb(12, AmplifierSpec.from_squeezing(0.8)))
     expected = start
     for pair in comb.pairs:
-        squeezer = two_mode_squeezer(amp.r, amp.pump_phase)
+        squeezer = two_mode_squeezer(amp.r)
         expected = apply_symplectic(expected, squeezer, pair)
     for _ in range(2):  # the second call reuses the kept squeezer
         state = amplify_comb(start, comb)
@@ -172,23 +173,39 @@ def witness_count(monkeypatch):
 
 @pytest.fixture
 def vacuum_count(monkeypatch):
-    """Count every vacuum state the CLI builds while the test runs."""
+    """Count every vacuum state the CLI builds, through GaussianState, while
+    the test runs."""
     count = [0]
-    build = modecomb.cli.vacuum_state
+    build = modecomb.cli.GaussianState
 
-    def counted(n_modes):
+    def counted(n_modes, cov):
         count[0] += 1
-        return build(n_modes)
+        return build(n_modes, cov)
 
-    monkeypatch.setattr(modecomb.cli, "vacuum_state", counted)
+    monkeypatch.setattr(modecomb.cli, "GaussianState", counted)
+    return count
+
+
+@pytest.fixture
+def full_checks(monkeypatch):
+    """Count every run of the full ``GaussianState`` check."""
+    count = [0]
+    check = GaussianState.__post_init__
+
+    def counted(self):
+        count[0] += 1
+        check(self)
+
+    monkeypatch.setattr(GaussianState, "__post_init__", counted)
     return count
 
 
 def test_comb_simulate_builds_one_witness_per_pair(
-    tmp_path, witness_count, vacuum_count
+    tmp_path, witness_count, vacuum_count, full_checks
 ):
     # The points differ only in gain, so they share one vacuum and one
-    # witness per pair; each point still gets its own row per pair.
+    # witness per pair; each point still gets its own row per pair. The
+    # vacuum is built with one full check.
     config = tmp_path / "comb.json"
     config.write_text(json.dumps({
         "version": "v1", "name": "comb", "comb": {"M": 6, "gain": 2.0},
@@ -200,6 +217,7 @@ def test_comb_simulate_builds_one_witness_per_pair(
     assert len(rows) == 9
     assert witness_count[0] == 3
     assert vacuum_count[0] == 1
+    assert full_checks[0] == 1
 
 
 def test_closed_form_sweep_builds_no_vacuum(
@@ -220,13 +238,26 @@ def test_closed_form_sweep_builds_no_vacuum(
 
 
 def test_noise_table_builds_one_witness_and_vacuum_for_all_gains(
-    tmp_path, witness_count, vacuum_count
+    tmp_path, witness_count, vacuum_count, full_checks
 ):
     argv = ["noise-table", "--gains", "1.5,2,3", "--etas", "0.8,0.9,1",
             "--misalignments", "0,0.1", "--out-dir", str(tmp_path)]
     assert main(argv) == 0
     assert witness_count[0] == 1
     assert vacuum_count[0] == 1
+    assert full_checks[0] == 1
+
+
+@pytest.mark.parametrize("gain", [1.2, 9.0, 1e3])
+@pytest.mark.parametrize("cells", [1, 2])
+@pytest.mark.parametrize("M", [2, 8, 96])
+def test_both_pair_witnesses_read_exp_minus_two_r(M, cells, gain):
+    comb = build_comb(M, AmplifierSpec.from_gain(gain), cells)
+    state = amplify_comb(vacuum_state(comb.n_modes), comb)
+    floor = np.exp(-2 * comb.amp.r)
+    for wx, wp in pair_witnesses(comb):
+        assert witness_variance(state, wx) == pytest.approx(floor, rel=1e-12)
+        assert witness_variance(state, wp) == pytest.approx(floor, rel=1e-12)
 
 
 def test_comb_equality_is_structural():

@@ -74,17 +74,21 @@ def _random_element(rng, n_modes):
     return beamsplitter(rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi))
 
 
-def _assert_bit_equal(derived, reference):
+def _assert_bit_equal(derived, reference, factor=None):
+    """``derived`` has ``reference``'s covariance and the factor array
+    ``factor`` (None: no factor), bit for bit."""
     assert np.array_equal(derived.cov, reference.cov)
-    if reference.factor is None:
+    if factor is None:
         assert derived.factor is None
     else:
-        assert np.array_equal(derived.factor, reference.factor)
+        assert np.array_equal(derived.factor, factor)
 
 
 def _fancy_apply_reference(state, element, modes):
-    """The plain row-then-column update, fancy-indexed, through the full
-    check."""
+    """The plain row-then-column update, fancy-indexed: the state of the
+    covariance through the full check, and the factor array (None without
+    one). A constructed state has no factor, so the array is returned next
+    to it."""
     n_modes = state.n_modes
     idx = _quadrature_index(n_modes, modes)
     s = element.matrix
@@ -95,7 +99,7 @@ def _fancy_apply_reference(state, element, modes):
     if state.factor is not None:
         factor = state.factor.copy()
         factor[idx, :] = s @ factor[idx, :]
-    return GaussianState(n_modes, cov, factor)
+    return GaussianState(n_modes, cov), factor
 
 
 STATES = st.tuples(
@@ -115,7 +119,7 @@ def test_apply_symplectic_equals_the_fully_checked_update(case):
     modes = tuple(int(m) for m in rng.permutation(n_modes)[:element.n_modes])
 
     _assert_bit_equal(apply_symplectic(state, element, modes),
-                      _fancy_apply_reference(state, element, modes))
+                      *_fancy_apply_reference(state, element, modes))
 
 
 @settings(max_examples=60, deadline=None)
@@ -195,7 +199,7 @@ def test_apply_symplectic_on_each_row_layout_equals_the_fancy_indexed_update(
         elements = [two_mode_squeezer(1.3, 0.4), beamsplitter(0.6, 2.1)]
     for element in elements:
         _assert_bit_equal(apply_symplectic(state, element, modes),
-                          _fancy_apply_reference(state, element, modes))
+                          *_fancy_apply_reference(state, element, modes))
 
 
 @pytest.mark.parametrize("layout", list(LAYOUTS))
@@ -233,7 +237,7 @@ def test_build_dual_rail_equals_folding_apply_symplectic(n_pairs, convention,
         folded = apply_symplectic(folded, transform, modes)
 
     state = build_dual_rail(spec)
-    _assert_bit_equal(state, folded)
+    _assert_bit_equal(state, folded, folded.factor)
 
 
 def test_an_overflowing_update_is_rejected():
@@ -379,13 +383,6 @@ def test_public_operations_leave_their_input_state_unchanged(operation):
     call(state)
     assert state.cov.tobytes() == cov
     assert _factor_bytes(state) == factor
-
-
-def test_a_state_does_not_share_its_callers_factor():
-    factor = np.eye(2)
-    state = GaussianState(1, np.eye(2), factor)
-    factor[0, 0] = math.inf
-    assert state.factor.tolist() == [[1.0, 0.0], [0.0, 1.0]]
 
 
 def test_vacuum_covariance_and_factor_are_separate_arrays():

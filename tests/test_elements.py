@@ -52,27 +52,39 @@ def test_amplifier_spec_rejects_inconsistent_pairs():
         AmplifierSpec.from_squeezing(-0.1)
 
 
-@pytest.mark.parametrize(
-    "r, phase", [(0.0, 0.0), (1.0, 0.0), (0.7, 1.3), (MAX_SQUEEZING, -2.0)]
-)
-def test_amplifier_spec_builds_its_squeezer_once(r, phase):
-    spec = AmplifierSpec.from_squeezing(r, phase)
+@pytest.mark.parametrize("r", [0.0, 1.0, 0.7, MAX_SQUEEZING])
+def test_amplifier_spec_builds_its_squeezer_once(r):
+    spec = AmplifierSpec.from_squeezing(r)
     squeezer = spec.squeezer
     assert spec.squeezer is squeezer
-    expected = two_mode_squeezer(r, phase).matrix
+    expected = two_mode_squeezer(r).matrix
     assert squeezer.matrix.tobytes() == expected.tobytes()
 
     # The kept squeezer is no field: equality, hashing, repr and replace
     # see only the operating point, and an equal spec builds its own.
-    fresh = AmplifierSpec.from_squeezing(r, phase)
+    fresh = AmplifierSpec.from_squeezing(r)
     assert spec == fresh and hash(spec) == hash(fresh)
     assert repr(spec) == repr(fresh)
     assert "squeezer" not in {f.name for f in dataclasses.fields(spec)}
     assert fresh.squeezer is not squeezer
-    moved = dataclasses.replace(spec, pump_phase=phase + 0.5)
-    assert moved.squeezer.matrix.tobytes() == (
-        two_mode_squeezer(r, phase + 0.5).matrix.tobytes()
+    moved_r = 0.5 * r + 0.1
+    moved = dataclasses.replace(
+        spec, gain=squeezing_to_gain(moved_r), r=moved_r
     )
+    assert moved.squeezer.matrix.tobytes() == (
+        two_mode_squeezer(moved_r).matrix.tobytes()
+    )
+
+
+def test_amplifier_spec_has_no_pump_phase():
+    # The amplifier is phase-insensitive: its witnesses read phase 0.
+    assert [f.name for f in dataclasses.fields(AmplifierSpec)] == ["gain", "r"]
+    with pytest.raises(TypeError):
+        AmplifierSpec.from_gain(2.0, pump_phase=math.pi)
+    with pytest.raises(TypeError):
+        AmplifierSpec.from_squeezing(1.0, math.pi)
+    with pytest.raises(TypeError):
+        AmplifierSpec(squeezing_to_gain(1.0), 1.0, math.pi)
 
 
 def test_gain_squeezing_dictionary():

@@ -1,5 +1,6 @@
 """Tests for the covariance-matrix core: states, transforms, witnesses."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from modecomb import (
     DualRailSpec,
     FieldError,
     GaussianState,
+    NotAGraphStateError,
     SymplecticTransform,
     Witness,
     amplify_comb,
@@ -20,6 +22,7 @@ from modecomb import (
     build_comb,
     build_dual_rail,
     check_physicality,
+    extract_graph,
     loss_channel,
     purity,
     symplectic_form,
@@ -72,10 +75,11 @@ def test_gaussian_state_rejects_bad_inputs():
     lopsided[0, 1] = 1e-3
     with pytest.raises(ValueError):
         GaussianState(2, lopsided)
-    with pytest.raises(ValueError, match="factor"):
-        GaussianState(2, np.eye(4), np.eye(3))
-    # A state has no mean: a call passing one gives it as the covariance.
-    with pytest.raises(ValueError, match="covariance must be 4x4"):
+    # Only the library writes a factor, and a state has no mean: the
+    # constructor takes two arguments.
+    with pytest.raises(TypeError):
+        GaussianState(2, np.eye(4), np.eye(4))
+    with pytest.raises(TypeError):
         GaussianState(2, np.zeros(4), np.eye(4))
 
 
@@ -99,17 +103,37 @@ def test_mode_counts_are_stored_as_int():
 
 
 @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
-@pytest.mark.parametrize("where", ["diagonal", "off-diagonal", "factor"])
+@pytest.mark.parametrize("where", ["diagonal", "off-diagonal"])
 def test_gaussian_state_rejects_non_finite_entries(entry, where):
-    cov, factor = np.eye(4), np.eye(4)
+    cov = np.eye(4)
     if where == "diagonal":
         cov[0, 0] = entry
-    elif where == "off-diagonal":
-        cov[1, 2] = cov[2, 1] = entry
     else:
-        factor[2, 1] = entry
+        cov[1, 2] = cov[2, 1] = entry
     with pytest.raises(ValueError, match="finite"):
-        GaussianState(2, cov, factor)
+        GaussianState(2, cov)
+
+
+def test_a_caller_cannot_vouch_for_a_factor():
+    # A thermal state (purity 1/9) given the identity as its factor was
+    # read as pure, and a graph was extracted from it.
+    thermal = 3.0 * np.eye(4)
+    with pytest.raises(TypeError):
+        GaussianState(2, thermal, factor=np.eye(4))
+    state = GaussianState(2, thermal)
+    assert state.factor is None
+    assert purity(state) == pytest.approx(1 / 9, rel=1e-12)
+    with pytest.raises(NotAGraphStateError):
+        extract_graph(state)
+    fields = [f.name for f in dataclasses.fields(GaussianState) if f.init]
+    assert fields == ["n_modes", "cov"]
+
+
+def test_a_callers_symplectic_matrix_gives_a_checked_factor():
+    rng = np.random.default_rng(5)
+    transform = random_network(rng, 3, 8)
+    state = apply_symplectic(vacuum_state(3), transform)
+    assert np.array_equal(state.factor, transform.matrix)
 
 
 def test_symplectic_transform_rejects_non_symplectic():
@@ -142,6 +166,15 @@ def test_relative_symplectic_check_still_rejects_a_perturbed_squeezer(r):
     matrix[0, 1] *= 1.0 + 1e-8
     with pytest.raises(ValueError, match="symplectic"):
         SymplecticTransform(matrix, 2)
+
+
+@pytest.mark.parametrize("diagonal", [[1e155, 1e155], [1e160, 1e-160]],
+                         ids=["determinant 1e310", "determinant 1"])
+def test_symplectic_transform_rejects_a_matrix_whose_norm_overflows(
+        diagonal):
+    # |S|_F^2 overflows to inf, against which any defect would pass.
+    with pytest.raises(ValueError, match="overflows"):
+        SymplecticTransform(np.diag(diagonal), 1)
 
 
 def test_applying_a_product_applies_its_right_factor_first():
@@ -234,6 +267,18 @@ def test_witness_rejects_non_finite_coefficients(entry):
         Witness([entry, 0.0])
     with pytest.raises(ValueError, match="finite"):
         Witness([1.0, 0.0, entry, 0.0])
+
+
+def test_witness_rejects_an_overflowing_square_sum_without_a_warning():
+    with pytest.raises(ValueError, match="finite square sum"):
+        Witness([1e200, 0.0])
+
+
+@pytest.mark.parametrize("value", [True, "1", None])
+def test_witness_from_terms_takes_each_coefficient_as_a_real(value):
+    with pytest.raises(FieldError) as excinfo:
+        Witness.from_terms(2, {(0, "x"): 1.0, (1, "p"): value})
+    assert excinfo.value.field == "terms[1, 'p']"
 
 
 @settings(deadline=None, max_examples=50)
