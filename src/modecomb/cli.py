@@ -75,6 +75,7 @@ from .gaussian import (
     SymplecticTransform,
     Witness,
     _integer,
+    _modes,
     _quadrature_rows,
 )
 
@@ -182,13 +183,9 @@ def _parse_comb(raw):
 
 def _parse_wire(raw):
     _known(raw, ("n_pairs", "r", "phase_convention"))
-    return DualRailSpec(
-        n_pairs=raw.get("n_pairs"),
-        r=raw.get("r"),
-        phase_convention=raw.get(
-            "phase_convention", "odd_mode_minus_half_pi"
-        ),
-    )
+    default = DualRailSpec.phase_convention
+    return DualRailSpec(raw.get("n_pairs"), raw.get("r"),
+                        raw.get("phase_convention", default))
 
 
 def _parse_detection(raw):
@@ -579,18 +576,8 @@ def _parse_network(raw):
                 f"{sorted(_ELEMENT_TYPES)}",
             )
         arity, defaults = _ELEMENT_TYPES[kind]
-        modes = spec.get("modes")
-        if (
-            not isinstance(modes, list)
-            or len(modes) != arity
-            or not all(type(m) is int and 0 <= m < n_modes for m in modes)
-            or len(set(modes)) != len(modes)
-        ):
-            raise FieldError(
-                f"{path}.modes",
-                f"must list {arity} distinct mode indices below {n_modes}",
-            )
         with _within(path):
+            modes = _modes(spec.get("modes"), n_modes, arity)
             _known(spec, ("type", "modes", *defaults))
             element = getattr(elements, kind)(
                 **{name: spec.get(name, v) for name, v in defaults.items()}

@@ -81,7 +81,10 @@ class GraphSpec:
             )
         if not np.isfinite(adj).all():
             raise ValueError("adjacency entries must be finite")
-        asym = np.abs(adj - adj.T).max() if self.n_nodes else 0.0
+        # Finite entries differing by more than the float range read as an
+        # infinite asymmetry.
+        with np.errstate(over="ignore"):
+            asym = np.abs(adj - adj.T).max() if self.n_nodes else 0.0
         if asym > 1e-10:
             raise ValueError(f"adjacency must be symmetric; asymmetry {asym:.3e}")
         # Halved before adding, so finite entries near the float limit stay
@@ -125,17 +128,20 @@ class DualRailSpec:
             )
 
 
-def _rotated_modes(n_pairs):
-    """Modes carrying the -pi/2 rotation under "odd_mode_minus_half_pi".
+def _rotated_modes(spec):
+    """Modes the phase convention of the wire ``spec`` rotates by -pi/2.
 
-    Sources emit into modes (2k, 2k+1); beam splitter link k mixes modes
-    (2k+1, 2k+2). Counting the wire along its macronodes (the beam-splitter
-    output pairs), the odd macronodes are the outputs of every other link:
-    modes congruent to 1 or 2 mod 4. Rotating exactly those modes is what
+    None under "none". Under "odd_mode_minus_half_pi": sources emit into
+    modes (2k, 2k+1); beam splitter link k mixes modes (2k+1, 2k+2).
+    Counting the wire along its macronodes (the beam-splitter output
+    pairs), the odd macronodes are the outputs of every other link: modes
+    congruent to 1 or 2 mod 4. Rotating exactly those modes is what
     turns the wire into a real-weighted cluster state; the two chain-end
     modes are left untouched.
     """
-    return tuple(m for m in range(2 * n_pairs) if m % 4 in (1, 2))
+    if spec.phase_convention == "none":
+        return ()
+    return tuple(m for m in range(2 * spec.n_pairs) if m % 4 in (1, 2))
 
 
 def _terms(quad, coeffs):
@@ -194,16 +200,6 @@ def _relabel(terms, rotated):
     return out
 
 
-def _witnesses(n_pairs, phase_convention):
-    """Labeled witnesses of :func:`_wire_terms`, relabeled for the phase
-    convention."""
-    rotated = set()
-    if phase_convention == "odd_mode_minus_half_pi":
-        rotated = set(_rotated_modes(n_pairs))
-    return [(label, Witness.from_terms(2 * n_pairs, _relabel(terms, rotated)))
-            for label, terms in _wire_terms(n_pairs)]
-
-
 def build_dual_rail(spec):
     """Build the dual-rail wire state.
 
@@ -225,17 +221,18 @@ def build_dual_rail(spec):
     splitter = beamsplitter(math.pi / 4)
     steps += [(splitter, (2 * k + 1, 2 * k + 2))
               for k in range(spec.n_pairs - 1)]
-    if spec.phase_convention == "odd_mode_minus_half_pi":
+    rotated = _rotated_modes(spec)
+    if rotated:
         rotation = phase_shift(-math.pi / 2)
-        steps += [(rotation, (m,)) for m in _rotated_modes(spec.n_pairs)]
+        steps += [(rotation, (m,)) for m in rotated]
     return _apply_steps(vacuum_state(2 * spec.n_pairs), steps)
 
 
 def ideal_wire_graph(n_pairs):
     """Infinite-squeezing graph of the dual-rail wire in cluster form.
 
-    Solves the nullifier system: stacking the squeezed combinations of
-    :func:`_wire_terms` (rewritten through the -pi/2 relabeling) as rows
+    Solves the nullifier system: stacking the witnesses of
+    :func:`wire_witnesses` for ``DualRailSpec(n_pairs, 0.0)`` as rows
     ``a . x + b . p -> 0`` and eliminating p gives the real adjacency
     ``Z = -B^{-1} A``.
 
@@ -249,11 +246,9 @@ def ideal_wire_graph(n_pairs):
         GraphSpec: real adjacency with interior weights +-1/2 and end-mode
         weights +-1/sqrt(2)
     """
-    n_pairs = _integer("n_pairs", n_pairs, 2, MAX_MODES // 2)
-    n_modes = 2 * n_pairs
-    rows = np.array([
-        w.coeffs for _, w in _witnesses(n_pairs, "odd_mode_minus_half_pi")
-    ])
+    spec = DualRailSpec(n_pairs, 0.0)
+    n_modes = 2 * spec.n_pairs
+    rows = np.array([w.coeffs for _, w in wire_witnesses(spec)])
     adjacency = -np.linalg.solve(rows[:, n_modes:], rows[:, :n_modes])
     adjacency = 0.5 * (adjacency + adjacency.T)
     return GraphSpec(n_modes, adjacency.astype(complex))
@@ -264,14 +259,17 @@ def wire_witnesses(spec):
 
     Every returned witness has normalized variance ``e^{-2r}`` on the state
     from :func:`build_dual_rail` with the same spec, and 1 on vacuum. The
-    terms are rewritten through the spec's phase relabeling so the measured
-    physical combination is identical for both conventions.
+    terms of :func:`_wire_terms` are rewritten through the relabeling of
+    the modes :func:`build_dual_rail` rotates, so the measured physical
+    combination is identical for both conventions.
 
     Returns:
         tuple[tuple[str, Witness], ...]: labeled witnesses in wire order:
         left boundary pair, interior pairs, right boundary pair
     """
-    return tuple(_witnesses(spec.n_pairs, spec.phase_convention))
+    n_modes, rotated = 2 * spec.n_pairs, set(_rotated_modes(spec))
+    return tuple((label, Witness.from_terms(n_modes, _relabel(terms, rotated)))
+                 for label, terms in _wire_terms(spec.n_pairs))
 
 
 def bipartite_graph(comb):

@@ -115,6 +115,23 @@ def _mode(mode, n_modes):
     return int(mode)
 
 
+def _modes(modes, n_modes, arity):
+    """Return the iterable ``modes`` as a tuple of ``arity`` distinct ints,
+    each checked by :func:`_mode`; raise a FieldError naming ``modes``
+    otherwise, with :func:`_mode`'s reason for a bad index."""
+    try:
+        checked = tuple([_mode(m, n_modes) for m in modes])
+    except TypeError:  # not iterable
+        checked = ()
+    except ValueError as exc:
+        raise FieldError("modes", str(exc)) from exc
+    if len(checked) == arity == len(set(checked)):
+        return checked
+    raise FieldError(
+        "modes", f"must list {arity} distinct mode indices below {n_modes}"
+    )
+
+
 # The x, then the p, quadrature indices of ``modes`` among all 2N: the rows
 # and columns an element on ``modes`` touches.
 def _quadrature_rows(n_modes, modes):
@@ -151,7 +168,9 @@ def _symmetrized(rows, cols):
     The average is ``0.5 * (rows + cols)``, except that an entry whose sum
     overflows (both terms beyond ``max / 2``) is averaged as
     ``0.5 * row + 0.5 * col``. So every finite input gives a finite
-    average, and an entry equal to its column keeps its own bits."""
+    average, and an entry equal to its column keeps its own bits. The
+    difference is unguarded: ``GaussianState`` checks a caller's matrix
+    under ``np.errstate(over="ignore")``; derived rows cannot overflow it."""
     largest = np.maximum.reduce(np.abs(rows), None)
     if not math.isfinite(largest):
         raise ValueError("covariance must be finite")
@@ -241,7 +260,10 @@ class GaussianState:
                 f"covariance must be {dim}x{dim} for {n_modes} modes, "
                 f"got {cov.shape}"
             )
-        _check_rows(cov, slice(None))
+        # A caller's finite entries may differ from their columns by more
+        # than the float range: that overflow reads as an infinite asymmetry.
+        with np.errstate(over="ignore"):
+            _check_rows(cov, slice(None))
         object.__setattr__(self, "n_modes", n_modes)
         object.__setattr__(self, "cov", cov)
 
@@ -506,18 +528,12 @@ def apply_symplectic(state, transform, modes=None):
         GaussianState: the transformed state
 
     Raises:
-        ValueError: for a repeated mode or one not an integer index.
+        FieldError: naming ``modes``, if they are not an iterable of
+            ``transform.n_modes`` distinct integer indices of the state.
     """
     if modes is None:
         modes = range(transform.n_modes)
-    modes = tuple([_mode(m, state.n_modes) for m in modes])
-    if len(modes) != transform.n_modes:
-        raise ValueError(
-            f"transform acts on {transform.n_modes} modes but {len(modes)} "
-            "were given"
-        )
-    if len(set(modes)) != len(modes):
-        raise ValueError(f"repeated mode index in {modes}")
+    modes = _modes(modes, state.n_modes, transform.n_modes)
     return _apply_steps(state, ((transform, modes),))
 
 
@@ -562,18 +578,14 @@ def check_physicality(state):
 def purity(state):
     """Purity ``1 / sqrt(det cov)``; equals 1 exactly for pure states.
 
-    A state that carries its symplectic factor ``S`` (``cov = S S^T``) has
-    purity ``1 / |det S|``, which stays accurate for strongly squeezed
-    states.
-
-    Otherwise the purity comes from the covariance alone, through the
-    symplectic (Williamson) eigenvalues: with the Cholesky factor
-    ``C = L L^T`` they are the singular values of ``L^T Omega L``, and the
-    purity is the inverse of their product. Its accuracy is limited by
-    ``eps * cond(C)``: rounding the covariance to float64 already moves its
-    purity by that much, so no method working on ``C`` alone can do better.
-    A pure state squeezed by ``r`` has ``cond(C) ~ e^{4r}``, which puts the
-    error near 1e-8 around ``r = 4-5``.
+    For any ``F`` with ``cov = F F^T`` the purity is ``1 / |det F|``. ``F``
+    is the symplectic factor ``S`` a state carries while its history is
+    unitary, whose purity stays accurate for strongly squeezed states;
+    otherwise it is the Cholesky factor of the covariance. That purity's
+    accuracy is limited by ``eps * cond(C)``: rounding the covariance to
+    float64 already moves its purity by that much, so no method working on
+    ``C`` alone can do better. A pure state squeezed by ``r`` has
+    ``cond(C) ~ e^{4r}``, which puts the error near 1e-8 around ``r = 4-5``.
 
     Args:
         state (GaussianState): a physical state
@@ -582,18 +594,14 @@ def purity(state):
         float: purity in (0, 1]
 
     Raises:
-        ValueError: if the covariance is singular or not positive definite.
+        ValueError: without a factor, for a covariance not positive definite.
     """
-    if state.factor is not None:
-        _, logdet = np.linalg.slogdet(state.factor)
-        return float(np.exp(-logdet))
-    try:
-        chol = np.linalg.cholesky(state.cov)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError(
-            "covariance matrix is singular or not positive"
-        ) from exc
-    core = chol.T @ symplectic_form(state.n_modes) @ chol
-    # Each symplectic eigenvalue appears twice among the singular values.
-    doubled = np.linalg.svd(core, compute_uv=False)
-    return float(np.exp(-0.5 * np.sum(np.log(doubled))))
+    factor = state.factor
+    if factor is None:
+        try:
+            factor = np.linalg.cholesky(state.cov)
+        except np.linalg.LinAlgError as exc:
+            raise ValueError(
+                "covariance matrix is singular or not positive"
+            ) from exc
+    return float(np.exp(-np.linalg.slogdet(factor)[1]))

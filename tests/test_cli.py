@@ -832,6 +832,38 @@ def test_decompose_rejects_invalid_elements(tmp_path, elements):
     assert main(["decompose", network, "--out-dir", str(tmp_path)]) == 3
 
 
+COUNT_REASON = "must list 2 distinct mode indices below 3"
+
+
+@pytest.mark.parametrize(
+    "modes, reason",
+    [
+        ([1, 1], COUNT_REASON),
+        ([3], "mode 3 out of range for 3 modes"),
+        (2, COUNT_REASON),
+        ([-1], "mode -1 out of range for 3 modes"),
+        ([0.5], "mode index must be an integer, got 0.5"),
+        ("01", "mode index must be an integer, got '0'"),
+        (None, COUNT_REASON),
+    ],
+)
+def test_decompose_checks_element_modes_by_the_library_rule(
+    tmp_path, capsys, modes, reason
+):
+    element = {"type": "beamsplitter"}
+    if modes is not None:  # None: no "modes" key
+        element["modes"] = modes
+    network = write_config(
+        tmp_path / "network.json",
+        {"version": "v1", "n_modes": 3, "elements": [element]},
+    )
+    assert main(["decompose", network, "--out-dir", str(tmp_path)]) == 3
+    assert capsys.readouterr().err.splitlines()[0] == (
+        f"validation error: network.elements[0].modes: {reason}"
+    )
+    assert not (tmp_path / "network_decomposition.json").exists()
+
+
 SQUEEZER = {"type": "two_mode_squeezer", "modes": [0, 1], "r": 0.5}
 SPLITTER = {"type": "beamsplitter", "modes": [0, 1], "theta": 0.5, "phi": 0.1}
 

@@ -262,6 +262,13 @@ def test_graph_spec_keeps_finite_weights_near_the_float_limit_finite(weight):
     assert graph.edges == ((0, 1, weight),)
 
 
+def test_graph_spec_rejects_an_asymmetry_beyond_the_float_range():
+    # 1e308 - (-1e308) overflows; it reads as an infinite asymmetry, without
+    # numpy's warning.
+    with pytest.raises(ValueError, match="adjacency must be symmetric"):
+        GraphSpec(2, [[0.0, 1e308], [-1e308, 0.0]])
+
+
 def test_bipartite_graph_mirrors_comb_pairing():
     comb = build_comb(6, AmplifierSpec.from_gain(2.0))
     graph = bipartite_graph(comb)

@@ -222,7 +222,7 @@ def _wire_steps(spec):
               for k in range(spec.n_pairs - 1)]
     if spec.phase_convention == "odd_mode_minus_half_pi":
         rotation = phase_shift(-math.pi / 2)
-        steps += [(rotation, (m,)) for m in _rotated_modes(spec.n_pairs)]
+        steps += [(rotation, (m,)) for m in _rotated_modes(spec)]
     return steps
 
 

@@ -213,6 +213,35 @@ def test_apply_symplectic_rejects_non_integer_modes(modes):
         apply_symplectic(vacuum_state(3), two_mode_squeezer(0.5), modes)
 
 
+@pytest.mark.parametrize(
+    "modes, reason",
+    [
+        (5, "must list 2 distinct mode indices below 3"),
+        ((0, 0), "must list 2 distinct mode indices below 3"),
+        ((0,), "must list 2 distinct mode indices below 3"),
+        ((0, 1, 2), "must list 2 distinct mode indices below 3"),
+        ((0, 5), "mode 5 out of range for 3 modes"),
+        ((-1, 0), "mode -1 out of range for 3 modes"),
+        ((True, 1), "mode index must be an integer, got True"),
+        (("0", 1), "mode index must be an integer, got '0'"),
+    ],
+)
+def test_apply_symplectic_names_modes_for_every_bad_mode_list(modes, reason):
+    with pytest.raises(FieldError) as excinfo:
+        apply_symplectic(vacuum_state(3), two_mode_squeezer(0.5), modes)
+    assert excinfo.value.field == "modes"
+    assert excinfo.value.reason == reason
+
+
+@pytest.mark.parametrize("modes", [np.array([0, 2]), (np.int64(0), 2)])
+def test_apply_symplectic_takes_numpy_mode_indices(modes):
+    state, squeezer = vacuum_state(3), two_mode_squeezer(0.5)
+    given = apply_symplectic(state, squeezer, modes)
+    expected = apply_symplectic(state, squeezer, (0, 2))
+    assert np.array_equal(given.cov, expected.cov)
+    assert np.array_equal(given.factor, expected.factor)
+
+
 @pytest.mark.parametrize("mode", [True, np.bool_(True), 1.0, 0.5, "1"])
 def test_witness_from_terms_rejects_non_integer_modes(mode):
     with pytest.raises(ValueError, match="must be an integer"):
@@ -267,6 +296,12 @@ def test_witness_rejects_non_finite_coefficients(entry):
         Witness([entry, 0.0])
     with pytest.raises(ValueError, match="finite"):
         Witness([1.0, 0.0, entry, 0.0])
+
+
+def test_state_rejects_an_asymmetry_beyond_the_float_range_without_a_warning():
+    # 1e308 - (-1e308) overflows; it reads as an infinite asymmetry.
+    with pytest.raises(ValueError, match="covariance is not symmetric"):
+        GaussianState(1, [[1.0, 1e308], [-1e308, 1.0]])
 
 
 def test_witness_rejects_an_overflowing_square_sum_without_a_warning():
