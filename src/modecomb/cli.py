@@ -307,11 +307,11 @@ def _comb_basis(comb):
     x-difference witnesses in pair order. They depend only on ``M`` and
     ``cells``, which no sweep changes.
 
-    The vacuum is constructed directly, so it has no symplectic factor. A
-    comb row reads only the covariance, and the comb's graph report is its
-    pair graph, so nothing reads the factor; without it, each pair's
-    squeezer in :func:`~modecomb.comb.amplify_comb` copies and updates the
-    covariance alone."""
+    The vacuum is constructed directly, so it is held by its covariance,
+    without a symplectic factor: each pair's squeezer in
+    :func:`~modecomb.comb.amplify_comb` updates the covariance, and each
+    comb row is read from its pair's marginal through loss channels. The
+    comb's graph report is its pair graph, which reads no state."""
     n = comb.n_modes
     witnesses = [(label, Witness.from_terms(n, xdiff))
                  for label, xdiff in _xdiff_terms(comb)]
@@ -375,10 +375,10 @@ def run_scenario(config_path, out_dir=".", fmt="csv"):
     vacuum and pair witnesses are built at most once per call, on the first
     point that simulates the comb; each point amplifies its own comb from
     that vacuum. Points that take the closed form build neither. The
-    vacuum is constructed directly, without a symplectic factor, since comb
-    rows read only the covariance, and each row is read from its pair's
-    ``4 x 4`` covariance block by
-    :func:`~modecomb.detection.measure_witness`.
+    vacuum is constructed directly, without a symplectic factor, and each
+    comb row is read from its pair's ``4 x 4`` covariance block by
+    :func:`~modecomb.detection.measure_witness`. A wire is held by its
+    symplectic factor, and each wire row is read from that factor's rows.
 
     Args:
         config_path: path of the JSON scenario

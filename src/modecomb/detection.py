@@ -13,13 +13,15 @@ eta_i), and leftover power contributing uncorrelated amplified noise. That
 bookkeeping is an :class:`OverlapSpec`, owned by this module, whose fields
 are the keys of a scenario's ``detection`` section.
 
-:func:`measure_witness` is the simulated counterpart: it applies an explicit
-loss channel to every witness mode and evaluates the covariance, and must
-agree with the closed forms to near machine precision. A Gaussian
-marginal is its covariance block, and loss on a mode changes only that
-mode's rows and columns, so a witness on ``k`` modes is read from the
-``2k x 2k`` block of its support: ``O(k^2)`` work, never a copy of the
-``2N x 2N`` state.
+:func:`measure_witness` is the simulated counterpart, and must agree with
+the closed forms to near machine precision. On a state held by its
+covariance it applies an explicit loss channel to every witness mode and
+evaluates the covariance: a Gaussian marginal is its covariance block, and
+loss on a mode changes only that mode's rows and columns, so a witness on
+``k`` modes is read from the ``2k x 2k`` block of its support, ``O(k^2)``
+work, never a copy of the ``2N x 2N`` state. On a state held by its
+symplectic factor it reads the factor's rows of the witness's nonzero
+coefficients instead.
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ import math
 from dataclasses import dataclass
 
 from .elements import _fraction, _gain, loss_channel
-from .gaussian import FieldError, _marginal, _real, _step_rows
+from .gaussian import (FieldError, _factor_variance, _marginal, _real,
+                       _step_rows)
 
 #: Self-consistency budget of a NoiseReport: components vs variance.
 REPORT_CONSISTENCY_TOL = 1e-12
@@ -186,14 +189,24 @@ def misaligned_noise(spec, gain):
 def measure_witness(state, witness, eta_d):
     """Simulate a balanced homodyne witness measurement at finite efficiency.
 
-    Takes the marginal of ``state`` on the ``k`` modes of the witness
-    support, its ``2k x 2k`` covariance block (a view of the state's
+    A loss of transmission ``eta_d`` on every support mode leaves a
+    witness's variance ``v`` at ``eta_d * v + (1 - eta_d)``. On a state
+    held by its symplectic factor ``S``, that is the result, with
+    ``v = |w_s^T S_s|^2 / (w^T w)`` read from the rows ``S_s`` of the
+    nonzero witness coefficients ``w_s``, at most ``2k`` on ``k`` modes:
+    ``O(k * N)`` work, no marginal and no loss channel. The readout is
+    exact to a few ``eps`` on the float ``S``; the rounding of ``S`` itself
+    leaves about ``eps * e^{2r}`` of the value on a state squeezed by ``r``.
+
+    On a state held by its covariance, such as the command line's comb
+    vacuum and every state after a loss, it takes the marginal of ``state``
+    on the support, its ``2k x 2k`` covariance block (a view of the state's
     covariance when the support's quadrature rows are evenly spaced, as for
     a one-cell comb pair). A support of every mode, as on noise-table's
     two-mode states, is its own marginal: the state itself is read.
     Applies a loss channel of transmission ``eta_d`` to every mode of that
-    marginal, then evaluates ``w_s^T C_s w_s / (w^T w)`` with ``w_s`` the
-    witness coefficients on the support. The entries of the block are
+    marginal, then evaluates ``w_s^T C_s w_s / (w^T w)``, which loses about
+    ``eps * e^{4r}`` of the value. The entries of the block are
     computed exactly as on the full state, so a witness of two unit terms,
     as every comb row, reads the same bits; another may differ in its
     summation order. For the x-difference witness of an amplified pair
@@ -212,16 +225,19 @@ def measure_witness(state, witness, eta_d):
         FieldError: naming ``eta_d`` if it is not a number in [0, 1].
     """
     eta_d = _fraction("eta_d", eta_d)
-    support = witness.support(state.n_modes)
-    if len(support) == state.n_modes:
-        lossy, w = state, witness.coeffs
-    else:
-        rows = _step_rows(state.n_modes, support)
-        lossy, w = _marginal(state, rows), witness.coeffs[rows]
-    for mode in range(lossy.n_modes):
-        lossy = loss_channel(lossy, mode, eta_d)
-    variance = float(w @ lossy.cov @ w) / witness.normalization
     vacuum = 1.0 - eta_d
+    if state.factor is not None:
+        variance = eta_d * _factor_variance(state, witness) + vacuum
+    else:
+        support = witness.support(state.n_modes)
+        if len(support) == state.n_modes:
+            lossy, w = state, witness.coeffs
+        else:
+            rows = _step_rows(state.n_modes, support)
+            lossy, w = _marginal(state, rows), witness.coeffs[rows]
+        for mode in range(lossy.n_modes):
+            lossy = loss_channel(lossy, mode, eta_d)
+        variance = float(w @ lossy.cov @ w) / witness.normalization
     return NoiseReport(
         variance=variance,
         components={

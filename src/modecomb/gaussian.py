@@ -33,8 +33,10 @@ SYMPLECTIC_TOL = 1e-10
 PHYSICALITY_TOL = -1e-10
 
 #: Largest total mode count N of a comb, wire or network. A 2N x 2N float64
-#: matrix takes 32 N^2 bytes, so a state at the bound holds its covariance,
-#: its factor and one copy of each in 4 * 32 * 4096^2 bytes = 2.1 GB.
+#: matrix takes 32 N^2 bytes, 0.54 GB at the bound. A unitary-only state
+#: holds its factor alone; a step adds one working copy, and a first read of
+#: its covariance adds that matrix, so such a state at the bound takes
+#: 2 * 32 * 4096^2 bytes = 1.1 GB.
 MAX_MODES = 4096
 
 
@@ -209,9 +211,31 @@ def symplectic_form(n_modes):
     return omega
 
 
+class _FormedCovariance:
+    """The ``cov`` of a state held by its factor ``S``: ``S @ S.T``, formed
+    on first read and kept in the state's ``__dict__``.
+
+    A non-data descriptor, so a covariance in the state's ``__dict__``, as
+    every state held by its covariance has, is found first and this is not
+    called. Declared as the default of ``GaussianState.cov``, it raises
+    AttributeError when read on the class, which leaves the field without
+    a default (dataclasses' descriptor-typed fields)."""
+
+    def __get__(self, state, owner=None):
+        if state is None:
+            raise AttributeError("cov")
+        factor = state.factor
+        cov = state.__dict__["cov"] = factor @ factor.T
+        return cov
+
+
 @dataclass(frozen=True, eq=False)
 class GaussianState:
-    """A Gaussian state of ``n_modes`` optical modes, held as its covariance.
+    """A Gaussian state of ``n_modes`` optical modes.
+
+    A state whose history is unitary is held by its symplectic factor ``S``
+    alone, and its covariance ``S S^T`` is formed on first read and then
+    kept; any other state is held by its covariance.
 
     First moments are not modelled: every state starts from the zero-mean
     vacuum, and no witness, graph, purity or physicality figure depends on
@@ -219,7 +243,9 @@ class GaussianState:
 
     Attributes:
         n_modes (int): number of modes ``N``, in [1, MAX_MODES]
-        cov (array[float]): ``2N x 2N`` covariance matrix, vacuum = identity
+        cov (array[float]): ``2N x 2N`` covariance matrix, vacuum = identity;
+            on a state held by ``S``, the product ``S @ S.T``, which numpy
+            forms as a symmetric rank-k update, so it is exactly symmetric
         factor (array[float] or None): ``2N x 2N`` symplectic factor ``S``
             with ``cov = S S^T``, the product of every transform applied
             since vacuum; not a constructor argument. Only the library
@@ -234,21 +260,24 @@ class GaussianState:
     caller's array, and the copy is
     checked by :func:`_check_rows` over all its rows: a matrix that equals
     its transpose bit for bit is stored as given, any other is symmetrized
-    without overflow for any finite entries. States
-    derived from a valid state by :func:`apply_symplectic` or
-    :func:`~modecomb.elements.loss_channel` differ from it only in the rows
-    and columns of the modes they touch, so the same check runs on those
-    rows alone: the same rules in ``O(k * N)``, with an asymmetry bound
-    scaled by the largest entry of those rows. A NaN or infinite entry in
-    one of the touched columns is rejected as non-finite, exactly as the
-    full check rejects it.
+    without overflow for any finite entries. States held by their
+    covariance and derived from a valid state by :func:`apply_symplectic`
+    or :func:`~modecomb.elements.loss_channel` differ from it only in the
+    rows and columns of the modes they touch, so the same check runs on
+    those rows alone: the same rules in ``O(k * N)``, with an asymmetry
+    bound scaled by the largest entry of those rows. A NaN or infinite
+    entry in one of the touched columns is rejected as non-finite, exactly
+    as the full check rejects it. A step on a state held by its factor
+    changes only the factor's rows of the modes it touches, and is rejected
+    with the same message if one of their squared norms, the diagonal
+    entries of ``S S^T`` that bound their rows, is not finite.
     Physicality (``cov + i Omega >= 0``) is *not* enforced here so that
     deliberately unphysical matrices can still be probed with
     :func:`check_physicality`.
     """
 
     n_modes: int
-    cov: np.ndarray
+    cov: np.ndarray = _FormedCovariance()
     factor: np.ndarray | None = field(default=None, init=False)
 
     def __post_init__(self):
@@ -401,30 +430,34 @@ def vacuum_state(n_modes):
         n_modes (int): number of modes, in [1, MAX_MODES]
 
     Returns:
-        GaussianState: the vacuum state, with the identity as its factor
+        GaussianState: the vacuum state, held by the identity as its factor;
+        its covariance, the identity too, is formed on first read
     """
     n_modes = _integer("n_modes", n_modes, 1, MAX_MODES)
-    # The exact identity passes the full check; the state adopts two
-    # separate arrays, as its covariance and its factor.
-    dim = 2 * n_modes
-    return _unchecked_state(n_modes, np.eye(dim), np.eye(dim))
+    return _unchecked_state(n_modes, factor=np.eye(2 * n_modes))
 
 
-def _apply_rows(cov, factor, s, idx):
-    """Apply ``s`` in place to rows ``idx`` of ``cov`` and ``factor`` (if not
-    None), then to columns ``idx`` of ``cov``: the whole update of a state,
-    which has no mean to transform.
+def _apply_rows(array, s, idx):
+    """Left-multiply rows ``idx`` of ``array`` in place by ``s``; return the
+    new rows.
 
     ``idx`` is an index array or a basic slice from :func:`_step_rows`. A
-    slice's rows and columns are written through views. Either way each
-    product reads a contiguous copy, ``take`` of an index array or a copied
-    view of a slice, so it gets the same operands and the same bits."""
-    view = type(idx) is slice
-    cov[idx] = s @ (cov[idx].copy() if view else cov.take(idx, 0))
-    cov[:, idx] = (cov[:, idx].copy() if view else cov.take(idx, 1)) @ s.T
-    if factor is not None:
-        rows = factor[idx].copy() if view else factor.take(idx, 0)
-        factor[idx] = s @ rows
+    slice's rows are written through a view. Either way the product reads a
+    contiguous copy, ``take`` of an index array or a copied view of a
+    slice, so it gets the same operands and the same bits."""
+    rows = s @ (array[idx].copy() if type(idx) is slice else array.take(idx, 0))
+    array[idx] = rows
+    return rows
+
+
+def _apply_cov(cov, s, idx):
+    """Apply ``s`` in place to rows, then columns, ``idx`` of ``cov``: the
+    whole update of a state held by its covariance, which has no mean to
+    transform. Rows and columns are read and written as by
+    :func:`_apply_rows`."""
+    _apply_rows(cov, s, idx)
+    cols = cov[:, idx].copy() if type(idx) is slice else cov.take(idx, 1)
+    cov[:, idx] = cols @ s.T
 
 
 def _check_rows(cov, idx):
@@ -460,20 +493,20 @@ def _check_rows(cov, idx):
     cov[:, idx] = rows.T
 
 
-def _unchecked_state(n_modes, cov, factor):
-    """The state of arrays that already pass the full check, built without
-    repeating it or copying them."""
+def _unchecked_state(n_modes, **array):
+    """The state held by ``cov=`` or ``factor=`` an array that already
+    passes the full check, built without repeating it or copying it."""
     state = object.__new__(GaussianState)
-    state.__dict__.update(n_modes=n_modes, cov=cov, factor=factor)
+    state.__dict__.update(n_modes=n_modes, **array)
     return state
 
 
-def _derived_state(n_modes, cov, factor, idx):
-    """The state of arrays copied from a valid state and changed only in
-    rows and columns ``idx``, checked on those rows by :func:`_check_rows`
-    instead of by a full ``O(N^2)`` pass."""
+def _derived_state(n_modes, cov, idx):
+    """The state of a covariance copied from a valid state and changed only
+    in rows and columns ``idx``, checked on those rows by
+    :func:`_check_rows` instead of by a full ``O(N^2)`` pass."""
     _check_rows(cov, idx)
-    return _unchecked_state(n_modes, cov, factor)
+    return _unchecked_state(n_modes, cov=cov)
 
 
 def _marginal(state, rows):
@@ -490,33 +523,49 @@ def _marginal(state, rows):
         cov = state.cov[rows, rows]
     else:
         cov = state.cov[np.ix_(rows, rows)]
-    return _unchecked_state(len(cov) // 2, cov, None)
+    return _unchecked_state(len(cov) // 2, cov=cov)
 
 
 def _apply_steps(state, steps):
     """Fold ``(transform, modes)`` steps, nonempty and with valid modes, into
     one copy of ``state``. Each step's rows are checked before the next
-    applies, so the result is bit-equal to folding :func:`apply_symplectic`."""
+    applies, so the result is bit-equal to folding :func:`apply_symplectic`.
+
+    A state held by its factor ``S`` has only the rows of ``S`` updated, and
+    the result is held by ``S`` too. The squared norms of a step's new rows
+    are the matching diagonal entries of ``S S^T`` and bound every entry of
+    their rows, so a step is rejected, as the covariance check would reject
+    it, if one of them is not finite. A state held by its covariance has
+    the rows and columns of each step updated and checked by
+    :func:`_check_rows`."""
     n = state.n_modes
+    factor = state.factor
+    if factor is not None:
+        factor = factor.copy()
+        for transform, modes in steps:
+            rows = _apply_rows(factor, transform.matrix, _step_rows(n, modes))
+            if not math.isfinite(np.einsum("ij,ij->i", rows, rows).max()):
+                raise ValueError("covariance must be finite")
+        return _unchecked_state(n, factor=factor)
     cov = state.cov.copy()
-    factor = None if state.factor is None else state.factor.copy()
     idx = None
     for transform, modes in steps:
         if idx is not None:
             _check_rows(cov, idx)
         idx = _step_rows(n, modes)
-        _apply_rows(cov, factor, transform.matrix, idx)
-    return _derived_state(n, cov, factor, idx)
+        _apply_cov(cov, transform.matrix, idx)
+    return _derived_state(n, cov, idx)
 
 
 def apply_symplectic(state, transform, modes=None):
     """Apply a symplectic transform to an ordered subset of modes.
 
     The transform is embedded as the identity on all other modes. The call
-    makes one copy of the covariance, and of the symplectic factor if the
-    state carries one; beyond that copy only the ``k`` touched modes' rows
-    and columns are recomputed and checked, in ``O(k * N)`` rather than a
-    full ``2N x 2N`` matrix product or validation pass.
+    makes one copy of the symplectic factor if the state carries one, and
+    of the covariance otherwise; beyond that copy only the ``k`` touched
+    modes' rows of the factor, or rows and columns of the covariance, are
+    recomputed and checked, in ``O(k * N)`` rather than a full ``2N x 2N``
+    matrix product or validation pass.
 
     Args:
         state (GaussianState): input state
@@ -537,11 +586,45 @@ def apply_symplectic(state, transform, modes=None):
     return _apply_steps(state, ((transform, modes),))
 
 
+def _coarse(a):
+    """``a`` rounded to multiples of ``2^(e - 19)``, where ``2^e`` is the
+    smallest power of two above ``max |a|``: at most 20 significant bits on
+    one common unit, with ``a - _coarse(a)`` exact (Rump, Ogita & Oishi,
+    SIAM J. Sci. Comput. 31, 189, 2008, ExtractVector)."""
+    largest = np.maximum.reduce(np.abs(a), None)
+    shift = math.ldexp(1.0, math.frexp(largest)[1] + 34)
+    return (a + shift) - shift
+
+
+def _factor_variance(state, witness):
+    """``|S_s^T w_s|^2 / |w|^2``: the normalized variance of ``witness`` on
+    a state held by its factor ``S``, read from the rows ``S_s`` of its
+    nonzero coefficients ``w_s``, at most ``2k`` for ``k`` support modes,
+    in ``O(k * N)``.
+
+    On a state squeezed by ``r``, the entries of ``S_s`` are of size
+    ``e^r`` and ``S_s^T w_s`` of size ``e^{-r}``, so a plain product would
+    lose about ``eps * e^{2r}`` of the value (``w^T C w`` loses
+    ``eps * e^{4r}``). The product of the 20-bit parts of :func:`_coarse`
+    is exact: each term needs at most 40 bits and their sum, over at most
+    ``2 * MAX_MODES`` terms, 53. Only the small remainder is rounded, so
+    the readout is accurate to a few ``eps``, and what is left is the
+    rounding of ``S`` itself."""
+    witness.support(state.n_modes)  # checks the mode count
+    rows = np.flatnonzero(witness.coeffs)
+    w, s = witness.coeffs[rows], state.factor[rows]
+    w_head, s_head = _coarse(w), _coarse(s)
+    u = w_head @ s_head + ((w - w_head) @ s + w_head @ (s - s_head))
+    return float(u @ u) / witness.normalization
+
+
 def witness_variance(state, witness):
     """Shot-noise-normalized variance of a witness combination.
 
-    Evaluates ``w^T cov w / (w^T w)``; the result is 1 on vacuum for every
-    nonzero witness, and below 1 certifies squeezing of the combination.
+    Evaluates ``w^T cov w / (w^T w)``, as ``|S^T w|^2 / (w^T w)`` from the
+    support rows of the factor ``S`` on a state that carries one; the result
+    is 1 on vacuum for every nonzero witness, and below 1 certifies
+    squeezing of the combination.
 
     Args:
         state (GaussianState): state to evaluate on
@@ -555,6 +638,8 @@ def witness_variance(state, witness):
             f"witness has {witness.coeffs.size} coefficients but the state "
             f"has {state.dim} quadratures"
         )
+    if state.factor is not None:
+        return _factor_variance(state, witness)
     w = witness.coeffs
     return float(w @ state.cov @ w) / witness.normalization
 

@@ -85,21 +85,26 @@ def _assert_bit_equal(derived, reference, factor=None):
 
 
 def _fancy_apply_reference(state, element, modes):
-    """The plain row-then-column update, fancy-indexed: the state of the
+    """The plain update, fancy-indexed: the state of the reference
     covariance through the full check, and the factor array (None without
     one). A constructed state has no factor, so the array is returned next
-    to it."""
+    to it.
+
+    A state with a factor is held by it: only the factor's rows update, and
+    the covariance is the factor times its transpose, which is exactly
+    symmetric and so passes the full check with its own bits. A state
+    without one has its covariance's rows, then columns, updated."""
     n_modes = state.n_modes
     idx = _quadrature_index(n_modes, modes)
     s = element.matrix
-    cov = state.cov.copy()
-    cov[idx, :] = s @ cov[idx, :]
-    cov[:, idx] = cov[:, idx] @ s.T
-    factor = None
     if state.factor is not None:
         factor = state.factor.copy()
         factor[idx, :] = s @ factor[idx, :]
-    return GaussianState(n_modes, cov), factor
+        return GaussianState(n_modes, factor @ factor.T), factor
+    cov = state.cov.copy()
+    cov[idx, :] = s @ cov[idx, :]
+    cov[:, idx] = cov[:, idx] @ s.T
+    return GaussianState(n_modes, cov), None
 
 
 STATES = st.tuples(
@@ -258,10 +263,10 @@ def test_derived_state_checks_and_symmetrizes_its_rows_as_the_full_check(
     idx = _quadrature_index(3, (0,))
     if offset > 1e-12:
         with pytest.raises(ValueError, match="not symmetric"):
-            _derived_state(3, cov, None, idx)
+            _derived_state(3, cov, idx)
         return
     reference = GaussianState(3, cov)
-    derived = _derived_state(3, cov.copy(), None, idx)
+    derived = _derived_state(3, cov.copy(), idx)
     _assert_bit_equal(derived, reference)
     assert np.array_equal(derived.cov, derived.cov.T)
 
@@ -282,7 +287,7 @@ def test_derived_state_rejects_a_non_finite_column_entry_as_the_full_check(
     with pytest.raises(ValueError) as full:
         GaussianState(3, cov)
     with pytest.raises(ValueError) as derived:
-        _derived_state(3, cov, None, idx)
+        _derived_state(3, cov, idx)
     assert str(derived.value) == str(full.value)
     assert str(full.value) == "covariance must be finite"
 
@@ -294,7 +299,7 @@ def test_derived_state_averages_signed_zeros_as_the_full_check(idx):
     cov[0, 1] = cov[1, 0] = 0.0
     cov[0, 2], cov[2, 0] = -0.0, 0.0  # equal values, different bits
     reference = GaussianState(3, cov)
-    derived = _derived_state(3, cov.copy(), None, idx)
+    derived = _derived_state(3, cov.copy(), idx)
     assert reference.cov.tobytes() == derived.cov.tobytes()
     assert not np.signbit(derived.cov[[0, 2], [2, 0]]).any()
 
@@ -312,7 +317,7 @@ def test_entries_beyond_half_the_float_range_average_without_overflow(
     expected = cov.copy()
     expected[0, 1] = expected[1, 0] = 0.5 * cov[0, 1] + 0.5 * cov[1, 0]
     full = GaussianState(3, cov)
-    derived = _derived_state(3, cov.copy(), None, idx)
+    derived = _derived_state(3, cov.copy(), idx)
     assert full.cov.tobytes() == expected.tobytes()
     assert derived.cov.tobytes() == expected.tobytes()
 
@@ -338,9 +343,11 @@ def _first_xdiff(M, cells):
 
 # (n_modes, call on a state of n_modes): every public operation that takes a
 # state. A marginal's block on evenly spaced rows is a view of the input's
-# covariance, so measure_witness is run on each of its three branches. The
-# readers take their blocks of the covariance as views too. A factorless
-# input, as the command line's comb vacuum is, updates the covariance alone.
+# covariance, so measure_witness is run on each of its three marginal
+# branches, which read a factorless input, and on the factor rows of a pure
+# one. The readers take their blocks of the covariance as views too. A
+# factorless input, as the command line's comb vacuum is, updates the
+# covariance alone.
 OPERATIONS = {
     "apply_symplectic": (
         5, lambda s: apply_symplectic(s, two_mode_squeezer(0.9), (3, 1))),
@@ -353,13 +360,17 @@ OPERATIONS = {
     "amplify_comb, no factor": (
         8, lambda s: amplify_comb(
             s, build_comb(4, AmplifierSpec.from_gain(3.0), 2))),
-    "measure_witness, slice marginal": (
-        8, lambda s: measure_witness(s, _first_xdiff(8, 1), 0.7)),
-    "measure_witness, index-array marginal": (
+    "measure_witness, factor rows": (
         8, lambda s: measure_witness(s, _first_xdiff(4, 2), 0.7)),
-    "measure_witness, whole state": (
+    "measure_witness, slice marginal, no factor": (
+        8, lambda s: measure_witness(s, _first_xdiff(8, 1), 0.7)),
+    "measure_witness, index-array marginal, no factor": (
+        8, lambda s: measure_witness(s, _first_xdiff(4, 2), 0.7)),
+    "measure_witness, whole state, no factor": (
         2, lambda s: measure_witness(s, _first_xdiff(2, 1), 0.7)),
     "witness_variance": (
+        8, lambda s: witness_variance(s, _first_xdiff(8, 1))),
+    "witness_variance, no factor": (
         8, lambda s: witness_variance(s, _first_xdiff(8, 1))),
     "purity": (4, purity),
     "check_physicality": (4, check_physicality),
@@ -383,6 +394,22 @@ def test_public_operations_leave_their_input_state_unchanged(operation):
     call(state)
     assert state.cov.tobytes() == cov
     assert _factor_bytes(state) == factor
+
+
+@pytest.mark.parametrize("build", [
+    lambda: vacuum_state(3),
+    lambda: build_dual_rail(DualRailSpec(4, 6.9)),
+    lambda: apply_symplectic(vacuum_state(5),
+                             random_network(np.random.default_rng(2), 5, 15)),
+], ids=["vacuum", "wire", "network"])
+def test_a_unitary_only_state_is_its_factor_until_its_covariance_is_read(
+        build):
+    state = build()
+    assert "cov" not in vars(state)
+    cov = state.cov
+    assert cov.tobytes() == (state.factor @ state.factor.T).tobytes()
+    assert np.array_equal(cov, cov.T)
+    assert state.cov is cov
 
 
 def test_vacuum_covariance_and_factor_are_separate_arrays():

@@ -11,6 +11,7 @@ from modecomb import (
     AmplifierSpec,
     DualRailSpec,
     FieldError,
+    GaussianState,
     NoiseReport,
     OverlapSpec,
     amplify_comb,
@@ -26,6 +27,7 @@ from modecomb import (
     wire_witnesses,
     witness_variance,
 )
+from modecomb import detection
 from modecomb.gaussian import Witness, _step_rows
 
 # Frozen reference values (independent closed-form evaluations).
@@ -266,8 +268,11 @@ def _full_state_readout(state, witness, eta_d):
 def test_comb_rows_read_from_the_marginal_are_bit_equal_to_the_full_state(
     M, cells, gain
 ):
+    # The command line's comb vacuum: a covariance without a factor, read
+    # through the marginal.
     comb = build_comb(M, AmplifierSpec.from_gain(gain), cells)
-    state = amplify_comb(vacuum_state(comb.n_modes), comb)
+    vacuum = GaussianState(comb.n_modes, np.eye(2 * comb.n_modes))
+    state = amplify_comb(vacuum, comb)
     for witnesses in pair_witnesses(comb):
         # One cell's pairs have evenly spaced rows, read through a slice;
         # two cells' pairs, through an index array.
@@ -280,6 +285,13 @@ def test_comb_rows_read_from_the_marginal_are_bit_equal_to_the_full_state(
                 )
 
 
+def _factorless_wire(spec):
+    """The covariance alone of the wire ``spec``: a state read through its
+    marginal, as the command line's comb states are."""
+    state = build_dual_rail(spec)
+    return GaussianState(state.n_modes, state.cov)
+
+
 @pytest.mark.parametrize("convention", ["odd_mode_minus_half_pi", "none"])
 @pytest.mark.parametrize("r", [0.5, 1.0, 2.0])
 def test_wire_rows_read_from_the_marginal_agree_with_the_full_state(
@@ -290,7 +302,7 @@ def test_wire_rows_read_from_the_marginal_agree_with_the_full_state(
     # eps * e^{4r} of the value, so their gap grows with r; at r = 3 it is
     # already 4e-12 relative, and the oracle tests bound each readout.
     spec = DualRailSpec(8, r, convention)
-    state = build_dual_rail(spec)
+    state = _factorless_wire(spec)
     for _, witness in wire_witnesses(spec):
         for eta in (0.5, 0.99, 1.0):
             assert measure_witness(state, witness, eta).variance == (
@@ -301,13 +313,65 @@ def test_wire_rows_read_from_the_marginal_agree_with_the_full_state(
 
 def test_witness_on_every_mode_reads_the_whole_state():
     spec = DualRailSpec(4, 1.5)
-    state = build_dual_rail(spec)
+    state = _factorless_wire(spec)
     witness = Witness(np.random.default_rng(5).normal(size=state.dim))
     assert witness.support(state.n_modes) == tuple(range(state.n_modes))
     for eta in (0.5, 0.99, 1.0):
         assert measure_witness(state, witness, eta).variance == (
             _full_state_readout(state, witness, eta)
         )
+
+
+@pytest.mark.parametrize("convention", ["odd_mode_minus_half_pi", "none"])
+@pytest.mark.parametrize("r", [0.5, 1.0, 2.0])
+def test_wire_rows_read_from_the_factor_agree_with_the_covariance(
+    r, convention
+):
+    # The factor readout loses about eps * e^{2r} and the covariance
+    # readout eps * e^{4r}, so at these r they agree as the two covariance
+    # readouts above do.
+    spec = DualRailSpec(8, r, convention)
+    state = build_dual_rail(spec)
+    factorless = _factorless_wire(spec)
+    for _, witness in wire_witnesses(spec):
+        for eta in (0.5, 0.99, 1.0):
+            assert measure_witness(state, witness, eta).variance == (
+                pytest.approx(measure_witness(factorless, witness, eta)
+                              .variance, rel=1e-12, abs=0.0)
+            )
+
+
+@pytest.mark.parametrize("support", ["wire row", "every mode"])
+def test_a_factor_readout_is_the_witness_variance_behind_the_loss(support):
+    spec = DualRailSpec(4, 2.5)
+    state = build_dual_rail(spec)
+    if support == "wire row":
+        witness = wire_witnesses(spec)[3][1]
+    else:
+        witness = Witness(np.random.default_rng(5).normal(size=state.dim))
+    variance = witness_variance(state, witness)
+    assert measure_witness(state, witness, 1.0).variance == variance
+    for eta in (0.0, 0.5, 0.99):
+        assert measure_witness(state, witness, eta).variance == (
+            eta * variance + (1.0 - eta)
+        )
+
+
+def test_wire_rows_form_no_covariance_and_call_no_loss_channel(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return loss_channel(*args)
+
+    monkeypatch.setattr(detection, "loss_channel", counted)
+    spec = DualRailSpec(16, 6.9)
+    state = build_dual_rail(spec)
+    for _, witness in wire_witnesses(spec):
+        for eta in (0.5, 1.0):
+            measure_witness(state, witness, eta)
+    assert calls == []
+    assert "cov" not in vars(state)
 
 
 def test_squeezing_db_round_trip():

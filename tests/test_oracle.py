@@ -1,9 +1,11 @@
-"""Printed witness rows and purities against a 50-digit oracle.
+"""Printed witness rows, wire graphs and purities against a 50-digit oracle.
 
 ``simulate`` prints each witness variance with 12 significant digits. Here
 the closed forms are evaluated with ``mpmath`` at 50 digits, from the same
 float inputs the scenario file holds, and each printed row must lie within
-``ORACLE_RTOL`` of its value.
+``ORACLE_RTOL`` of its value. A wire is held by its symplectic factor ``S``:
+its rows and its graph are also checked against 50-digit values of that
+float ``S``, which separates the readout's error from the rounding of ``S``.
 """
 
 import csv
@@ -17,33 +19,48 @@ from modecomb import (
     DualRailSpec,
     GaussianState,
     build_dual_rail,
+    extract_graph,
     loss_channel,
+    measure_witness,
     purity,
+    wire_witnesses,
 )
 from modecomb.cli import main
 
 #: Relative bound on a printed row against its 50-digit value.
 ORACLE_RTOL = 1e-10
 
-#: (r, eta_d) points. eta_d = 1 is left out at r = 4.5: the float64
-#: readout loses about eps * e^{4r} of the variance e^{-2r}, 5.5e-10 on the
-#: comb rows and 6.4e-10 on the wire rows of this scenario there (the
-#: readout's open accuracy limit).
+#: (r, eta_d) points. eta_d = 1 is left out at r = 4.5: comb rows are read
+#: from a covariance, which loses about eps * e^{4r} of the variance
+#: e^{-2r}, 5.5e-10 on this scenario's comb rows there (the comb readout's
+#: open accuracy limit).
 POINTS = [(r, eta) for r in (1.0, 3.0, 4.5) for eta in (0.5, 0.99, 1.0)
           if (r, eta) != (4.5, 1.0)]
 
+#: (r, eta_d) points of wire rows alone, up to the top of the README's
+#: range. A wire's rows are read from its factor, exactly to a few eps;
+#: what is left is the rounding of S, about eps * e^{2r}: 6.2e-11 on the
+#: worst row of a 16-pair wire at r = 6.9 and eta_d = 1.
+WIRE_POINTS = [(4.5, 1.0), (6.0, 0.99), (6.0, 1.0), (6.9, 0.99), (6.9, 1.0)]
 
-def _printed_rows(tmp_path, r, eta):
+
+def _printed_rows(tmp_path, r, eta, sections=None):
     config = tmp_path / "oracle.json"
+    sections = sections or {"comb": {"M": 4, "r": r},
+                            "wire": {"n_pairs": 4, "r": r}}
     config.write_text(json.dumps({
-        "version": "v1", "name": "oracle",
-        "comb": {"M": 4, "r": r},
-        "wire": {"n_pairs": 4, "r": r},
+        "version": "v1", "name": "oracle", **sections,
         "detection": {"eta_d": eta},
     }), encoding="utf-8")
     assert main(["simulate", str(config), "--out-dir", str(tmp_path)]) == 0
     with (tmp_path / "oracle_witness.csv").open(newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+def _wire_exact(r, eta):
+    """``1 + eta (e^{-2r} - 1)`` at 50 digits, in the current context."""
+    r, eta = mpmath.mpf(r), mpmath.mpf(eta)
+    return 1 + eta * (mpmath.exp(-2 * r) - 1)
 
 
 def _relative_error(text, exact):
@@ -60,11 +77,64 @@ def test_printed_rows_match_the_50_digit_closed_forms(tmp_path, r, eta):
         r, eta = mpmath.mpf(r), mpmath.mpf(eta)
         gain = mpmath.cosh(r) ** 2
         comb_exact = 1 + 2 * eta * (gain - 1 - mpmath.sqrt(gain * (gain - 1)))
-        wire_exact = 1 + eta * (mpmath.exp(-2 * r) - 1)
+        wire_exact = _wire_exact(r, eta)
         for row in comb:
             assert _relative_error(row["variance"], comb_exact) <= ORACLE_RTOL
         for row in wire:
             assert _relative_error(row["variance"], wire_exact) <= ORACLE_RTOL
+
+
+@pytest.mark.parametrize("r, eta", WIRE_POINTS)
+def test_printed_wire_rows_match_the_50_digit_closed_form(tmp_path, r, eta):
+    rows = _printed_rows(tmp_path, r, eta, {"wire": {"n_pairs": 16, "r": r}})
+    assert len(rows) == 32
+    with mpmath.workdps(50):
+        exact = _wire_exact(r, eta)
+        for row in rows:
+            assert _relative_error(row["variance"], exact) <= ORACLE_RTOL
+
+
+#: Bound on a wire row read from its float factor against the 50-digit
+#: value of that factor: a few eps, at every r.
+READOUT_RTOL = 1e-14
+
+
+@pytest.mark.parametrize("r", [1.0, 4.5, 6.9])
+def test_wire_rows_are_read_exactly_from_the_float_factor(r):
+    spec = DualRailSpec(16, r)
+    state = build_dual_rail(spec)
+    with mpmath.workdps(50):
+        factor = mpmath.matrix(state.factor.tolist())
+        for _, witness in wire_witnesses(spec):
+            w = mpmath.matrix(witness.coeffs.tolist())
+            u = factor.T * w
+            exact = sum(x * x for x in u) / sum(x * x for x in w)
+            got = measure_witness(state, witness, 1.0).variance
+            assert abs(got / exact - 1) <= READOUT_RTOL
+
+
+#: Absolute bound on an entry of a wire graph's U or V against the 50-digit
+#: graph of its float factor; the largest gap seen is 1.7e-16.
+GRAPH_ATOL = 1e-15
+
+
+@pytest.mark.parametrize("r", [1.0, 3.0, 4.5, 6.0, 6.9])
+@pytest.mark.parametrize("n_pairs", [4, 8])
+def test_wire_graph_matches_the_50_digit_graph_of_its_factor(n_pairs, r):
+    """``Z = (C + iD)(A + iB)^{-1}`` for ``S = [[A, B], [C, D]]`` (Menicucci,
+    Flammia & van Loock, PRA 83, 042335, 2011) is the graph of the state
+    ``S S^T``; ``extract_graph`` reads it from the covariance instead."""
+    state = build_dual_rail(DualRailSpec(n_pairs, r))
+    n = state.n_modes
+    graph = extract_graph(state).adjacency
+    with mpmath.workdps(50):
+        s = mpmath.matrix(state.factor.tolist())
+        z = ((s[n:, :n] + 1j * s[n:, n:])
+             * mpmath.inverse(s[:n, :n] + 1j * s[:n, n:]))
+        for i in range(n):
+            for j in range(n):
+                assert abs(mpmath.re(z[i, j]) - graph[i, j].real) <= GRAPH_ATOL
+                assert abs(mpmath.im(z[i, j]) - graph[i, j].imag) <= GRAPH_ATOL
 
 
 def _oracle_purity(cov):
@@ -105,9 +175,10 @@ def test_purity_of_a_covariance_is_within_its_conditioning_limit(name):
 
 
 def test_purity_of_the_r5_wire_covariance_matches_the_readme():
-    """README: the 8-mode wire at r = 5 stores a covariance of 50-digit
-    purity 1 + 5.5e-8, and its purity from that covariance is 1 - 1.4e-8."""
+    """README: the 8-mode wire at r = 5 has a covariance ``S S^T`` of
+    50-digit purity 1 + 6.5e-9, and its purity from that covariance is
+    1 - 2.4e-8."""
     state = _factorless(5.0)
-    assert float(_oracle_purity(state.cov) - 1) == pytest.approx(5.5e-8,
+    assert float(_oracle_purity(state.cov) - 1) == pytest.approx(6.5e-9,
                                                                  abs=5e-10)
-    assert 1 - purity(state) == pytest.approx(1.4e-8, abs=5e-10)
+    assert 1 - purity(state) == pytest.approx(2.4e-8, abs=5e-10)
