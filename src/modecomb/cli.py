@@ -74,6 +74,7 @@ from .gaussian import (
     GaussianState,
     SymplecticTransform,
     Witness,
+    _apply_rows,
     _integer,
     _modes,
     _quadrature_rows,
@@ -582,8 +583,7 @@ def _parse_network(raw):
             element = getattr(elements, kind)(
                 **{name: spec.get(name, v) for name, v in defaults.items()}
             )
-        idx = apply_symplectic_matrix(total, element, modes)
-        rows = total[idx]
+        idx, rows = apply_symplectic_matrix(total, element, modes)
         row_norms[idx] = np.einsum("ij,ij->i", rows, rows)
         # Squeezing every mode by MAX_SQUEEZING gives |S|_F^2 =
         # 2N cosh(2 MAX_SQUEEZING) < 4N MAX_GAIN; passive elements keep it.
@@ -598,10 +598,9 @@ def _parse_network(raw):
 
 def apply_symplectic_matrix(total, transform, modes):
     """Left-multiply ``total`` in place by ``transform`` on ``modes``;
-    return the indices of the rows it changed."""
+    return the indices of the rows it changed and their new values."""
     idx = _quadrature_rows(total.shape[0] // 2, modes)
-    total[idx] = transform.matrix @ total[idx]
-    return idx
+    return idx, _apply_rows(total, transform.matrix, idx)
 
 
 def cmd_decompose(network_path, out_dir="."):

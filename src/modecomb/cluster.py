@@ -22,12 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .elements import (
-    _squeezing,
-    beamsplitter,
-    phase_shift,
-    two_mode_squeezer,
-)
+from .elements import _squeezed_vacuum, _squeezing, beamsplitter, phase_shift
 from .gaussian import (
     MAX_MODES,
     FieldError,
@@ -206,7 +201,9 @@ def build_dual_rail(spec):
     Allocates ``2 * n_pairs`` modes; squeezes source pairs (2k, 2k+1);
     interferes adjacent source halves (2k+1, 2k+2) on balanced beam
     splitters; then applies the -pi/2 rotations selected by the spec's phase
-    convention. The steps fold into one working copy of the vacuum.
+    convention. For ``r > 0`` the sources start as one splitter-times-
+    squeeze factor (:func:`~modecomb.elements._squeezed_vacuum`); the links
+    and rotations fold into one working copy of that state.
 
     Args:
         spec (DualRailSpec): wire parameters
@@ -214,18 +211,20 @@ def build_dual_rail(spec):
     Returns:
         GaussianState: the wire state
     """
-    steps = []
+    n_modes = 2 * spec.n_pairs
     if spec.r > 0:
-        squeezer = two_mode_squeezer(spec.r)
-        steps += [(squeezer, (2 * k, 2 * k + 1)) for k in range(spec.n_pairs)]
+        sources = [(2 * k, 2 * k + 1) for k in range(spec.n_pairs)]
+        state = _squeezed_vacuum(n_modes, spec.r, sources)
+    else:
+        state = vacuum_state(n_modes)
     splitter = beamsplitter(math.pi / 4)
-    steps += [(splitter, (2 * k + 1, 2 * k + 2))
-              for k in range(spec.n_pairs - 1)]
+    steps = [(splitter, (2 * k + 1, 2 * k + 2))
+             for k in range(spec.n_pairs - 1)]
     rotated = _rotated_modes(spec)
     if rotated:
         rotation = phase_shift(-math.pi / 2)
         steps += [(rotation, (m,)) for m in rotated]
-    return _apply_steps(vacuum_state(2 * spec.n_pairs), steps)
+    return _apply_steps(state, steps)
 
 
 def ideal_wire_graph(n_pairs):

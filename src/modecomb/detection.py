@@ -194,9 +194,10 @@ def measure_witness(state, witness, eta_d):
     held by its symplectic factor ``S``, that is the result, with
     ``v = |w_s^T S_s|^2 / (w^T w)`` read from the rows ``S_s`` of the
     nonzero witness coefficients ``w_s``, at most ``2k`` on ``k`` modes:
-    ``O(k * N)`` work, no marginal and no loss channel. The readout is
-    exact to a few ``eps`` on the float ``S``; the rounding of ``S`` itself
-    leaves about ``eps * e^{2r}`` of the value on a state squeezed by ``r``.
+    ``O(k * N)`` work, no marginal and no loss channel, as one plain
+    product. A wire's factor gives its rows to a few ``eps`` at every
+    ``r``; one folded from ``two_mode_squeezer`` leaves about
+    ``eps * e^{2r}`` of the value on a state squeezed by ``r``.
 
     On a state held by its covariance, such as the command line's comb
     vacuum and every state after a loss, it takes the marginal of ``state``

@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .gaussian import (FieldError, SymplecticTransform, _derived_state,
-                       _mode, _real)
+                       _mode, _real, _unchecked_state)
 
 #: Tolerance on the internal consistency gain = cosh^2(r) of an AmplifierSpec.
 GAIN_CONSISTENCY_TOL = 1e-12
@@ -25,9 +25,10 @@ GAIN_CONSISTENCY_TOL = 1e-12
 #: Largest accepted squeezing parameter. The float64 witness readout
 #: ``w^T C w`` of a state held by its covariance, such as a comb row of
 #: ``simulate``, loses about ``eps e^{4r}`` of its value: 3.3e-5 at 6.9.
-#: Rows of a state held by its factor ``S``, such as every wire row, lose
-#: only the rounding of ``S``, about ``eps e^{2r}``: 6.2e-11 at 6.9 and
-#: 2.6e-10 at 6.85 on a wire. The rule stays for the covariance readout.
+#: A wire row is read from its factor, a passive matrix times ``e^{+-r}``:
+#: the worst printed row of a 16-pair wire at ``eta = 1`` is 4.5e-12 off
+#: from r = 4.5 to 6.9, the 12-digit print resolution. The rule stays for
+#: the covariance readout.
 MAX_SQUEEZING = 6.9
 
 #: Intensity gain ``cosh^2(MAX_SQUEEZING)``, about 2.46e5.
@@ -140,6 +141,21 @@ def two_mode_squeezer(r, phase=0.0):
         ]
     )
     return SymplecticTransform(matrix, 2)
+
+
+def _squeezed_vacuum(n_modes, r, pairs):
+    """The vacuum of ``n_modes`` modes with ``two_mode_squeezer(r)`` on each
+    of the disjoint mode ``pairs``, held by the factor ``Q D``: the balanced
+    splitter ``Q = [[1, 1], [1, -1]] / sqrt(2)`` on x and on p, times
+    ``D = diag(e^r, e^{-r}; e^{-r}, e^r)``. The squeezer is ``Q D Q^T`` and
+    the vacuum absorbs ``Q^T``, so no rounded ``cosh r - sinh r`` enters."""
+    hi, lo = math.exp(r) / math.sqrt(2.0), math.exp(-r) / math.sqrt(2.0)
+    a, b = np.array(pairs).T
+    factor = np.eye(2 * n_modes)
+    for x, y, d_x, d_y in ((a, b, hi, lo), (n_modes + a, n_modes + b, lo, hi)):
+        factor[x, x], factor[x, y] = d_x, d_y
+        factor[y, x], factor[y, y] = d_x, -d_y
+    return _unchecked_state(n_modes, factor=factor)
 
 
 def beamsplitter(theta, phi=0.0):

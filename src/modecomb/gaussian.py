@@ -247,10 +247,10 @@ class GaussianState:
             on a state held by ``S``, the product ``S @ S.T``, which numpy
             forms as a symmetric rank-k update, so it is exactly symmetric
         factor (array[float] or None): ``2N x 2N`` symplectic factor ``S``
-            with ``cov = S S^T``, the product of every transform applied
-            since vacuum; not a constructor argument. Only the library
-            writes it: :func:`vacuum_state` starts it at the identity and
-            :func:`apply_symplectic` carries it along. A loss channel, being
+            with ``cov = S S^T``, not always the product of the transforms
+            applied; not a constructor argument. Only the library writes
+            it: :func:`vacuum_state`, a wire's squeezed sources and
+            :func:`apply_symplectic`. A loss channel, being
             non-unitary, drops it to ``None``, and a directly constructed
             state has none. A caller holding ``S`` gets a state with it from
             ``apply_symplectic(vacuum_state(n), SymplecticTransform(S, n))``.
@@ -423,8 +423,8 @@ class Witness:
 
 
 def vacuum_state(n_modes):
-    """Return the ``n_modes``-mode vacuum: the identity covariance. With
-    :func:`apply_symplectic`, it is the only writer of a symplectic factor.
+    """Return the ``n_modes``-mode vacuum: the identity covariance, held by
+    the identity as its symplectic factor.
 
     Args:
         n_modes (int): number of modes, in [1, MAX_MODES]
@@ -586,35 +586,16 @@ def apply_symplectic(state, transform, modes=None):
     return _apply_steps(state, ((transform, modes),))
 
 
-def _coarse(a):
-    """``a`` rounded to multiples of ``2^(e - 19)``, where ``2^e`` is the
-    smallest power of two above ``max |a|``: at most 20 significant bits on
-    one common unit, with ``a - _coarse(a)`` exact (Rump, Ogita & Oishi,
-    SIAM J. Sci. Comput. 31, 189, 2008, ExtractVector)."""
-    largest = np.maximum.reduce(np.abs(a), None)
-    shift = math.ldexp(1.0, math.frexp(largest)[1] + 34)
-    return (a + shift) - shift
-
-
 def _factor_variance(state, witness):
     """``|S_s^T w_s|^2 / |w|^2``: the normalized variance of ``witness`` on
-    a state held by its factor ``S``, read from the rows ``S_s`` of its
-    nonzero coefficients ``w_s``, at most ``2k`` for ``k`` support modes,
-    in ``O(k * N)``.
-
-    On a state squeezed by ``r``, the entries of ``S_s`` are of size
-    ``e^r`` and ``S_s^T w_s`` of size ``e^{-r}``, so a plain product would
-    lose about ``eps * e^{2r}`` of the value (``w^T C w`` loses
-    ``eps * e^{4r}``). The product of the 20-bit parts of :func:`_coarse`
-    is exact: each term needs at most 40 bits and their sum, over at most
-    ``2 * MAX_MODES`` terms, 53. Only the small remainder is rounded, so
-    the readout is accurate to a few ``eps``, and what is left is the
-    rounding of ``S`` itself."""
+    a state held by a symplectic factor ``S`` of its covariance, read from
+    the rows ``S_s`` of its nonzero coefficients ``w_s``, at most ``2k`` for
+    ``k`` support modes, as one plain product in ``O(k * N)``. A wire's
+    factor is a passive matrix times ``e^{+-r}``, so its rows are accurate
+    to a few ``eps`` at every ``r`` (README, numerical limits)."""
     witness.support(state.n_modes)  # checks the mode count
     rows = np.flatnonzero(witness.coeffs)
-    w, s = witness.coeffs[rows], state.factor[rows]
-    w_head, s_head = _coarse(w), _coarse(s)
-    u = w_head @ s_head + ((w - w_head) @ s + w_head @ (s - s_head))
+    u = witness.coeffs[rows] @ state.factor[rows]
     return float(u @ u) / witness.normalization
 
 

@@ -37,6 +37,7 @@ from modecomb import (
     witness_variance,
 )
 from modecomb.cluster import _rotated_modes
+from modecomb.elements import _squeezed_vacuum
 from modecomb import gaussian
 from modecomb.gaussian import _derived_state, _step_rows
 
@@ -216,15 +217,22 @@ def test_step_rows_are_a_slice_exactly_when_evenly_spaced(layout):
                           _quadrature_index(n_modes, modes))
 
 
+def _wire_source(spec):
+    """The wire's sources: its squeezed pairs held by their splitter-times-
+    squeeze factor, or the vacuum at ``r = 0``."""
+    n_modes = 2 * spec.n_pairs
+    if spec.r == 0:
+        return vacuum_state(n_modes)
+    pairs = [(2 * k, 2 * k + 1) for k in range(spec.n_pairs)]
+    return _squeezed_vacuum(n_modes, spec.r, pairs)
+
+
 def _wire_steps(spec):
-    """The wire's elements in build order, as (transform, modes) pairs."""
-    steps = []
-    if spec.r > 0:
-        squeezer = two_mode_squeezer(spec.r)
-        steps += [(squeezer, (2 * k, 2 * k + 1)) for k in range(spec.n_pairs)]
+    """The wire's passive elements in build order, as (transform, modes)
+    pairs: its links, then the rotations of its phase convention."""
     splitter = beamsplitter(math.pi / 4)
-    steps += [(splitter, (2 * k + 1, 2 * k + 2))
-              for k in range(spec.n_pairs - 1)]
+    steps = [(splitter, (2 * k + 1, 2 * k + 2))
+             for k in range(spec.n_pairs - 1)]
     if spec.phase_convention == "odd_mode_minus_half_pi":
         rotation = phase_shift(-math.pi / 2)
         steps += [(rotation, (m,)) for m in _rotated_modes(spec)]
@@ -237,7 +245,7 @@ def _wire_steps(spec):
 def test_build_dual_rail_equals_folding_apply_symplectic(n_pairs, convention,
                                                          r):
     spec = DualRailSpec(n_pairs, r, convention)
-    folded = vacuum_state(2 * n_pairs)
+    folded = _wire_source(spec)
     for transform, modes in _wire_steps(spec):
         folded = apply_symplectic(folded, transform, modes)
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from modecomb import (
     AmplifierSpec,
     FieldError,
+    SymplecticTransform,
     Witness,
     apply_symplectic,
     beamsplitter,
@@ -23,7 +24,7 @@ from modecomb import (
     vacuum_state,
     witness_variance,
 )
-from modecomb.elements import MAX_GAIN, MAX_SQUEEZING
+from modecomb.elements import MAX_GAIN, MAX_SQUEEZING, _squeezed_vacuum
 
 # exp(-2r) for r = 1, the two-mode squeezed witness floor
 EXP_MINUS_TWO = 0.1353352832366127
@@ -110,6 +111,30 @@ def test_two_mode_squeezer_builds_epr_correlations():
     # Single-mode marginals are thermal: variance cosh(2r) in every quadrature.
     assert state.cov[0, 0] == pytest.approx(math.cosh(2.0), rel=1e-14)
     assert state.cov[2, 2] == pytest.approx(math.cosh(2.0), rel=1e-14)
+
+
+#: (n_modes, pairs) layouts of squeezed sources: one pair, pairs given out
+#: of order around an unsqueezed mode, and a wire's three sources.
+SOURCE_LAYOUTS = [(2, [(0, 1)]), (5, [(3, 1), (0, 4)]),
+                  (6, [(0, 1), (2, 3), (4, 5)])]
+
+#: Bound, in units of eps * max |C|, on the covariance of the squeezed
+#: sources against two_mode_squeezer folded onto vacuum; 1.55 is the
+#: largest gap seen.
+SOURCE_COV_EPS = 4
+
+
+@pytest.mark.parametrize("r", [0.37, 1.0, 2.9, 6.9])
+@pytest.mark.parametrize("n_modes, pairs", SOURCE_LAYOUTS)
+def test_squeezed_vacuum_is_a_squeezer_on_each_pair(n_modes, pairs, r):
+    state = _squeezed_vacuum(n_modes, r, pairs)
+    SymplecticTransform(state.factor, n_modes)  # a symplectic factor
+    folded = vacuum_state(n_modes)
+    for modes in pairs:
+        folded = apply_symplectic(folded, two_mode_squeezer(r), modes)
+    scale = np.abs(folded.cov).max()
+    gap = np.abs(state.cov - folded.cov).max()
+    assert gap <= SOURCE_COV_EPS * np.finfo(float).eps * scale
 
 
 def test_two_mode_squeezer_zero_strength_is_identity():

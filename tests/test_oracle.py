@@ -3,9 +3,10 @@
 ``simulate`` prints each witness variance with 12 significant digits. Here
 the closed forms are evaluated with ``mpmath`` at 50 digits, from the same
 float inputs the scenario file holds, and each printed row must lie within
-``ORACLE_RTOL`` of its value. A wire is held by its symplectic factor ``S``:
-its rows and its graph are also checked against 50-digit values of that
-float ``S``, which separates the readout's error from the rounding of ``S``.
+``ORACLE_RTOL`` of its value. A wire is held by a symplectic factor ``S`` of
+its covariance, a passive matrix times the squeeze ``e^{+-r}``: its rows and
+its graph are also checked against 50-digit values of that float ``S``,
+which separates the readout's error from the rounding of ``S``.
 """
 
 import csv
@@ -38,9 +39,10 @@ POINTS = [(r, eta) for r in (1.0, 3.0, 4.5) for eta in (0.5, 0.99, 1.0)
           if (r, eta) != (4.5, 1.0)]
 
 #: (r, eta_d) points of wire rows alone, up to the top of the README's
-#: range. A wire's rows are read from its factor, exactly to a few eps;
-#: what is left is the rounding of S, about eps * e^{2r}: 6.2e-11 on the
-#: worst row of a 16-pair wire at r = 6.9 and eta_d = 1.
+#: range. A wire's rows are read from its factor, whose entries are rounded
+#: e^{+-r} / sqrt(2) and passive mixtures of them, so no cosh r - sinh r
+#: cancels anywhere: the worst row of a 16-pair wire at eta_d = 1 over
+#: r = 4.5, 4.51, ..., 6.9 is 4.5e-12 off, the 12-digit print resolution.
 WIRE_POINTS = [(4.5, 1.0), (6.0, 0.99), (6.0, 1.0), (6.9, 0.99), (6.9, 1.0)]
 
 
@@ -91,6 +93,23 @@ def test_printed_wire_rows_match_the_50_digit_closed_form(tmp_path, r, eta):
     with mpmath.workdps(50):
         exact = _wire_exact(r, eta)
         for row in rows:
+            assert _relative_error(row["variance"], exact) <= ORACLE_RTOL
+
+
+#: The top of the squeezing range in steps of 0.01, where a wire folded from
+#: two_mode_squeezer's rounded cosh r and sinh r was up to 2.6e-10 off.
+TOP_OF_RANGE = [round(6.6 + 0.01 * k, 2) for k in range(31)]
+
+
+def test_printed_wire_rows_match_at_the_top_of_the_range(tmp_path):
+    sections = {"wire": {"n_pairs": 4, "r": TOP_OF_RANGE[0]},
+                "sweep": {"parameter": "wire.r", "values": TOP_OF_RANGE}}
+    rows = _printed_rows(tmp_path, None, 1.0, sections)
+    assert len(rows) == 8 * len(TOP_OF_RANGE)
+    values = {format(r, ".12g"): r for r in TOP_OF_RANGE}
+    with mpmath.workdps(50):
+        for row in rows:
+            exact = _wire_exact(values[row["value"]], 1.0)
             assert _relative_error(row["variance"], exact) <= ORACLE_RTOL
 
 
@@ -176,9 +195,16 @@ def test_purity_of_a_covariance_is_within_its_conditioning_limit(name):
 
 def test_purity_of_the_r5_wire_covariance_matches_the_readme():
     """README: the 8-mode wire at r = 5 has a covariance ``S S^T`` of
-    50-digit purity 1 + 6.5e-9, and its purity from that covariance is
-    1 - 2.4e-8."""
+    50-digit purity 1 - 2.84e-8, and its purity from that covariance is
+    1 - 1.345e-7."""
     state = _factorless(5.0)
-    assert float(_oracle_purity(state.cov) - 1) == pytest.approx(6.5e-9,
+    assert float(_oracle_purity(state.cov) - 1) == pytest.approx(-2.84e-8,
                                                                  abs=5e-10)
-    assert 1 - purity(state) == pytest.approx(2.4e-8, abs=5e-10)
+    assert 1 - purity(state) == pytest.approx(1.345e-7, abs=5e-10)
+
+
+@pytest.mark.parametrize("r", [5.0, 6.9])
+@pytest.mark.parametrize("n_pairs", [4, 16])
+def test_purity_of_a_wire_read_from_its_factor_is_one(n_pairs, r):
+    assert purity(build_dual_rail(DualRailSpec(n_pairs, r))) == pytest.approx(
+        1.0, rel=0, abs=1e-15)
