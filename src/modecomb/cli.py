@@ -77,7 +77,7 @@ from .gaussian import (
     _apply_rows,
     _integer,
     _modes,
-    _quadrature_rows,
+    _step_rows,
 )
 
 CONFIG_VERSION = "v1"
@@ -598,8 +598,9 @@ def _parse_network(raw):
 
 def apply_symplectic_matrix(total, transform, modes):
     """Left-multiply ``total`` in place by ``transform`` on ``modes``;
-    return the indices of the rows it changed and their new values."""
-    idx = _quadrature_rows(total.shape[0] // 2, modes)
+    return the rows it changed, as :func:`~modecomb.gaussian._step_rows`
+    gives them, and their new values."""
+    idx = _step_rows(total.shape[0] // 2, modes)
     return idx, _apply_rows(total, transform.matrix, idx)
 
 

@@ -16,8 +16,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .gaussian import (FieldError, SymplecticTransform, _derived_state,
-                       _mode, _real, _unchecked_state)
+from .gaussian import (FieldError, SymplecticTransform, _mode, _real,
+                       _unchecked_state)
 
 #: Tolerance on the internal consistency gain = cosh^2(r) of an AmplifierSpec.
 GAIN_CONSISTENCY_TOL = 1e-12
@@ -222,9 +222,9 @@ def loss_channel(state, mode, eta):
     basic slice ``slice(mode, None, n)`` and scaled through views of a copy
     of the state's covariance, bit for bit as with an index array. The two
     diagonal entries are updated one by one: for two entries, scalar
-    indexing costs less than a strided view. Only those rows and columns
-    are checked, by :func:`~modecomb.gaussian._check_rows` through the same
-    slice, so a NaN or infinite entry there is rejected as non-finite.
+    indexing costs less than a strided view. An entry and its transpose
+    are scaled alike and ``sqrt(eta) <= 1``, so a finite, exactly symmetric
+    covariance stays so, and the result needs no check.
 
     Args:
         state (GaussianState): input state
@@ -248,7 +248,7 @@ def loss_channel(state, mode, eta):
     cov[:, rows] *= root
     cov[mode, mode] += 1.0 - eta
     cov[n + mode, n + mode] += 1.0 - eta
-    return _derived_state(n, cov, rows)
+    return _unchecked_state(n, cov=cov)
 
 
 def gain_to_squeezing(gain):

@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-#: Covariance matrices are re-symmetrized after every update; asymmetry
-#: beyond this budget indicates a bug upstream, not numerical drift.
+#: A given covariance is averaged with its transpose; asymmetry beyond this
+#: budget indicates a bug upstream, not numerical drift.
 SYMMETRY_TOL = 1e-12
 
 #: Frobenius-norm tolerance on ``S Omega S^T - Omega``, per unit of
@@ -134,64 +134,48 @@ def _modes(modes, n_modes, arity):
     )
 
 
-# The x, then the p, quadrature indices of ``modes`` among all 2N: the rows
-# and columns an element on ``modes`` touches.
-def _quadrature_rows(n_modes, modes):
-    return np.array([*modes, *(n_modes + m for m in modes)])
-
-
 def _step_rows(n_modes, modes):
-    """The rows of :func:`_quadrature_rows` for a tuple of distinct valid
-    ``modes``, as a basic slice when they increase with a constant step.
-
-    The rows ``m_0..m_{k-1}, n + m_0..n + m_{k-1}`` have a constant step
-    ``d > 0`` exactly when the modes are ``m_0, m_0 + d, ...`` with
-    ``k * d = n``: one mode, both modes of a two-mode state, or a pair
-    ``(p, p + M/2)`` of a one-cell comb. Those rows are read and written
-    through views; any other rows keep the index array."""
+    """The rows ``m_0..m_{k-1}, n + m_0..n + m_{k-1}`` an element on a tuple
+    of distinct valid ``modes`` touches: a basic slice, read and written
+    through views, when their step ``d`` is constant, that is when the modes
+    are ``m_0, m_0 + d, ...`` with ``k * d = n`` (one mode, a two-mode
+    state, a pair of a one-cell comb); an index array otherwise."""
     first = modes[0]
     step = n_modes // len(modes)
     if modes == tuple(range(first, first + n_modes, step)):
         return slice(first, first + 2 * n_modes, step)
-    return _quadrature_rows(n_modes, modes)
+    return np.array([*modes, *(n_modes + m for m in modes)])
 
 
-#: Below this largest entry, ``rows + cols`` within the asymmetry bound
-#: cannot overflow.
+#: Below this largest entry, ``C + C^T`` within the asymmetry bound cannot
+#: overflow.
 _SUM_SAFE = sys.float_info.max / 4
 
 
-def _symmetrized(rows, cols):
-    """Return ``(rows + cols) / 2``: covariance rows averaged with the
-    matching columns, ``cols`` holding them transposed. Raise ValueError if
-    ``rows`` or ``cols`` has a NaN or infinite entry, or if they differ by
-    more than ``SYMMETRY_TOL * max(1, max |rows|)``.
+def _symmetrized(cov):
+    """Return ``(C + C^T) / 2`` for a square ``cov``. Raise ValueError if it
+    has a NaN or infinite entry, or if it differs from its transpose by more
+    than ``SYMMETRY_TOL * max(1, max |C|)``; an overflowing difference, which
+    ``GaussianState`` lets through ``np.errstate``, reads as infinite.
 
-    The average is ``0.5 * (rows + cols)``, except that an entry whose sum
-    overflows (both terms beyond ``max / 2``) is averaged as
-    ``0.5 * row + 0.5 * col``. So every finite input gives a finite
-    average, and an entry equal to its column keeps its own bits. The
-    difference is unguarded: ``GaussianState`` checks a caller's matrix
-    under ``np.errstate(over="ignore")``; derived rows cannot overflow it."""
-    largest = np.maximum.reduce(np.abs(rows), None)
+    An entry whose sum overflows (both terms beyond ``max / 2``) is
+    averaged as ``C/2 + C^T/2``. So every finite input gives a finite
+    average, and an entry equal to its transpose keeps its bits."""
+    largest = np.maximum.reduce(np.abs(cov), None)
     if not math.isfinite(largest):
         raise ValueError("covariance must be finite")
-    asymmetry = np.maximum.reduce(np.abs(rows - cols), None)
-    # With finite rows, a NaN or infinite asymmetry comes from a non-finite
-    # entry of ``cols`` (reported as the full check reports it, in a row of
-    # its own there) or from finite entries whose difference overflows.
+    cols = cov.T
+    asymmetry = np.maximum.reduce(np.abs(cov - cols), None)
     if not asymmetry <= SYMMETRY_TOL * max(1.0, largest):
-        if not np.isfinite(cols).all():
-            raise ValueError("covariance must be finite")
         raise ValueError(
             f"covariance is not symmetric: |C - C^T| = {asymmetry:.3e}"
         )
     if largest <= _SUM_SAFE:
-        return 0.5 * (rows + cols)
+        return 0.5 * (cov + cols)
     with np.errstate(over="ignore"):
-        average = 0.5 * (rows + cols)
+        average = 0.5 * (cov + cols)
     over = np.isinf(average)
-    average[over] = 0.5 * rows[over] + 0.5 * cols[over]
+    average[over] = 0.5 * cov[over] + 0.5 * cols[over]
     return average
 
 
@@ -257,20 +241,12 @@ class GaussianState:
 
     A NaN or infinite entry of ``cov`` is rejected with ``ValueError``. The
     covariance is copied on construction, so a state never shares its
-    caller's array, and the copy is
-    checked by :func:`_check_rows` over all its rows: a matrix that equals
-    its transpose bit for bit is stored as given, any other is symmetrized
-    without overflow for any finite entries. States held by their
-    covariance and derived from a valid state by :func:`apply_symplectic`
-    or :func:`~modecomb.elements.loss_channel` differ from it only in the
-    rows and columns of the modes they touch, so the same check runs on
-    those rows alone: the same rules in ``O(k * N)``, with an asymmetry
-    bound scaled by the largest entry of those rows. A NaN or infinite
-    entry in one of the touched columns is rejected as non-finite, exactly
-    as the full check rejects it. A step on a state held by its factor
-    changes only the factor's rows of the modes it touches, and is rejected
-    with the same message if one of their squared norms, the diagonal
-    entries of ``S S^T`` that bound their rows, is not finite.
+    caller's array. A finite copy that equals its transpose byte for byte
+    is stored as given; any other is checked and averaged by
+    :func:`_symmetrized`. The library's steps keep a checked covariance
+    finite and exactly symmetric by construction and skip this check:
+    :func:`apply_symplectic` rejects a step only if a new row is not
+    finite, and :func:`~modecomb.elements.loss_channel` needs no check.
     Physicality (``cov + i Omega >= 0``) is *not* enforced here so that
     deliberately unphysical matrices can still be probed with
     :func:`check_physicality`.
@@ -289,10 +265,13 @@ class GaussianState:
                 f"covariance must be {dim}x{dim} for {n_modes} modes, "
                 f"got {cov.shape}"
             )
-        # A caller's finite entries may differ from their columns by more
-        # than the float range: that overflow reads as an infinite asymmetry.
-        with np.errstate(over="ignore"):
-            _check_rows(cov, slice(None))
+        # A finite matrix whose bytes equal its transpose's passes every
+        # rule, and its average would write back its own bits. Bytes, not
+        # values, are compared: -0.0 == 0.0, but their average is +0.0.
+        if not (cov.tobytes() == cov.T.tobytes()
+                and np.count_nonzero(np.isfinite(cov)) == cov.size):
+            with np.errstate(over="ignore"):
+                cov[...] = _symmetrized(cov)
         object.__setattr__(self, "n_modes", n_modes)
         object.__setattr__(self, "cov", cov)
 
@@ -451,44 +430,22 @@ def _apply_rows(array, s, idx):
 
 
 def _apply_cov(cov, s, idx):
-    """Apply ``s`` in place to rows, then columns, ``idx`` of ``cov``: the
-    whole update of a state held by its covariance, which has no mean to
-    transform. Rows and columns are read and written as by
-    :func:`_apply_rows`."""
-    _apply_rows(cov, s, idx)
-    cols = cov[:, idx].copy() if type(idx) is slice else cov.take(idx, 1)
-    cov[:, idx] = cols @ s.T
-
-
-def _check_rows(cov, idx):
-    """Check and symmetrize, in place, rows and columns ``idx`` of ``cov``
-    by the rules of :func:`_symmetrized`. The covariance is all there is to
-    check: a state has no mean.
-
-    ``idx`` is an index array or a basic slice, whose rows and columns are
-    read as views. ``GaussianState`` passes ``slice(None)``, every row of a
-    copy of its input: the full check. A derived state passes the rows its
-    last step touched, in arrays copied from a valid state and changed only
-    there. The untouched entries passed the full check of that state and
-    are exactly symmetric, so the same rules on the touched rows give the
-    full check's result: a non-finite entry in a touched row or column is a
-    finiteness error, and otherwise rows and columns must agree to within
-    the asymmetry bound.
-
-    Finite rows whose bytes equal those of their columns pass every rule,
-    and their average would write each entry back with its own bits. So
-    they are left as they are, without the largest-entry bound, the average
-    or the write-back. Bytes, not values, are compared: ``-0.0 == 0.0``, but
-    their average is ``+0.0``. Any other rows take the full rules, and their
-    messages.
-    """
-    rows, cols = cov[idx], cov[:, idx].T
-    if (
-        rows.tobytes() == cols.tobytes()
-        and np.count_nonzero(np.isfinite(rows)) == rows.size
-    ):
-        return
-    rows = _symmetrized(rows, cols)
+    """Apply ``s`` in place to rows and columns ``idx`` of a finite, exactly
+    symmetric ``cov``, keeping it so: the whole update ``C -> S C S^T``.
+    The new rows ``R = s C[idx]`` get their ``2k x 2k`` block replaced by
+    ``K = R[:, idx] s^T`` averaged as ``K/2 + K^T/2``, and are written as
+    rows and, transposed, as columns. Raise ValueError if a new row is not
+    finite. Operands are contiguous copies, as in :func:`_apply_rows`."""
+    if type(idx) is slice:
+        rows = s @ cov[idx].copy()
+        block = rows[:, idx].copy() @ s.T
+    else:
+        rows = s @ cov.take(idx, 0)
+        block = rows.take(idx, 1) @ s.T
+    half = 0.5 * block
+    rows[:, idx] = half + half.T
+    if np.count_nonzero(np.isfinite(rows)) != rows.size:
+        raise ValueError("covariance must be finite")
     cov[idx] = rows
     cov[:, idx] = rows.T
 
@@ -499,14 +456,6 @@ def _unchecked_state(n_modes, **array):
     state = object.__new__(GaussianState)
     state.__dict__.update(n_modes=n_modes, **array)
     return state
-
-
-def _derived_state(n_modes, cov, idx):
-    """The state of a covariance copied from a valid state and changed only
-    in rows and columns ``idx``, checked on those rows by
-    :func:`_check_rows` instead of by a full ``O(N^2)`` pass."""
-    _check_rows(cov, idx)
-    return _unchecked_state(n_modes, cov=cov)
 
 
 def _marginal(state, rows):
@@ -528,16 +477,14 @@ def _marginal(state, rows):
 
 def _apply_steps(state, steps):
     """Fold ``(transform, modes)`` steps, nonempty and with valid modes, into
-    one copy of ``state``. Each step's rows are checked before the next
-    applies, so the result is bit-equal to folding :func:`apply_symplectic`.
+    one copy of ``state``, bit-equal to folding :func:`apply_symplectic`.
 
     A state held by its factor ``S`` has only the rows of ``S`` updated, and
     the result is held by ``S`` too. The squared norms of a step's new rows
     are the matching diagonal entries of ``S S^T`` and bound every entry of
     their rows, so a step is rejected, as the covariance check would reject
     it, if one of them is not finite. A state held by its covariance has
-    the rows and columns of each step updated and checked by
-    :func:`_check_rows`."""
+    the rows and columns of each step updated by :func:`_apply_cov`."""
     n = state.n_modes
     factor = state.factor
     if factor is not None:
@@ -548,13 +495,9 @@ def _apply_steps(state, steps):
                 raise ValueError("covariance must be finite")
         return _unchecked_state(n, factor=factor)
     cov = state.cov.copy()
-    idx = None
     for transform, modes in steps:
-        if idx is not None:
-            _check_rows(cov, idx)
-        idx = _step_rows(n, modes)
-        _apply_cov(cov, transform.matrix, idx)
-    return _derived_state(n, cov, idx)
+        _apply_cov(cov, transform.matrix, _step_rows(n, modes))
+    return _unchecked_state(n, cov=cov)
 
 
 def apply_symplectic(state, transform, modes=None):
@@ -564,8 +507,9 @@ def apply_symplectic(state, transform, modes=None):
     makes one copy of the symplectic factor if the state carries one, and
     of the covariance otherwise; beyond that copy only the ``k`` touched
     modes' rows of the factor, or rows and columns of the covariance, are
-    recomputed and checked, in ``O(k * N)`` rather than a full ``2N x 2N``
-    matrix product or validation pass.
+    recomputed, in ``O(k * N)`` rather than a full ``2N x 2N`` matrix
+    product or validation pass: the covariance's columns are written as
+    its new rows transposed, and only the new rows' finiteness is checked.
 
     Args:
         state (GaussianState): input state
@@ -579,6 +523,7 @@ def apply_symplectic(state, transform, modes=None):
     Raises:
         FieldError: naming ``modes``, if they are not an iterable of
             ``transform.n_modes`` distinct integer indices of the state.
+        ValueError: if a new row of the factor or covariance is not finite.
     """
     if modes is None:
         modes = range(transform.n_modes)

@@ -1,9 +1,10 @@
 """Tests for states derived on the rows an element touches.
 
-``apply_symplectic`` and ``loss_channel`` check and symmetrize only the rows
-and columns of the modes they change, and ``build_dual_rail`` updates one
-working copy. These tests hold them to the full ``GaussianState`` check: the
-same arrays bit for bit, the same rejections, and no per-element full pass.
+``apply_symplectic`` and ``loss_channel`` change only the rows and columns
+of the modes they touch, writing the columns as the rows transposed, and
+``build_dual_rail`` updates one working copy. These tests hold them to the
+full ``GaussianState`` check: the same arrays bit for bit, the same
+rejections, and no per-element full pass.
 """
 
 import math
@@ -39,7 +40,7 @@ from modecomb import (
 from modecomb.cluster import _rotated_modes
 from modecomb.elements import _squeezed_vacuum
 from modecomb import gaussian
-from modecomb.gaussian import _derived_state, _step_rows
+from modecomb.gaussian import _step_rows
 
 from conftest import random_network
 
@@ -253,9 +254,13 @@ def test_build_dual_rail_equals_folding_apply_symplectic(n_pairs, convention,
     _assert_bit_equal(state, folded, folded.factor)
 
 
-def test_an_overflowing_update_is_rejected():
+@pytest.mark.parametrize("build", [
+    lambda: vacuum_state(2),
+    lambda: GaussianState(2, np.eye(4)),
+], ids=["factor", "covariance"])
+def test_an_overflowing_update_is_rejected(build):
     blowup = SymplecticTransform(np.diag([1e150, 1e-150]), 1)
-    state = apply_symplectic(vacuum_state(2), blowup, (0,))
+    state = apply_symplectic(build(), blowup, (0,))
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ValueError,
                            match="covariance must be finite"):
@@ -263,60 +268,34 @@ def test_an_overflowing_update_is_rejected():
 
 
 @pytest.mark.parametrize("offset", [1e-14, 1e-6])
-def test_derived_state_checks_and_symmetrizes_its_rows_as_the_full_check(
+def test_an_asymmetry_is_averaged_within_the_bound_and_rejected_beyond_it(
         offset):
     state = apply_symplectic(vacuum_state(3), two_mode_squeezer(1.0), (0, 2))
     cov = state.cov.copy()
     cov[0, 4] += offset  # row 0 only; column 0 keeps the old value
-    idx = _quadrature_index(3, (0,))
     if offset > 1e-12:
         with pytest.raises(ValueError, match="not symmetric"):
-            _derived_state(3, cov, idx)
+            GaussianState(3, cov)
         return
-    reference = GaussianState(3, cov)
-    derived = _derived_state(3, cov.copy(), idx)
-    _assert_bit_equal(derived, reference)
-    assert np.array_equal(derived.cov, derived.cov.T)
-
-
-_TOUCHED_MODE_0 = pytest.mark.parametrize(
-    "idx", [_quadrature_index(3, (0,)), slice(0, None, 3)],
-    ids=["index array", "slice"],
-)
+    checked = GaussianState(3, cov)
+    assert np.array_equal(checked.cov, 0.5 * (cov + cov.T))
+    assert np.array_equal(checked.cov, checked.cov.T)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-@_TOUCHED_MODE_0
-def test_derived_state_rejects_a_non_finite_column_entry_as_the_full_check(
-        value, idx):
+def test_a_non_finite_entry_in_a_column_only_is_rejected(value):
     state = apply_symplectic(vacuum_state(3), two_mode_squeezer(1.0), (0, 2))
     cov = state.cov.copy()
     cov[4, 0] = value  # column 0 only; row 0 keeps its finite entry
     with pytest.raises(ValueError) as full:
         GaussianState(3, cov)
-    with pytest.raises(ValueError) as derived:
-        _derived_state(3, cov, idx)
-    assert str(derived.value) == str(full.value)
     assert str(full.value) == "covariance must be finite"
-
-
-@_TOUCHED_MODE_0
-def test_derived_state_averages_signed_zeros_as_the_full_check(idx):
-    state = apply_symplectic(vacuum_state(3), two_mode_squeezer(1.0), (1, 2))
-    cov = state.cov.copy()
-    cov[0, 1] = cov[1, 0] = 0.0
-    cov[0, 2], cov[2, 0] = -0.0, 0.0  # equal values, different bits
-    reference = GaussianState(3, cov)
-    derived = _derived_state(3, cov.copy(), idx)
-    assert reference.cov.tobytes() == derived.cov.tobytes()
-    assert not np.signbit(derived.cov[[0, 2], [2, 0]]).any()
 
 
 @pytest.mark.parametrize("symmetric", [True, False],
                          ids=["symmetric", "one ulp apart"])
-@_TOUCHED_MODE_0
 def test_entries_beyond_half_the_float_range_average_without_overflow(
-        symmetric, idx):
+        symmetric):
     big = 1.7e308  # 2 * big overflows
     cov = np.eye(6)
     cov[0, 0] = big
@@ -325,13 +304,11 @@ def test_entries_beyond_half_the_float_range_average_without_overflow(
     expected = cov.copy()
     expected[0, 1] = expected[1, 0] = 0.5 * cov[0, 1] + 0.5 * cov[1, 0]
     full = GaussianState(3, cov)
-    derived = _derived_state(3, cov.copy(), idx)
     assert full.cov.tobytes() == expected.tobytes()
-    assert derived.cov.tobytes() == expected.tobytes()
 
 
 # ---------------------------------------------------------------------------
-# the full check is the same row check, over every row of a copy
+# the full check runs on a copy of the caller's covariance
 # ---------------------------------------------------------------------------
 
 def test_a_state_does_not_share_its_callers_covariance():
@@ -453,13 +430,14 @@ def test_a_one_ulp_asymmetry_is_averaged():
 
 @pytest.fixture
 def averages(monkeypatch):
-    """Shapes of the rows each :func:`gaussian._symmetrized` call averages."""
+    """Shapes of the matrices each :func:`gaussian._symmetrized` call
+    averages."""
     shapes = []
     original = gaussian._symmetrized
 
-    def counted(rows, cols):
-        shapes.append(rows.shape)
-        return original(rows, cols)
+    def counted(cov):
+        shapes.append(cov.shape)
+        return original(cov)
 
     monkeypatch.setattr(gaussian, "_symmetrized", counted)
     return shapes
