@@ -40,7 +40,7 @@ from modecomb import (
 from modecomb.cluster import _rotated_modes
 from modecomb.elements import _squeezed_vacuum
 from modecomb import gaussian
-from modecomb.gaussian import _step_rows
+from modecomb.gaussian import _apply_cov, _step_rows
 
 from conftest import random_network
 
@@ -305,6 +305,58 @@ def test_entries_beyond_half_the_float_range_average_without_overflow(
     expected[0, 1] = expected[1, 0] = 0.5 * cov[0, 1] + 0.5 * cov[1, 0]
     full = GaussianState(3, cov)
     assert full.cov.tobytes() == expected.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# a covariance step, on either row layout of the same mode
+# ---------------------------------------------------------------------------
+
+_TOUCHED_MODE_0 = pytest.mark.parametrize(
+    "idx", [_quadrature_index(3, (0,)), slice(0, None, 3)],
+    ids=["index array", "slice"],
+)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@_TOUCHED_MODE_0
+def test_a_covariance_step_rejects_a_non_finite_new_row_unwritten(value,
+                                                                  idx):
+    state = apply_symplectic(vacuum_state(3), two_mode_squeezer(1.0), (0, 2))
+    cov = state.cov.copy()
+    s = np.array([[value, 0.0], [0.0, 1.0]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="covariance must be finite"):
+            _apply_cov(cov, s, idx)
+    assert cov.tobytes() == state.cov.tobytes()
+
+
+@_TOUCHED_MODE_0
+def test_a_covariance_step_writes_its_columns_as_its_rows_bit_for_bit(idx):
+    state = apply_symplectic(vacuum_state(3), two_mode_squeezer(1.0), (1, 2))
+    cov = state.cov.copy()
+    cov[0, 1], cov[1, 0] = -0.0, 0.0  # equal values, different bits
+    cov[0, 2], cov[2, 0] = -0.0, 0.0
+    element = phase_shift(0.3)
+    reference, _ = _fancy_apply_reference(GaussianState(3, cov), element,
+                                          (0,))
+    _apply_cov(cov, element.matrix, idx)
+    assert cov.tobytes() == cov.T.copy().tobytes()
+    assert np.array_equal(cov, reference.cov)
+
+
+@pytest.mark.parametrize("whole_block", [False, True],
+                         ids=["diagonal", "whole block"])
+@_TOUCHED_MODE_0
+def test_a_covariance_step_averages_its_block_without_overflow(whole_block,
+                                                               idx):
+    big = 1.7e308  # 2 * big overflows
+    cov = np.eye(6)
+    cov[0, 0] = big
+    if whole_block:
+        cov[3, 3] = cov[0, 3] = cov[3, 0] = big
+    expected = cov.copy()
+    _apply_cov(cov, np.eye(2), idx)
+    assert cov.tobytes() == expected.tobytes()
 
 
 # ---------------------------------------------------------------------------
