@@ -71,13 +71,13 @@ from .elements import AmplifierSpec, _fraction
 from .gaussian import (
     MAX_MODES,
     FieldError,
-    GaussianState,
     SymplecticTransform,
     Witness,
     _apply_rows,
     _integer,
     _modes,
     _step_rows,
+    _unchecked_state,
 )
 
 CONFIG_VERSION = "v1"
@@ -194,13 +194,6 @@ def _parse_detection(raw):
     return OverlapSpec(**raw)
 
 
-#: Section parsers by section name.
-_SECTIONS = {
-    "comb": _parse_comb,
-    "wire": _parse_wire,
-    "detection": _parse_detection,
-}
-
 #: Sweepable dotted field paths, each mapped to the key of its section that
 #: a swept value replaces.
 _SWEEP_FIELDS = {
@@ -213,9 +206,9 @@ _SWEEP_FIELDS = {
 
 
 def _parse_sweep(raw, config, scenario):
-    """Build and so validate every sweep point of ``scenario``, parsed from
-    the decoded ``config``: each point parses the swept section again with
-    the swept value put in."""
+    """Build and so validate every sweep point of ``scenario``: each is
+    :func:`parse_scenario` of the decoded ``config`` without its sweep and
+    with the swept key set, so a bad value is named as the point's field."""
     _known(raw, ("parameter", "values"))
     parameter = raw.get("parameter")
     if not isinstance(parameter, str) or parameter not in _SWEEP_FIELDS:
@@ -232,12 +225,12 @@ def _parse_sweep(raw, config, scenario):
     values = raw.get("values")
     if not isinstance(values, list):
         raise FieldError("values", "must be a nonempty number list")
-    replaced, parse = _SWEEP_FIELDS[parameter], _SECTIONS[section]
+    replaced = _SWEEP_FIELDS[parameter]
     base = {k: v for k, v in config.get(section, {}).items() if k != replaced}
+    fixed = {k: v for k, v in config.items() if k != "sweep"}
 
     def point(value):
-        parsed = _section({section: {**base, key: value}}, section, parse)
-        return replace(scenario, **{section: parsed})
+        return parse_scenario({**fixed, section: {**base, key: value}})
 
     points = _checked("values", values, point)
     return replace(
@@ -308,7 +301,7 @@ def _comb_basis(comb):
     x-difference witnesses in pair order. They depend only on ``M`` and
     ``cells``, which no sweep changes.
 
-    The vacuum is constructed directly, so it is held by its covariance,
+    The library builds the vacuum as the identity covariance, unchecked and
     without a symplectic factor: each pair's squeezer in
     :func:`~modecomb.comb.amplify_comb` updates the covariance, and each
     comb row is read from its pair's marginal through loss channels. The
@@ -316,7 +309,7 @@ def _comb_basis(comb):
     n = comb.n_modes
     witnesses = [(label, Witness.from_terms(n, xdiff))
                  for label, xdiff in _xdiff_terms(comb)]
-    return GaussianState(n, np.eye(2 * n)), witnesses
+    return _unchecked_state(n, cov=np.eye(2 * n)), witnesses
 
 
 def _witness_rows(scenario, comb_basis):
@@ -372,11 +365,11 @@ def _graph_report(scenario):
 def run_scenario(config_path, out_dir=".", fmt="csv"):
     """Run a scenario file and write its witness table and graph report.
 
-    Each sweep point is evaluated as its own scenario would be. The comb's
-    vacuum and pair witnesses are built at most once per call, on the first
-    point that simulates the comb; each point amplifies its own comb from
-    that vacuum. Points that take the closed form build neither. The
-    vacuum is constructed directly, without a symplectic factor, and each
+    Each sweep point is the scenario file with the swept key set, parsed
+    again, and is evaluated as that scenario would be. The comb's vacuum
+    and pair witnesses are built once per call, on the first point that
+    simulates the comb, and each point amplifies its own comb from that
+    unchecked, factorless vacuum; closed-form points build neither. Each
     comb row is read from its pair's ``4 x 4`` covariance block by
     :func:`~modecomb.detection.measure_witness`. A wire is held by its
     symplectic factor, and each wire row is read from that factor's rows.
@@ -630,10 +623,10 @@ def cmd_noise_table(gains, etas, misalignments, out_dir=".", fmt="csv"):
     One row per (gain, eta, misalignment) triple, sorted ascending. The
     simulated column drives an explicit amplified pair through loss channels
     and is only defined at zero misalignment. Every gain's comb is one pair,
-    so all gains share the factorless vacuum and x-difference witness of
-    one :func:`_comb_basis`, as ``simulate`` reads them. Misaligned rows use
-    the closed form with one stray mode at ``eta_i = eta / 2``. Every value
-    is validated before any row is computed.
+    so all gains share the unchecked, factorless vacuum and x-difference
+    witness of one :func:`_comb_basis`, as ``simulate`` reads them.
+    Misaligned rows use the closed form with one stray mode at
+    ``eta_i = eta / 2``. Every value is validated before any row is computed.
 
     Returns:
         Path: the written table path

@@ -158,9 +158,9 @@ def _symmetrized(cov):
     than ``SYMMETRY_TOL * max(1, max |C|)``; an overflowing difference, which
     ``GaussianState`` lets through ``np.errstate``, reads as infinite.
 
-    An entry whose sum overflows (both terms beyond ``max / 2``) is
-    averaged as ``C/2 + C^T/2``. So every finite input gives a finite
-    average, and an entry equal to its transpose keeps its bits."""
+    An entry whose sum overflows (both terms beyond ``max / 2``) is averaged
+    as ``C/2 + C^T/2``. So every finite input gives a finite average, a new
+    C-ordered array, and an entry equal to its transpose keeps its bits."""
     largest = np.maximum.reduce(np.abs(cov), None)
     if not math.isfinite(largest):
         raise ValueError("covariance must be finite")
@@ -239,13 +239,13 @@ class GaussianState:
             state has none. A caller holding ``S`` gets a state with it from
             ``apply_symplectic(vacuum_state(n), SymplecticTransform(S, n))``.
 
-    A NaN or infinite entry of ``cov`` is rejected with ``ValueError``. The
-    covariance is copied on construction, so a state never shares its
-    caller's array. A finite copy that equals its transpose byte for byte
-    is stored as given; any other is checked and averaged by
-    :func:`_symmetrized`. The library's steps keep a checked covariance
-    finite and exactly symmetric by construction and skip this check:
-    :func:`apply_symplectic` rejects a step only if a new row is not
+    A NaN or infinite entry of ``cov`` is rejected with ``ValueError``.
+    Every given covariance is checked and averaged with its transpose by
+    :func:`_symmetrized`, and the state stores that new array, so it never
+    shares its caller's array; an exactly symmetric covariance keeps its
+    bits, signed zeros included. The library's steps keep a checked
+    covariance finite and exactly symmetric by construction and skip this
+    check: :func:`apply_symplectic` rejects a step only if a new row is not
     finite, and :func:`~modecomb.elements.loss_channel` needs no check.
     Physicality (``cov + i Omega >= 0``) is *not* enforced here so that
     deliberately unphysical matrices can still be probed with
@@ -259,19 +259,14 @@ class GaussianState:
     def __post_init__(self):
         n_modes = _integer("n_modes", self.n_modes, 1, MAX_MODES)
         dim = 2 * n_modes
-        cov = np.array(self.cov, dtype=float, order="C")
+        cov = np.asarray(self.cov, dtype=float)
         if cov.shape != (dim, dim):
             raise ValueError(
                 f"covariance must be {dim}x{dim} for {n_modes} modes, "
                 f"got {cov.shape}"
             )
-        # A finite matrix whose bytes equal its transpose's passes every
-        # rule, and its average would write back its own bits. Bytes, not
-        # values, are compared: -0.0 == 0.0, but their average is +0.0.
-        if not (cov.tobytes() == cov.T.tobytes()
-                and np.count_nonzero(np.isfinite(cov)) == cov.size):
-            with np.errstate(over="ignore"):
-                cov[...] = _symmetrized(cov)
+        with np.errstate(over="ignore"):
+            cov = _symmetrized(cov)
         object.__setattr__(self, "n_modes", n_modes)
         object.__setattr__(self, "cov", cov)
 
@@ -475,6 +470,7 @@ def _marginal(state, rows):
     return _unchecked_state(len(cov) // 2, cov=cov)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _apply_steps(state, steps):
     """Fold ``(transform, modes)`` steps, nonempty and with valid modes, into
     one copy of ``state``, bit-equal to folding :func:`apply_symplectic`.
@@ -484,7 +480,8 @@ def _apply_steps(state, steps):
     are the matching diagonal entries of ``S S^T`` and bound every entry of
     their rows, so a step is rejected, as the covariance check would reject
     it, if one of them is not finite. A state held by its covariance has
-    the rows and columns of each step updated by :func:`_apply_cov`."""
+    the rows and columns of each step updated by :func:`_apply_cov`. An
+    overflowing product raises that ValueError, not numpy's warning."""
     n = state.n_modes
     factor = state.factor
     if factor is not None:

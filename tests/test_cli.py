@@ -401,6 +401,34 @@ def test_mode_bound_counts_every_cell_and_admits_the_largest_sizes():
             },
             "sweep.values[0].detection.stray_etas",
         ),
+        (
+            {
+                "name": "x",
+                "comb": {"M": 2, "gain": 2.0},
+                "sweep": {"parameter": "comb.gain", "values": [2.0, 0.5]},
+            },
+            "sweep.values[1].comb.gain",
+        ),
+        (
+            {
+                "name": "x",
+                "wire": {"n_pairs": 2, "r": 1.0},
+                "sweep": {"parameter": "wire.r", "values": [1.0, 7.5]},
+            },
+            "sweep.values[1].wire.r",
+        ),
+        (
+            {
+                "name": "x",
+                "comb": {"M": 2, "r": 0.5},
+                "detection": {"stray_etas": [0.5]},
+                "sweep": {
+                    "parameter": "detection.misalignment",
+                    "values": [0.1, 1.5],
+                },
+            },
+            "sweep.values[1].detection.misalignment",
+        ),
         ({"name": "x", "wire": {"n_pairs": 2, "r": 7.5}}, "wire.r"),
         ({"name": "x", "comb": {"M": 2, "r": "0.5"}}, "comb.r"),
         ({"name": "x", "comb": {"M": 2, "gain": True}}, "comb.gain"),

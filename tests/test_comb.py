@@ -173,16 +173,16 @@ def witness_count(monkeypatch):
 
 @pytest.fixture
 def vacuum_count(monkeypatch):
-    """Count every vacuum state the CLI builds, through GaussianState, while
-    the test runs."""
+    """Count every comb vacuum the CLI builds, through ``_comb_basis``,
+    while the test runs."""
     count = [0]
-    build = modecomb.cli.GaussianState
+    build = modecomb.cli._comb_basis
 
-    def counted(n_modes, cov):
+    def counted(comb):
         count[0] += 1
-        return build(n_modes, cov)
+        return build(comb)
 
-    monkeypatch.setattr(modecomb.cli, "GaussianState", counted)
+    monkeypatch.setattr(modecomb.cli, "_comb_basis", counted)
     return count
 
 
@@ -205,7 +205,7 @@ def test_comb_simulate_builds_one_witness_per_pair(
 ):
     # The points differ only in gain, so they share one vacuum and one
     # witness per pair; each point still gets its own row per pair. The
-    # vacuum is built with one full check.
+    # library builds the vacuum, so no covariance is checked.
     config = tmp_path / "comb.json"
     config.write_text(json.dumps({
         "version": "v1", "name": "comb", "comb": {"M": 6, "gain": 2.0},
@@ -217,7 +217,7 @@ def test_comb_simulate_builds_one_witness_per_pair(
     assert len(rows) == 9
     assert witness_count[0] == 3
     assert vacuum_count[0] == 1
-    assert full_checks[0] == 1
+    assert full_checks[0] == 0
 
 
 def test_closed_form_sweep_builds_no_vacuum(
@@ -245,7 +245,7 @@ def test_noise_table_builds_one_witness_and_vacuum_for_all_gains(
     assert main(argv) == 0
     assert witness_count[0] == 1
     assert vacuum_count[0] == 1
-    assert full_checks[0] == 1
+    assert full_checks[0] == 0
 
 
 @pytest.mark.parametrize("gain", [1.2, 9.0, 1e3])
