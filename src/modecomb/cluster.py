@@ -139,60 +139,57 @@ def _rotated_modes(spec):
     return tuple(m for m in range(2 * spec.n_pairs) if m % 4 in (1, 2))
 
 
-def _terms(quad, coeffs):
-    """Sparse ``{(mode, quad): coefficient}`` terms of ``(mode, coeff)``
-    pairs."""
-    return {(m, quad): c for m, c in coeffs}
-
-
 def _wire_terms(n_pairs):
     """Squeezed quadrature combinations of the beam-splitter-output wire.
 
-    Returns ``(label, terms)`` pairs, ``terms`` mapping ``(mode, "x"|"p")``
-    to a coefficient, before any phase relabeling. Each combination has
-    vacuum variance 4 and variance ``4 e^{-2r}`` on the wire, so the
-    normalized witness variance is ``e^{-2r}``. Interior source k (link
-    ``interior{k-1}``) contributes four-mode combinations on modes
-    (2k-1 .. 2k+2), with x-signs (+1, +1, -1, +1) and p-signs
-    (+1, +1, +1, -1); the chain ends contribute three-mode combinations
-    with a sqrt(2) weight on the unmixed end modes.
+    Returns ``(label, quad, terms)`` triples, ``terms`` a tuple of
+    ``(mode, coefficient)`` pairs on quadrature ``quad``, "x" or "p", before
+    any phase relabeling. Each combination has vacuum variance 4 and
+    variance ``4 e^{-2r}`` on the wire, so the normalized witness variance
+    is ``e^{-2r}``. Interior source k (link ``interior{k-1}``) contributes
+    four-mode combinations on modes (2k-1 .. 2k+2), with x-signs
+    (+1, +1, -1, +1) and p-signs (+1, +1, +1, -1); the chain ends
+    contribute three-mode combinations with a sqrt(2) weight on the unmixed
+    end modes.
     """
     last = 2 * n_pairs - 1
     out = [
-        ("left_x", _terms("x", [(0, _SQRT2), (1, -1.0), (2, 1.0)])),
-        ("left_p", _terms("p", [(0, _SQRT2), (1, 1.0), (2, -1.0)])),
+        ("left_x", "x", ((0, _SQRT2), (1, -1.0), (2, 1.0))),
+        ("left_p", "p", ((0, _SQRT2), (1, 1.0), (2, -1.0))),
     ]
     for position in range(n_pairs - 2):
         a, b, c, d = range(2 * position + 1, 2 * position + 5)
         out += [
-            (f"interior{position}_x",
-             _terms("x", [(a, 1.0), (b, 1.0), (c, -1.0), (d, 1.0)])),
-            (f"interior{position}_p",
-             _terms("p", [(a, 1.0), (b, 1.0), (c, 1.0), (d, -1.0)])),
+            (f"interior{position}_x", "x",
+             ((a, 1.0), (b, 1.0), (c, -1.0), (d, 1.0))),
+            (f"interior{position}_p", "p",
+             ((a, 1.0), (b, 1.0), (c, 1.0), (d, -1.0))),
         ]
-    ends = [(last - 2, 1.0), (last - 1, 1.0)]
-    out += [("right_x", _terms("x", [*ends, (last, -_SQRT2)])),
-            ("right_p", _terms("p", [*ends, (last, _SQRT2)]))]
+    ends = ((last - 2, 1.0), (last - 1, 1.0))
+    out += [("right_x", "x", (*ends, (last, -_SQRT2))),
+            ("right_p", "p", (*ends, (last, _SQRT2)))]
     return out
 
 
-def _relabel(terms, rotated):
-    """Rewrite ``terms`` after -pi/2 rotations of the modes in the set
+def _relabeled_rows(n_modes, quad, terms, rotated):
+    """The ascending quadrature rows and their coefficients of the
+    ``quad``-type ``terms`` after -pi/2 rotations of the modes in the set
     ``rotated``.
 
     The rotation maps operators as x -> -p, p -> x on each rotated mode, so
     a combination keeps its value when an x-term keeps its coefficient on p
     and a p-term moves to x negated.
     """
-    out = {}
-    for (m, quad), c in terms.items():
+    entries = []
+    for m, c in terms:
         if m not in rotated:
-            out[m, quad] = c
+            entries.append((m if quad == "x" else n_modes + m, c))
         elif quad == "x":
-            out[m, "p"] = c
+            entries.append((n_modes + m, c))
         else:
-            out[m, "x"] = -c
-    return out
+            entries.append((m, -c))
+    rows, vals = zip(*sorted(entries))
+    return np.array(rows, dtype=np.intp), np.array(vals)
 
 
 def build_dual_rail(spec):
@@ -203,7 +200,9 @@ def build_dual_rail(spec):
     splitters; then applies the -pi/2 rotations selected by the spec's phase
     convention. For ``r > 0`` the sources start as one splitter-times-
     squeeze factor (:func:`~modecomb.elements._squeezed_vacuum`); the links
-    and rotations fold into one working copy of that state.
+    and rotations fold into one working copy of that state, each of the two
+    layers of disjoint elements as stacked products over its rows
+    (:func:`~modecomb.gaussian._apply_steps`), not one pass per element.
 
     Args:
         spec (DualRailSpec): wire parameters
@@ -247,7 +246,10 @@ def ideal_wire_graph(n_pairs):
     """
     spec = DualRailSpec(n_pairs, 0.0)
     n_modes = 2 * spec.n_pairs
-    rows = np.array([w.coeffs for _, w in wire_witnesses(spec)])
+    witnesses = wire_witnesses(spec)
+    rows = np.zeros((len(witnesses), 2 * n_modes))
+    for i, (_, w) in enumerate(witnesses):
+        rows[i, w.rows] = w.vals
     adjacency = -np.linalg.solve(rows[:, n_modes:], rows[:, :n_modes])
     adjacency = 0.5 * (adjacency + adjacency.T)
     return GraphSpec(n_modes, adjacency.astype(complex))
@@ -260,15 +262,21 @@ def wire_witnesses(spec):
     from :func:`build_dual_rail` with the same spec, and 1 on vacuum. The
     terms of :func:`_wire_terms` are rewritten through the relabeling of
     the modes :func:`build_dual_rail` rotates, so the measured physical
-    combination is identical for both conventions.
+    combination is identical for both conventions. Each witness is built
+    from its three or four sparse rows, never as a dense ``4 n_pairs``
+    vector, so the call takes ``O(n_pairs)`` time and memory; the dense
+    ``coeffs`` is formed only if read.
 
     Returns:
         tuple[tuple[str, Witness], ...]: labeled witnesses in wire order:
         left boundary pair, interior pairs, right boundary pair
     """
     n_modes, rotated = 2 * spec.n_pairs, set(_rotated_modes(spec))
-    return tuple((label, Witness.from_terms(n_modes, _relabel(terms, rotated)))
-                 for label, terms in _wire_terms(spec.n_pairs))
+    return tuple(
+        (label, Witness._from_rows(
+            n_modes, *_relabeled_rows(n_modes, quad, terms, rotated)))
+        for label, quad, terms in _wire_terms(spec.n_pairs)
+    )
 
 
 def bipartite_graph(comb):

@@ -147,6 +147,15 @@ def _step_rows(n_modes, modes):
     return np.array([*modes, *(n_modes + m for m in modes)])
 
 
+def _float_array(what, value, copy):
+    """``value`` as a float64 array, a new one if ``copy``; raise ValueError
+    naming ``what`` for a complex array, whose imaginary part the
+    conversion would drop."""
+    if np.iscomplexobj(value):
+        raise ValueError(f"{what} must be real, got a complex array")
+    return (np.array if copy else np.asarray)(value, dtype=float)
+
+
 #: Below this largest entry, ``C + C^T`` within the asymmetry bound cannot
 #: overflow.
 _SUM_SAFE = sys.float_info.max / 4
@@ -195,22 +204,28 @@ def symplectic_form(n_modes):
     return omega
 
 
-class _FormedCovariance:
-    """The ``cov`` of a state held by its factor ``S``: ``S @ S.T``, formed
-    on first read and kept in the state's ``__dict__``.
+class _FormedOnRead:
+    """A field formed by ``form(obj)`` on its first read and kept in the
+    object's ``__dict__``: the ``cov`` of a state held by its factor, the
+    ``coeffs`` of a witness held by its sparse rows.
 
-    A non-data descriptor, so a covariance in the state's ``__dict__``, as
-    every state held by its covariance has, is found first and this is not
-    called. Declared as the default of ``GaussianState.cov``, it raises
+    A non-data descriptor, so a value in the object's ``__dict__``, as a
+    given covariance or coefficient vector is, is found first and this is
+    not called. Declared as a dataclass field's default, it raises
     AttributeError when read on the class, which leaves the field without
     a default (dataclasses' descriptor-typed fields)."""
 
-    def __get__(self, state, owner=None):
-        if state is None:
-            raise AttributeError("cov")
-        factor = state.factor
-        cov = state.__dict__["cov"] = factor @ factor.T
-        return cov
+    def __init__(self, form):
+        self.form = form
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            raise AttributeError(self.name)
+        value = obj.__dict__[self.name] = self.form(obj)
+        return value
 
 
 @dataclass(frozen=True, eq=False)
@@ -239,7 +254,8 @@ class GaussianState:
             state has none. A caller holding ``S`` gets a state with it from
             ``apply_symplectic(vacuum_state(n), SymplecticTransform(S, n))``.
 
-    A NaN or infinite entry of ``cov`` is rejected with ``ValueError``.
+    A complex ``cov``, or a NaN or infinite entry of it, is rejected with
+    ``ValueError``.
     Every given covariance is checked and averaged with its transpose by
     :func:`_symmetrized`, and the state stores that new array, so it never
     shares its caller's array; an exactly symmetric covariance keeps its
@@ -253,13 +269,15 @@ class GaussianState:
     """
 
     n_modes: int
-    cov: np.ndarray = _FormedCovariance()
+    cov: np.ndarray = _FormedOnRead(
+        lambda state: state.factor @ state.factor.T
+    )
     factor: np.ndarray | None = field(default=None, init=False)
 
     def __post_init__(self):
         n_modes = _integer("n_modes", self.n_modes, 1, MAX_MODES)
         dim = 2 * n_modes
-        cov = np.asarray(self.cov, dtype=float)
+        cov = _float_array("covariance", self.cov, copy=False)
         if cov.shape != (dim, dim):
             raise ValueError(
                 f"covariance must be {dim}x{dim} for {n_modes} modes, "
@@ -286,7 +304,8 @@ class SymplecticTransform:
             [1, MAX_MODES]
 
     Raises:
-        ValueError: if ``S Omega S^T`` deviates from ``Omega`` by more than
+        ValueError: if the matrix is complex, or if ``S Omega S^T``
+            deviates from ``Omega`` by more than
             :data:`SYMPLECTIC_TOL` times ``max(1, |S|_F^2)`` in Frobenius
             norm. The bound scales with the matrix because rounding its
             entries moves ``S Omega S^T`` by about ``eps |S|^2``: a squeezer
@@ -300,7 +319,7 @@ class SymplecticTransform:
     def __post_init__(self):
         n_modes = _integer("n_modes", self.n_modes, 1, MAX_MODES)
         dim = 2 * n_modes
-        matrix = np.array(self.matrix, dtype=float)
+        matrix = _float_array("matrix", self.matrix, copy=True)
         if matrix.shape != (dim, dim):
             raise ValueError(
                 f"matrix must be {dim}x{dim} for {n_modes} modes, "
@@ -325,51 +344,90 @@ class SymplecticTransform:
         object.__setattr__(self, "matrix", matrix)
 
 
+def _scattered(witness):
+    """The dense coefficients of ``witness``: its ``vals`` scattered into
+    ``2N`` zeros."""
+    coeffs = np.zeros(2 * witness.n_modes)
+    coeffs[witness.rows] = witness.vals
+    return coeffs
+
+
 @dataclass(frozen=True, eq=False)
 class Witness:
     """A linear quadrature combination whose variance certifies entanglement.
 
+    A witness is held by its nonzero coefficients: ``vals`` on the
+    ascending quadrature ``rows``, ``2k`` or fewer for ``k`` support modes,
+    so its memory and every read of a state's factor grow with ``k``, not
+    ``N``. The dense ``coeffs`` of one built from terms, as every witness
+    the library builds, is formed on first read and then kept.
+
     Attributes:
         coeffs (array[float]): length ``2N`` finite coefficients over
-            ``(x_1..x_N, p_1..p_N)``
+            ``(x_1..x_N, p_1..p_N)``, the one constructor argument
+        n_modes (int): number of modes ``N``
+        rows (array[intp]): ascending indices of the nonzero coefficients
+        vals (array[float]): the coefficients on ``rows``
         normalization (float): vacuum variance of the combination, always
-            ``coeffs . coeffs`` in shot-noise units
+            ``vals . vals``, the square sum of ``coeffs``, in shot-noise
+            units
 
-    The modes with a nonzero coefficient are found once, on construction,
-    and :meth:`support` returns them.
+    Every witness, given densely or by terms, passes one check: a complex
+    array, an odd or empty length, a non-finite coefficient or square sum
+    and an all-zero combination are rejected with ``ValueError``. The
+    modes with a nonzero coefficient are found on the first call of
+    :meth:`support` and kept.
     """
 
-    coeffs: np.ndarray
+    coeffs: np.ndarray = _FormedOnRead(_scattered)
+    n_modes: int = field(init=False, repr=False)
+    rows: np.ndarray = field(init=False, repr=False)
+    vals: np.ndarray = field(init=False, repr=False)
     normalization: float = field(init=False)
-    _support: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        coeffs = np.array(self.coeffs, dtype=float).reshape(-1)
-        if coeffs.size == 0 or coeffs.size % 2 != 0:
-            raise ValueError("witness coefficients must have even length 2N")
-        # np.vdot gives the bits of ``coeffs @ coeffs`` without its overflow
+        held = self.__dict__
+        if "coeffs" in held:
+            coeffs = _float_array(
+                "witness coefficients", self.coeffs, copy=True
+            ).reshape(-1)
+            if coeffs.size == 0 or coeffs.size % 2 != 0:
+                raise ValueError(
+                    "witness coefficients must have even length 2N"
+                )
+            rows = np.flatnonzero(coeffs)
+            held.update(coeffs=coeffs, n_modes=coeffs.size // 2, rows=rows,
+                        vals=coeffs[rows])
+        # np.vdot gives the bits of ``vals @ vals`` without its overflow
         # warning, so a huge coefficient just reads as an infinite sum.
-        norm = float(np.vdot(coeffs, coeffs))
+        norm = float(np.vdot(self.vals, self.vals))
         if not math.isfinite(norm):
             raise ValueError(
                 "witness coefficients must be finite, with a finite square sum"
             )
         if norm == 0.0:
             raise ValueError("witness coefficient vector must be nonzero")
-        n = coeffs.size // 2
-        support = tuple(np.nonzero(np.logical_or(coeffs[:n], coeffs[n:]))[0])
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "normalization", norm)
-        object.__setattr__(self, "_support", support)
+        held["normalization"] = norm
+
+    @classmethod
+    def _from_rows(cls, n_modes, rows, vals):
+        """The witness on ``n_modes`` modes with ``vals`` on the ascending,
+        distinct quadrature ``rows``, an ``np.intp`` array; checked as every
+        witness is, by ``__post_init__``."""
+        witness = object.__new__(cls)
+        witness.__dict__.update(n_modes=n_modes, rows=rows, vals=vals)
+        witness.__post_init__()
+        return witness
 
     @classmethod
     def from_terms(cls, n_modes, terms):
         """Build a witness from sparse ``{(mode, "x"|"p"): coefficient}`` terms
         on ``n_modes`` modes, an integer in [1, MAX_MODES]. Each coefficient
         is a finite number, not a bool; a FieldError names the term of any
-        other."""
+        other. Terms on one quadrature row add up, and a row whose sum is
+        zero is dropped."""
         n_modes = _integer("n_modes", n_modes, 1, MAX_MODES)
-        coeffs = np.zeros(2 * n_modes)
+        coeffs = {}
         for (mode, quad), value in terms.items():
             mode = _mode(mode, n_modes)
             # A finite plain float passes the rule as it is; only another
@@ -377,23 +435,36 @@ class Witness:
             if type(value) is not float or not math.isfinite(value):
                 value = _real(f"terms[{mode}, {quad!r}]", value)
             if quad == "x":
-                coeffs[mode] += value
+                row = mode
             elif quad == "p":
-                coeffs[n_modes + mode] += value
+                row = n_modes + mode
             else:
                 raise ValueError(f"quadrature must be 'x' or 'p', got {quad!r}")
-        return cls(coeffs)
+            coeffs[row] = coeffs.get(row, 0.0) + value
+        rows = sorted(row for row, value in coeffs.items() if value)
+        return cls._from_rows(n_modes, np.array(rows, dtype=np.intp),
+                              np.array([coeffs[row] for row in rows]))
+
+    def _check_modes(self, n_modes):
+        """Raise ValueError if ``n_modes`` is not the witness's own mode
+        count."""
+        if n_modes != self.n_modes:
+            raise ValueError(f"witness has {self.n_modes} modes, not {n_modes}")
 
     def support(self, n_modes):
-        """Mode indices on which the witness has a nonzero coefficient.
+        """Mode indices on which the witness has a nonzero coefficient, a
+        tuple of ``np.intp``, found on the first call and kept.
 
         Raises:
             ValueError: if ``n_modes`` is not the witness's own mode count.
         """
-        own = self.coeffs.size // 2
-        if n_modes != own:
-            raise ValueError(f"witness has {own} modes, not {n_modes}")
-        return self._support
+        self._check_modes(n_modes)
+        support = self.__dict__.get("_support")
+        if support is None:
+            modes = sorted({row % n_modes for row in self.rows.tolist()})
+            support = tuple(map(np.intp, modes))
+            self.__dict__["_support"] = support
+        return support
 
 
 def vacuum_state(n_modes):
@@ -470,26 +541,66 @@ def _marginal(state, rows):
     return _unchecked_state(len(cov) // 2, cov=cov)
 
 
+#: Bytes of new factor rows one stacked product computes. A layer longer
+#: than this is folded in several products, each at least one step, which
+#: keeps a product's operand and result near cache size at every N. On one
+#: thread of a shared 2-vCPU Xeon, uncapped, a 1024-pair wire's build took
+#: 222 ms against 123 ms and peaked at 542 MB against 287 MB; caps of 1 MB
+#: and 4 MB took 162 and 182 ms.
+_LAYER_BYTES = 1 << 18
+
+
+def _layers(n_modes, steps):
+    """Split ``(transform, modes)`` steps into runs of consecutive steps
+    that share one transform and touch pairwise-disjoint modes, each of at
+    most :data:`_LAYER_BYTES` of new rows of a ``2N``-column factor, and
+    yield each run's matrix and its ``(L, 2k)`` quadrature rows: one row
+    per step, ``m_0..m_{k-1}, N + m_0..N + m_{k-1}`` as in
+    :func:`_step_rows`. A lone step is a run of one."""
+    runs, touched = [], set()
+    for transform, modes in steps:
+        if (not runs or transform is not runs[-1][0]
+                or len(runs[-1][1]) == limit
+                or not touched.isdisjoint(modes)):
+            runs.append((transform, []))
+            touched = set()
+            limit = max(1, _LAYER_BYTES // (32 * len(modes) * n_modes))
+        runs[-1][1].append(modes)
+        touched.update(modes)
+    for transform, run in runs:
+        modes = np.array(run)
+        yield transform.matrix, np.concatenate((modes, modes + n_modes),
+                                               axis=1)
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def _apply_steps(state, steps):
     """Fold ``(transform, modes)`` steps, nonempty and with valid modes, into
     one copy of ``state``, bit-equal to folding :func:`apply_symplectic`.
 
     A state held by its factor ``S`` has only the rows of ``S`` updated, and
-    the result is held by ``S`` too. The squared norms of a step's new rows
-    are the matching diagonal entries of ``S S^T`` and bound every entry of
-    their rows, so a step is rejected, as the covariance check would reject
-    it, if one of them is not finite. A state held by its covariance has
-    the rows and columns of each step updated by :func:`_apply_cov`. An
-    overflowing product raises that ValueError, not numpy's warning."""
+    the result is held by ``S`` too. Each run of :func:`_layers`, a layer
+    of disjoint elements such as a wire's links, is one stacked product
+    ``s @ S[idx]`` over its ``(L, 2k)`` rows ``idx``: its steps commute and
+    read no row another writes, and each step's ``2k x 2N`` block is the
+    same product as alone, so the bits are those of the fold. The squared
+    norms of a run's new rows are the matching diagonal entries of
+    ``S S^T`` and bound every entry of their rows, so a run is rejected, as
+    the covariance check would reject it, if one of them is not finite; its
+    rows are written only after that check. A state held by its covariance
+    has the rows and columns of each step updated by :func:`_apply_cov`. An
+    overflowing product raises that ValueError, not numpy's warning, and
+    leaves ``state`` as it was."""
     n = state.n_modes
     factor = state.factor
     if factor is not None:
         factor = factor.copy()
-        for transform, modes in steps:
-            rows = _apply_rows(factor, transform.matrix, _step_rows(n, modes))
-            if not math.isfinite(np.einsum("ij,ij->i", rows, rows).max()):
+        for s, idx in _layers(n, steps):
+            rows = s @ factor.take(idx, 0)
+            norms = np.einsum("...i,...i->...", rows, rows)
+            if not math.isfinite(norms.max()):
                 raise ValueError("covariance must be finite")
+            factor[idx] = rows
         return _unchecked_state(n, factor=factor)
     cov = state.cov.copy()
     for transform, modes in steps:
@@ -532,12 +643,12 @@ def _factor_variance(state, witness):
     """``|S_s^T w_s|^2 / |w|^2``: the normalized variance of ``witness`` on
     a state held by a symplectic factor ``S`` of its covariance, read from
     the rows ``S_s`` of its nonzero coefficients ``w_s``, at most ``2k`` for
-    ``k`` support modes, as one plain product in ``O(k * N)``. A wire's
-    factor is a passive matrix times ``e^{+-r}``, so its rows are accurate
-    to a few ``eps`` at every ``r`` (README, numerical limits)."""
-    witness.support(state.n_modes)  # checks the mode count
-    rows = np.flatnonzero(witness.coeffs)
-    u = witness.coeffs[rows] @ state.factor[rows]
+    ``k`` support modes, as one plain product ``vals @ S[rows]`` in
+    ``O(k * N)``. A wire's factor is a passive matrix times ``e^{+-r}``, so
+    its rows are accurate to a few ``eps`` at every ``r`` (README,
+    numerical limits)."""
+    witness._check_modes(state.n_modes)
+    u = witness.vals @ state.factor[witness.rows]
     return float(u @ u) / witness.normalization
 
 
@@ -556,9 +667,9 @@ def witness_variance(state, witness):
     Returns:
         float: normalized variance
     """
-    if witness.coeffs.size != state.dim:
+    if witness.n_modes != state.n_modes:
         raise ValueError(
-            f"witness has {witness.coeffs.size} coefficients but the state "
+            f"witness has {2 * witness.n_modes} coefficients but the state "
             f"has {state.dim} quadratures"
         )
     if state.factor is not None:

@@ -7,6 +7,7 @@ full ``GaussianState`` check: the same arrays bit for bit, the same
 rejections, and no per-element full pass.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -39,7 +40,13 @@ from modecomb import (
 )
 from modecomb.cluster import _rotated_modes
 from modecomb.elements import _squeezed_vacuum
-from modecomb.gaussian import _apply_cov, _step_rows
+from modecomb.gaussian import (
+    _LAYER_BYTES,
+    _apply_cov,
+    _apply_steps,
+    _layers,
+    _step_rows,
+)
 
 from conftest import random_network
 
@@ -239,9 +246,14 @@ def _wire_steps(spec):
     return steps
 
 
-@pytest.mark.parametrize("n_pairs", [2, 3, 32])
-@pytest.mark.parametrize("convention", ["odd_mode_minus_half_pi", "none"])
-@pytest.mark.parametrize("r", [0.0, 0.37, 1.0, 2.9, 6.9])
+CONVENTIONS = ["odd_mode_minus_half_pi", "none"]
+
+
+@pytest.mark.parametrize("r, convention, n_pairs", [
+    *itertools.product([0.0, 0.37, 1.0, 2.9, 6.9], CONVENTIONS, [2, 3, 32]),
+    # Each layer of a 300-pair wire spans several capped products.
+    *itertools.product([0.37, 6.9], CONVENTIONS, [300]),
+])
 def test_build_dual_rail_equals_folding_apply_symplectic(n_pairs, convention,
                                                          r):
     spec = DualRailSpec(n_pairs, r, convention)
@@ -251,6 +263,46 @@ def test_build_dual_rail_equals_folding_apply_symplectic(n_pairs, convention,
 
     state = build_dual_rail(spec)
     _assert_bit_equal(state, folded, folded.factor)
+
+
+def test_a_long_layer_is_folded_in_products_under_the_cap():
+    spec = DualRailSpec(300, 0.37)
+    steps = _wire_steps(spec)
+    runs = [idx for _, idx in _layers(600, steps)]
+    assert [tuple(m) for idx in runs for m in idx[:, :idx.shape[1] // 2]] == [
+        modes for _, modes in steps]
+    assert len(runs) > 2
+    assert all(idx.size * 2 * 600 * 8 <= _LAYER_BYTES for idx in runs)
+
+
+@pytest.mark.parametrize("kind", ["pure", "lossy"])
+def test_overlapping_or_mixed_steps_split_into_runs_and_equal_the_fold(kind):
+    splitter = beamsplitter(0.6, 2.1)
+    rotation = phase_shift(0.7)
+    steps = [
+        (splitter, (0, 1)), (splitter, (2, 3)),
+        (splitter, (3, 4)),  # overlaps (2, 3)
+        (two_mode_squeezer(0.8, 0.4), (4, 5)),  # another transform
+        (splitter, (5, 0)),
+        (rotation, (1,)), (rotation, (1,)), (rotation, (2,)),
+    ]
+    assert [idx.shape for _, idx in _layers(6, steps)] == [
+        (2, 4), (1, 4), (1, 4), (1, 4), (1, 2), (2, 2)]
+    state = _random_state(np.random.default_rng(11), 6, kind)
+    folded = state
+    for transform, modes in steps:
+        folded = apply_symplectic(folded, transform, modes)
+    _assert_bit_equal(_apply_steps(state, steps), folded, folded.factor)
+
+
+def test_an_overflowing_run_is_rejected_and_leaves_its_input_unchanged():
+    blowup = SymplecticTransform(np.diag([1e150, 1e-150]), 1)
+    layer = [(blowup, (m,)) for m in range(3)]
+    state = _apply_steps(vacuum_state(3), layer)
+    factor = state.factor.copy()
+    with pytest.raises(ValueError, match="covariance must be finite"):
+        _apply_steps(state, layer)
+    assert np.array_equal(state.factor, factor)
 
 
 @pytest.mark.parametrize("build", [

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -24,10 +25,13 @@ from modecomb import (
     check_physicality,
     extract_graph,
     loss_channel,
+    measure_witness,
+    pair_witnesses,
     purity,
     symplectic_form,
     two_mode_squeezer,
     vacuum_state,
+    wire_witnesses,
     witness_variance,
 )
 
@@ -307,6 +311,96 @@ def test_state_rejects_an_asymmetry_beyond_the_float_range_without_a_warning():
 def test_witness_rejects_an_overflowing_square_sum_without_a_warning():
     with pytest.raises(ValueError, match="finite square sum"):
         Witness([1e200, 0.0])
+
+
+@pytest.mark.parametrize("make, field", [
+    (lambda: GaussianState(1, np.eye(2) * (1 + 2j)), "covariance"),
+    (lambda: SymplecticTransform(np.eye(2, dtype=complex), 1), "matrix"),
+    (lambda: Witness([1 + 5j, 0]), "witness coefficients"),
+], ids=["GaussianState", "SymplecticTransform", "Witness"])
+def test_a_complex_array_is_rejected_not_cast(make, field):
+    # Casting to float would drop the imaginary part, with a ComplexWarning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"{field} must be real"):
+            make()
+
+
+def _assert_same_as_dense(witness):
+    """``witness`` equals the witness given its dense coefficients: the same
+    coefficients, sparse rows, normalization bits and support."""
+    dense = Witness(witness.coeffs)
+    n = dense.n_modes
+    assert witness.n_modes == n
+    assert np.array_equal(witness.coeffs, dense.coeffs)
+    assert np.array_equal(witness.rows, dense.rows)
+    assert np.array_equal(witness.vals, dense.vals)
+    assert witness.normalization == dense.normalization
+    assert witness.support(n) == dense.support(n)
+    assert all(type(m) is np.intp for m in witness.support(n))
+    return dense
+
+
+def _assert_same_readouts(state, witness, dense):
+    factorless = GaussianState(state.n_modes, state.cov)
+    for s in (state, factorless):
+        assert witness_variance(s, witness) == witness_variance(s, dense)
+        for eta in (0.5, 1.0):
+            assert (measure_witness(s, witness, eta).variance
+                    == measure_witness(s, dense, eta).variance)
+
+
+@pytest.mark.parametrize("n_pairs", [2, 3, 5, 17, 64])
+@pytest.mark.parametrize("convention", ["odd_mode_minus_half_pi", "none"])
+def test_wire_witnesses_equal_their_dense_form(n_pairs, convention):
+    spec = DualRailSpec(n_pairs, 0.8, convention)
+    state = build_dual_rail(spec)
+    for _, witness in wire_witnesses(spec):
+        _assert_same_readouts(state, witness, _assert_same_as_dense(witness))
+
+
+@pytest.mark.parametrize("M, cells", [(2, 1), (8, 1), (8, 2), (96, 2)])
+def test_comb_witnesses_equal_their_dense_form(M, cells):
+    comb = build_comb(M, AmplifierSpec.from_gain(2.5), cells)
+    state = amplify_comb(vacuum_state(comb.n_modes), comb)
+    for pair in pair_witnesses(comb):
+        for witness in pair:
+            _assert_same_readouts(state, witness,
+                                  _assert_same_as_dense(witness))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_witnesses_from_terms_of_random_vectors_equal_their_dense_form(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 9))
+    coeffs = rng.normal(size=2 * n) * (rng.random(2 * n) < 0.5)
+    coeffs[rng.integers(2 * n)] = 1.5  # at least one nonzero
+    terms = {(i % n, "xp"[i // n]): float(c) for i, c in enumerate(coeffs)}
+    witness = Witness.from_terms(n, terms)
+    dense = _assert_same_as_dense(witness)
+    assert np.array_equal(witness.coeffs, coeffs)
+    state = apply_symplectic(vacuum_state(n), random_network(rng, n, 3 * n))
+    _assert_same_readouts(state, witness, dense)
+
+
+class _Alias(int):
+    """A mode index equal to an int, but a dict key of its own."""
+
+    __hash__ = object.__hash__
+    __eq__ = object.__eq__
+
+
+def test_terms_on_one_row_add_up_and_a_zero_row_is_dropped():
+    witness = Witness.from_terms(3, {
+        (0, "x"): 1.0,
+        (_Alias(1), "x"): 0.5, (_Alias(1), "x"): -0.5,  # cancel
+        (_Alias(2), "p"): 0.25, (_Alias(2), "p"): 0.5,  # add up
+        (1, "p"): 0.0,
+    })
+    assert witness.rows.tolist() == [0, 5]
+    assert witness.vals.tolist() == [1.0, 0.75]
+    assert witness.support(3) == (0, 2)
+    _assert_same_as_dense(witness)
 
 
 @pytest.mark.parametrize("value", [True, "1", None])
