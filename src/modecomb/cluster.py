@@ -27,7 +27,7 @@ from .gaussian import (
     MAX_MODES,
     FieldError,
     Witness,
-    _apply_steps,
+    _fold_layer,
     _integer,
     purity,
     vacuum_state,
@@ -199,10 +199,11 @@ def build_dual_rail(spec):
     interferes adjacent source halves (2k+1, 2k+2) on balanced beam
     splitters; then applies the -pi/2 rotations selected by the spec's phase
     convention. For ``r > 0`` the sources start as one splitter-times-
-    squeeze factor (:func:`~modecomb.elements._squeezed_vacuum`); the links
-    and rotations fold into one working copy of that state, each of the two
-    layers of disjoint elements as stacked products over its rows
-    (:func:`~modecomb.gaussian._apply_steps`), not one pass per element.
+    squeeze factor (:func:`~modecomb.elements._squeezed_vacuum`), the vacuum
+    at ``r = 0``. The two layers of disjoint elements, the links and then
+    the rotations, are folded straight into that new factor, each as
+    stacked products over its rows (:func:`~modecomb.gaussian._fold_layer`),
+    so the build holds one factor and makes no pass per element.
 
     Args:
         spec (DualRailSpec): wire parameters
@@ -216,14 +217,13 @@ def build_dual_rail(spec):
         state = _squeezed_vacuum(n_modes, spec.r, sources)
     else:
         state = vacuum_state(n_modes)
-    splitter = beamsplitter(math.pi / 4)
-    steps = [(splitter, (2 * k + 1, 2 * k + 2))
-             for k in range(spec.n_pairs - 1)]
+    links = np.arange(1, n_modes - 1).reshape(-1, 2)
+    _fold_layer(state.factor, beamsplitter(math.pi / 4).matrix, links)
     rotated = _rotated_modes(spec)
     if rotated:
-        rotation = phase_shift(-math.pi / 2)
-        steps += [(rotation, (m,)) for m in rotated]
-    return _apply_steps(state, steps)
+        _fold_layer(state.factor, phase_shift(-math.pi / 2).matrix,
+                    np.array(rotated).reshape(-1, 1))
+    return state
 
 
 def ideal_wire_graph(n_pairs):

@@ -248,8 +248,10 @@ class GaussianState:
         factor (array[float] or None): ``2N x 2N`` symplectic factor ``S``
             with ``cov = S S^T``, not always the product of the transforms
             applied; not a constructor argument. Only the library writes
-            it: :func:`vacuum_state`, a wire's squeezed sources and
-            :func:`apply_symplectic`. A loss channel, being
+            it: :func:`vacuum_state` and a wire's squeezed sources build
+            it, :func:`apply_symplectic` folds a step into a copy of it,
+            and :func:`~modecomb.cluster.build_dual_rail` folds the wire's
+            two layers into its sources' own array. A loss channel, being
             non-unitary, drops it to ``None``, and a directly constructed
             state has none. A caller holding ``S`` gets a state with it from
             ``apply_symplectic(vacuum_state(n), SymplecticTransform(S, n))``.
@@ -495,13 +497,15 @@ def _apply_rows(array, s, idx):
     return rows
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _apply_cov(cov, s, idx):
     """Apply ``s`` in place to rows and columns ``idx`` of a finite, exactly
     symmetric ``cov``, keeping it so: the whole update ``C -> S C S^T``.
     The new rows ``R = s C[idx]`` get their ``2k x 2k`` block replaced by
     ``K = R[:, idx] s^T`` averaged as ``K/2 + K^T/2``, and are written as
-    rows and, transposed, as columns. Raise ValueError if a new row is not
-    finite. Operands are contiguous copies, as in :func:`_apply_rows`."""
+    rows and, transposed, as columns. Raise ValueError, not numpy's
+    overflow warning, if a new row is not finite; ``cov`` is then left as
+    it was. Operands are contiguous copies, as in :func:`_apply_rows`."""
     if type(idx) is slice:
         rows = s @ cov[idx].copy()
         block = rows[:, idx].copy() @ s.T
@@ -541,71 +545,42 @@ def _marginal(state, rows):
     return _unchecked_state(len(cov) // 2, cov=cov)
 
 
-#: Bytes of new factor rows one stacked product computes. A layer longer
-#: than this is folded in several products, each at least one step, which
-#: keeps a product's operand and result near cache size at every N. On one
-#: thread of a shared 2-vCPU Xeon, uncapped, a 1024-pair wire's build took
-#: 222 ms against 123 ms and peaked at 542 MB against 287 MB; caps of 1 MB
-#: and 4 MB took 162 and 182 ms.
+#: Bytes of new factor rows one stacked product of :func:`_fold_layer`
+#: computes. A layer longer than this is folded in several products, each
+#: at least one tuple, which keeps a product's operand and result near cache
+#: size at every N. On one thread of a shared 2-vCPU Xeon, uncapped, a
+#: 1024-pair wire's build took 222 ms against 123 ms and peaked at 542 MB
+#: against 287 MB; caps of 1 MB and 4 MB took 162 and 182 ms.
 _LAYER_BYTES = 1 << 18
 
 
-def _layers(n_modes, steps):
-    """Split ``(transform, modes)`` steps into runs of consecutive steps
-    that share one transform and touch pairwise-disjoint modes, each of at
-    most :data:`_LAYER_BYTES` of new rows of a ``2N``-column factor, and
-    yield each run's matrix and its ``(L, 2k)`` quadrature rows: one row
-    per step, ``m_0..m_{k-1}, N + m_0..N + m_{k-1}`` as in
-    :func:`_step_rows`. A lone step is a run of one."""
-    runs, touched = [], set()
-    for transform, modes in steps:
-        if (not runs or transform is not runs[-1][0]
-                or len(runs[-1][1]) == limit
-                or not touched.isdisjoint(modes)):
-            runs.append((transform, []))
-            touched = set()
-            limit = max(1, _LAYER_BYTES // (32 * len(modes) * n_modes))
-        runs[-1][1].append(modes)
-        touched.update(modes)
-    for transform, run in runs:
-        modes = np.array(run)
-        yield transform.matrix, np.concatenate((modes, modes + n_modes),
-                                               axis=1)
-
-
 @np.errstate(over="ignore", invalid="ignore")
-def _apply_steps(state, steps):
-    """Fold ``(transform, modes)`` steps, nonempty and with valid modes, into
-    one copy of ``state``, bit-equal to folding :func:`apply_symplectic`.
+def _fold_layer(factor, s, modes):
+    """Left-multiply in place the quadrature rows of each tuple of ``modes``
+    in the ``2N x 2N`` symplectic factor ``factor`` by the ``2k x 2k``
+    ``s``: one layer of one element on disjoint modes, such as a wire's
+    links.
 
-    A state held by its factor ``S`` has only the rows of ``S`` updated, and
-    the result is held by ``S`` too. Each run of :func:`_layers`, a layer
-    of disjoint elements such as a wire's links, is one stacked product
-    ``s @ S[idx]`` over its ``(L, 2k)`` rows ``idx``: its steps commute and
-    read no row another writes, and each step's ``2k x 2N`` block is the
-    same product as alone, so the bits are those of the fold. The squared
-    norms of a run's new rows are the matching diagonal entries of
-    ``S S^T`` and bound every entry of their rows, so a run is rejected, as
-    the covariance check would reject it, if one of them is not finite; its
-    rows are written only after that check. A state held by its covariance
-    has the rows and columns of each step updated by :func:`_apply_cov`. An
-    overflowing product raises that ValueError, not numpy's warning, and
-    leaves ``state`` as it was."""
-    n = state.n_modes
-    factor = state.factor
-    if factor is not None:
-        factor = factor.copy()
-        for s, idx in _layers(n, steps):
-            rows = s @ factor.take(idx, 0)
-            norms = np.einsum("...i,...i->...", rows, rows)
-            if not math.isfinite(norms.max()):
-                raise ValueError("covariance must be finite")
-            factor[idx] = rows
-        return _unchecked_state(n, factor=factor)
-    cov = state.cov.copy()
-    for transform, modes in steps:
-        _apply_cov(cov, transform.matrix, _step_rows(n, modes))
-    return _unchecked_state(n, cov=cov)
+    ``modes`` is an ``(L, k)`` int array of pairwise-disjoint tuples; tuple
+    ``m`` owns rows ``m_0..m_{k-1}, N + m_0..N + m_{k-1}`` as in
+    :func:`_step_rows`. Its tuples commute and read no row another writes,
+    so each stacked product ``s @ factor[idx]`` over at most
+    :data:`_LAYER_BYTES` of new rows gives every tuple's ``2k x 2N`` block
+    the bits it has alone. The squared norms of a product's new rows are
+    the matching diagonal entries of ``S S^T`` and bound every entry of
+    their rows, so a product is rejected, as the covariance check would
+    reject it, if one of them is not finite: that ValueError, not numpy's
+    overflow warning, is raised before the product's rows are written."""
+    n = len(factor) // 2
+    idx = np.concatenate((modes, modes + n), axis=1)
+    step = max(1, _LAYER_BYTES // (8 * idx.shape[1] * len(factor)))
+    for start in range(0, len(idx), step):
+        chunk = idx[start:start + step]
+        rows = s @ factor.take(chunk, 0)
+        norms = np.einsum("...i,...i->...", rows, rows)
+        if not math.isfinite(norms.max()):
+            raise ValueError("covariance must be finite")
+        factor[chunk] = rows
 
 
 def apply_symplectic(state, transform, modes=None):
@@ -616,8 +591,10 @@ def apply_symplectic(state, transform, modes=None):
     of the covariance otherwise; beyond that copy only the ``k`` touched
     modes' rows of the factor, or rows and columns of the covariance, are
     recomputed, in ``O(k * N)`` rather than a full ``2N x 2N`` matrix
-    product or validation pass: the covariance's columns are written as
-    its new rows transposed, and only the new rows' finiteness is checked.
+    product or validation pass. On the factor the step is a layer of one
+    tuple (:func:`_fold_layer`); on the covariance it is one
+    :func:`_apply_cov`, which writes the columns as the new rows transposed.
+    Either way only the new rows' finiteness is checked.
 
     Args:
         state (GaussianState): input state
@@ -635,8 +612,15 @@ def apply_symplectic(state, transform, modes=None):
     """
     if modes is None:
         modes = range(transform.n_modes)
-    modes = _modes(modes, state.n_modes, transform.n_modes)
-    return _apply_steps(state, ((transform, modes),))
+    n = state.n_modes
+    modes = _modes(modes, n, transform.n_modes)
+    if state.factor is not None:
+        factor = state.factor.copy()
+        _fold_layer(factor, transform.matrix, np.array([modes]))
+        return _unchecked_state(n, factor=factor)
+    cov = state.cov.copy()
+    _apply_cov(cov, transform.matrix, _step_rows(n, modes))
+    return _unchecked_state(n, cov=cov)
 
 
 def _factor_variance(state, witness):
@@ -666,14 +650,14 @@ def witness_variance(state, witness):
 
     Returns:
         float: normalized variance
+
+    Raises:
+        ValueError: if the witness's mode count is not the state's, with
+            the message :func:`~modecomb.detection.measure_witness` gives.
     """
-    if witness.n_modes != state.n_modes:
-        raise ValueError(
-            f"witness has {2 * witness.n_modes} coefficients but the state "
-            f"has {state.dim} quadratures"
-        )
     if state.factor is not None:
         return _factor_variance(state, witness)
+    witness._check_modes(state.n_modes)
     w = witness.coeffs
     return float(w @ state.cov @ w) / witness.normalization
 

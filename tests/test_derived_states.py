@@ -2,13 +2,14 @@
 
 ``apply_symplectic`` and ``loss_channel`` change only the rows and columns
 of the modes they touch, writing the columns as the rows transposed, and
-``build_dual_rail`` updates one working copy. These tests hold them to the
-full ``GaussianState`` check: the same arrays bit for bit, the same
-rejections, and no per-element full pass.
+``build_dual_rail`` folds its two layers into its sources' own factor.
+These tests hold them to the full ``GaussianState`` check: the same arrays
+bit for bit, the same rejections, and no per-element full pass.
 """
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -43,8 +44,7 @@ from modecomb.elements import _squeezed_vacuum
 from modecomb.gaussian import (
     _LAYER_BYTES,
     _apply_cov,
-    _apply_steps,
-    _layers,
+    _fold_layer,
     _step_rows,
 )
 
@@ -265,44 +265,103 @@ def test_build_dual_rail_equals_folding_apply_symplectic(n_pairs, convention,
     _assert_bit_equal(state, folded, folded.factor)
 
 
+@pytest.mark.parametrize("r", [0.0, 1.0])
+@pytest.mark.parametrize("convention", CONVENTIONS)
+def test_the_wire_build_allocates_its_factor_once(convention, r):
+    # The links and rotations fold into the sources' own array: the build
+    # peaks at that one factor plus a few capped products, not two copies.
+    tracemalloc.start()
+    try:
+        state = build_dual_rail(DualRailSpec(256, r, convention))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * state.factor.nbytes
+
+
+class _RecordedTakes(np.ndarray):
+    """A factor view that records the rows each stacked product reads."""
+
+    def take(self, indices, axis=None, **kwargs):
+        self.takes.append(np.array(indices))
+        return np.asarray(self).take(indices, axis, **kwargs)
+
+
 def test_a_long_layer_is_folded_in_products_under_the_cap():
-    spec = DualRailSpec(300, 0.37)
-    steps = _wire_steps(spec)
-    runs = [idx for _, idx in _layers(600, steps)]
-    assert [tuple(m) for idx in runs for m in idx[:, :idx.shape[1] // 2]] == [
-        modes for _, modes in steps]
-    assert len(runs) > 2
-    assert all(idx.size * 2 * 600 * 8 <= _LAYER_BYTES for idx in runs)
+    n_modes = 600
+    links = np.arange(1, n_modes - 1).reshape(-1, 2)  # of 300 pairs
+    factor = vacuum_state(n_modes).factor.view(_RecordedTakes)
+    factor.takes = []
+    _fold_layer(factor, beamsplitter(math.pi / 4).matrix, links)
+    assert np.array_equal(np.concatenate(factor.takes),
+                          np.concatenate((links, links + n_modes), axis=1))
+    assert len(factor.takes) > 2
+    assert all(idx.size * 2 * n_modes * 8 <= _LAYER_BYTES
+               for idx in factor.takes)
 
 
-@pytest.mark.parametrize("kind", ["pure", "lossy"])
-def test_overlapping_or_mixed_steps_split_into_runs_and_equal_the_fold(kind):
-    splitter = beamsplitter(0.6, 2.1)
-    rotation = phase_shift(0.7)
-    steps = [
-        (splitter, (0, 1)), (splitter, (2, 3)),
-        (splitter, (3, 4)),  # overlaps (2, 3)
-        (two_mode_squeezer(0.8, 0.4), (4, 5)),  # another transform
-        (splitter, (5, 0)),
-        (rotation, (1,)), (rotation, (1,)), (rotation, (2,)),
-    ]
-    assert [idx.shape for _, idx in _layers(6, steps)] == [
-        (2, 4), (1, 4), (1, 4), (1, 4), (1, 2), (2, 2)]
-    state = _random_state(np.random.default_rng(11), 6, kind)
+def _dense_pure_state(rng, n_modes):
+    """A pure state whose factor is dense: the passive transform of a
+    random unitary, from the QR of a complex Gaussian matrix, times a
+    random squeeze ``diag(d, 1/d)``."""
+    shape = (n_modes, n_modes)
+    u, _ = np.linalg.qr(rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    squeeze = np.exp(rng.uniform(-1.0, 1.0, n_modes))
+    s = np.block([[u.real, -u.imag], [u.imag, u.real]]) * np.concatenate(
+        (squeeze, 1.0 / squeeze))
+    return apply_symplectic(vacuum_state(n_modes),
+                            SymplecticTransform(s, n_modes))
+
+
+EDGE_MODES = 256
+
+
+# (products, extra): a layer of products * step + extra tuples.
+EDGES = {"1": (0, 1), "step - 1": (1, -1), "step": (1, 0),
+         "step + 1": (1, 1), "2 step + 1": (2, 1)}
+
+
+@pytest.mark.parametrize("edge", list(EDGES))
+@pytest.mark.parametrize("element", [phase_shift(0.7), beamsplitter(0.6, 2.1),
+                                     two_mode_squeezer(1.3, 0.4)],
+                         ids=["rotation", "splitter", "squeezer"])
+def test_a_layer_at_each_product_edge_equals_folding_apply_symplectic(
+        element, edge):
+    # A product holds ``step`` tuples: a layer of step - 1, step and
+    # step + 1 tuples ends inside, at and just past a product's edge.
+    k = element.n_modes
+    step = _LAYER_BYTES // (32 * k * EDGE_MODES)
+    products, extra = EDGES[edge]
+    count = products * step + extra
+    rng = np.random.default_rng(count)
+    state = _dense_pure_state(rng, EDGE_MODES)
+    modes = rng.permutation(EDGE_MODES)[:count * k].reshape(count, k)
     folded = state
-    for transform, modes in steps:
-        folded = apply_symplectic(folded, transform, modes)
-    _assert_bit_equal(_apply_steps(state, steps), folded, folded.factor)
+    for tuple_ in modes.tolist():
+        folded = apply_symplectic(folded, element, tuple_)
 
-
-def test_an_overflowing_run_is_rejected_and_leaves_its_input_unchanged():
-    blowup = SymplecticTransform(np.diag([1e150, 1e-150]), 1)
-    layer = [(blowup, (m,)) for m in range(3)]
-    state = _apply_steps(vacuum_state(3), layer)
     factor = state.factor.copy()
+    _fold_layer(factor, element.matrix, modes)
+    assert np.array_equal(factor, folded.factor)
+
+
+def test_an_overflowing_product_leaves_its_rows_unwritten():
+    # A layer of three products of one-mode tuples: the first product's
+    # rows stay finite, the second's overflow and the third is never made.
+    n_modes = EDGE_MODES
+    step = _LAYER_BYTES // (32 * n_modes)
+    blowup = np.diag([1e100, 1e-100])
+    layer = np.arange(3 * step).reshape(-1, 1)
+    factor = vacuum_state(n_modes).factor
+    _fold_layer(factor, blowup, layer[step:2 * step])
+    before = factor.copy()
     with pytest.raises(ValueError, match="covariance must be finite"):
-        _apply_steps(state, layer)
-    assert np.array_equal(state.factor, factor)
+        _fold_layer(factor, blowup, layer)
+    expected = before.copy()
+    _fold_layer(expected, blowup, layer[:step])
+    assert np.array_equal(factor, expected)
+    unwritten = np.concatenate((layer[step:], layer[step:] + n_modes))
+    assert np.array_equal(factor[unwritten], before[unwritten])
 
 
 @pytest.mark.parametrize("build", [

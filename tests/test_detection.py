@@ -357,6 +357,23 @@ def test_a_factor_readout_is_the_witness_variance_behind_the_loss(support):
         )
 
 
+@pytest.mark.parametrize("holding", ["factor", "covariance"])
+@pytest.mark.parametrize("read", [
+    witness_variance,
+    lambda state, witness: measure_witness(state, witness, 0.9),
+], ids=["witness_variance", "measure_witness"])
+def test_every_readout_rejects_another_mode_count_with_one_message(read,
+                                                                  holding):
+    state = vacuum_state(3)
+    if holding == "covariance":
+        state = GaussianState(3, np.eye(6))
+    for n_modes in (2, 4):
+        witness = Witness.from_terms(n_modes, {(0, "x"): 1.0, (1, "p"): 1.0})
+        with pytest.raises(ValueError,
+                           match=f"^witness has {n_modes} modes, not 3$"):
+            read(state, witness)
+
+
 def test_wire_rows_form_no_covariance_and_call_no_loss_channel(monkeypatch):
     calls = []
 
