@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import SymplecticTransform
+from .gaussian import SymplecticTransform, _unchecked_transform
 
 #: Frobenius-norm tolerance for detecting passive (orthogonal) factors.
 ORTHOGONALITY_TOL = 1e-10
@@ -125,40 +125,67 @@ def _real_orthogonal(unitary):
     return np.block([[x, -y], [y, x]])
 
 
-def _unitary_sqrt(x):
-    """A square root of a unitary matrix that is a function of it.
+def _by_size(groups):
+    """The ``(start, count)`` runs of :func:`_degenerate_groups`, each
+    tagged with the index of the value list it came from, as
+    ``{count: (owners, starts)}`` int arrays."""
+    runs = {}
+    for owner, owned in enumerate(groups):
+        for start, count in owned:
+            runs.setdefault(count, []).append((owner, start))
+    return {count: tuple(np.array(members).T)
+            for count, members in runs.items()}
 
-    The spectrum is turned by ``e^{-i alpha}`` so that -1 sits in the middle
+
+def _unitary_sqrt(x):
+    """A square root of each unitary matrix of the ``(K, c, c)`` stack
+    ``x`` that is a function of it.
+
+    A spectrum is turned by ``e^{-i alpha}`` so that -1 sits in the middle
     of its widest gap on the unit circle; the unitary polar factor of
     ``I + e^{-i alpha} x`` is then the principal root of the turned matrix,
     and is well conditioned. Being a function of ``x``, the root is
-    symmetric whenever ``x`` is, also with eigenvalues at +-1.
+    symmetric whenever ``x`` is, also with eigenvalues at +-1. numpy's
+    ``eigvals`` and ``svd`` run LAPACK once per matrix of a stack, so each
+    root has the bits it has alone.
     """
     angles = np.sort(np.angle(np.linalg.eigvals(x)))
-    gaps = np.diff(angles, append=angles[0] + 2 * np.pi)
-    widest = np.argmax(gaps)
-    alpha = angles[widest] + 0.5 * gaps[widest] - np.pi
-    u, _, vh = np.linalg.svd(np.eye(len(x)) + np.exp(-1j * alpha) * x)
+    gaps = np.diff(angles, append=angles[:, :1] + 2 * np.pi)
+    widest = np.argmax(gaps, axis=1)[:, None]
+    alpha = (np.take_along_axis(angles, widest, 1)
+             + 0.5 * np.take_along_axis(gaps, widest, 1) - np.pi)[:, :, None]
+    u, _, vh = np.linalg.svd(np.eye(x.shape[1]) + np.exp(-1j * alpha) * x)
     return np.exp(0.5j * alpha) * (u @ vh)
 
 
-def _takagi(block):
-    """Autonne-Takagi factorization of a complex symmetric matrix.
+def _takagi(blocks):
+    """Autonne-Takagi factorization of each complex symmetric matrix of the
+    ``(K, c, c)`` stack ``blocks``.
 
-    Returns (W, d) with W unitary and d nonnegative descending such that
-    ``block = W diag(d) W^T``. Within degenerate singular-value subspaces
-    the factor is completed by the square root of a symmetric unitary.
+    Returns (W, d), stacks of K unitaries and of K nonnegative descending
+    value lists, such that ``blocks[k] = W[k] diag(d[k]) W[k]^T``. Within
+    degenerate singular-value subspaces a factor is completed by the square
+    root of a symmetric unitary; those subspaces of all K matrices are
+    rooted in one stack per size.
     """
-    if block.shape == (1, 1):
-        value = block[0, 0]
-        unitary = np.array([[np.exp(0.5j * np.angle(value))]])
-        return unitary, np.array([abs(value)])
-    v, svals, wh = np.linalg.svd(block)
-    w = wh.conj().T
-    root = np.zeros(block.shape, dtype=complex)
-    for start, count in _degenerate_groups(svals):
-        sub = slice(start, start + count)
-        root[sub, sub] = _unitary_sqrt(v[:, sub].T @ w[:, sub])
+    if blocks.shape[1] == 1:
+        # np.angle and np.hypot read the strided real and imaginary parts
+        # element by element, as they read one complex scalar.
+        return (np.exp(0.5j * np.angle(blocks)),
+                np.hypot(blocks.real, blocks.imag)[:, 0])
+    v, svals, wh = np.linalg.svd(blocks)
+    root = np.zeros(blocks.shape, dtype=complex)
+    inner = _by_size([_degenerate_groups(values) for values in svals])
+    for count, (owners, starts) in inner.items():
+        sub = starts[:, None] + np.arange(count)
+        # v[:, sub]^T w[:, sub] with w = wh^H, each operand the transposed
+        # view it is when taken from one matrix.
+        v_sub = np.take_along_axis(v[owners], sub[:, None, :], 2)
+        wh_sub = np.take_along_axis(wh[owners], sub[:, :, None], 1)
+        x = v_sub.swapaxes(1, 2) @ wh_sub.conj().swapaxes(1, 2)
+        root[owners[:, None, None], sub[:, :, None], sub[:, None, :]] = (
+            _unitary_sqrt(x)
+        )
     return v @ np.conj(root), svals
 
 
@@ -173,7 +200,9 @@ def decompose(transform):
         ``recompose(result) == transform`` to high accuracy; the squeeze
         spectrum (the log-singular-value pairs of the matrix) is unique,
         while the passive factors are gauge-dependent for degenerate
-        squeeze values.
+        squeeze values. Each passive factor is ``[[X, -Y], [Y, X]]`` for
+        a unitary ``X + iY``, so ``Decomposition``'s orthogonality check
+        implies that it is symplectic, and it is not checked again.
     """
     s = transform.matrix
     n = transform.n_modes
@@ -184,7 +213,7 @@ def decompose(transform):
         return Decomposition(
             passive_out=transform,
             squeeze=np.zeros(n),
-            passive_in=SymplecticTransform(np.eye(dim), n),
+            passive_in=_unchecked_transform(np.eye(dim), n),
         )
 
     e_block, f_block = _complex_blocks(s)
@@ -198,13 +227,17 @@ def decompose(transform):
     # Reading sinh(r) off the Takagi values (rather than as arccosh of the
     # singular values of E) keeps unsqueezed modes exactly at zero instead
     # of sqrt(machine-epsilon) noise, and resolves the spectrum correctly
-    # even when nearly-equal values fall into one group.
+    # even when nearly-equal values fall into one group. The groups of one
+    # size are factored as one stack.
     sinh_vals = np.zeros(n)
     gauge = np.zeros((n, n), dtype=complex)
-    for start, count in _degenerate_groups(e_svals):
-        sub = slice(start, start + count)
-        block = coupling[sub, sub]
-        gauge[sub, sub], sinh_vals[sub] = _takagi(0.5 * (block + block.T))
+    for count, (_, starts) in _by_size([_degenerate_groups(e_svals)]).items():
+        sub = starts[:, None] + np.arange(count)
+        rows, cols = sub[:, :, None], sub[:, None, :]
+        blocks = coupling[rows, cols]
+        gauge[rows, cols], sinh_vals[sub] = _takagi(
+            0.5 * (blocks + blocks.swapaxes(1, 2))
+        )
 
     squeeze = np.arcsinh(sinh_vals)
     squeeze[squeeze < SQUEEZE_CLAMP] = 0.0
@@ -212,9 +245,9 @@ def decompose(transform):
     a_final = a_mat @ gauge
     b_final = b_mat @ gauge
     return Decomposition(
-        passive_out=SymplecticTransform(_real_orthogonal(a_final), n),
+        passive_out=_unchecked_transform(_real_orthogonal(a_final), n),
         squeeze=squeeze,
-        passive_in=SymplecticTransform(
+        passive_in=_unchecked_transform(
             _real_orthogonal(b_final.conj().T), n
         ),
     )
@@ -231,9 +264,11 @@ def recompose(decomposition):
     """
     squeeze = decomposition.squeeze
     # Column scaling matches the dense product with diag(core): there each
-    # entry is the same one product plus exact zeros.
-    core = np.concatenate([np.exp(squeeze), np.exp(-squeeze)])
-    matrix = (decomposition.passive_out.matrix * core) @ (
-        decomposition.passive_in.matrix
-    )
+    # entry is the same one product plus exact zeros. A squeeze whose e^r
+    # overflows gives a product the check below rejects, not a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        core = np.concatenate([np.exp(squeeze), np.exp(-squeeze)])
+        matrix = (decomposition.passive_out.matrix * core) @ (
+            decomposition.passive_in.matrix
+        )
     return SymplecticTransform(matrix, decomposition.n_modes)

@@ -5,7 +5,10 @@ from: the phase-insensitive two-mode amplifier (a two-mode squeezer), beam
 splitters, phase rotations, and the loss channel used to model detector
 efficiency. All factories return :class:`~modecomb.gaussian.SymplecticTransform`
 objects except :func:`loss_channel`, which is a non-unitary channel and acts
-on states directly.
+on states directly. Each factory's matrix is symplectic by construction, for
+every accepted parameter, so its transform is built without the public
+symplectic check or a copy; the test suite checks that every factory's
+matrix passes it.
 """
 
 from __future__ import annotations
@@ -16,8 +19,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .gaussian import (FieldError, SymplecticTransform, _mode, _real,
-                       _unchecked_state)
+from .gaussian import (FieldError, _mode, _real, _unchecked_state,
+                       _unchecked_transform)
 
 #: Tolerance on the internal consistency gain = cosh^2(r) of an AmplifierSpec.
 GAIN_CONSISTENCY_TOL = 1e-12
@@ -63,10 +66,10 @@ class AmplifierSpec:
     Attributes:
         gain (float): intensity gain, in [1, MAX_GAIN]
         r (float): squeezing parameter, in [0, MAX_SQUEEZING]
-        squeezer (SymplecticTransform): ``two_mode_squeezer(r)``, built and
-            checked on first use and then kept by this spec object; not a
-            field, so equality, hashing, ``repr`` and
-            ``dataclasses.replace`` ignore it
+        squeezer (SymplecticTransform): ``two_mode_squeezer(r)``, built on
+            first use and then kept by this spec object; not a field, so
+            equality, hashing, ``repr`` and ``dataclasses.replace`` ignore
+            it
     """
 
     gain: float
@@ -122,7 +125,8 @@ def two_mode_squeezer(r, phase=0.0):
         phase (float): pump phase in radians
 
     Returns:
-        SymplecticTransform: 4x4 transform on two modes
+        SymplecticTransform: 4x4 transform on two modes, symplectic by
+        construction and built without the public check
 
     Raises:
         FieldError: if ``r`` or ``phase`` is out of range or not a finite
@@ -140,7 +144,7 @@ def two_mode_squeezer(r, phase=0.0):
             [sh * sp, 0.0, -sh * cp, ch],
         ]
     )
-    return SymplecticTransform(matrix, 2)
+    return _unchecked_transform(matrix, 2)
 
 
 def _squeezed_vacuum(n_modes, r, pairs):
@@ -174,7 +178,8 @@ def beamsplitter(theta, phi=0.0):
         phi (float): reflection phase in radians
 
     Returns:
-        SymplecticTransform: 4x4 passive transform on two modes
+        SymplecticTransform: 4x4 passive transform on two modes, built
+        without the public check
     """
     theta, phi = _real("theta", theta), _real("phi", phi)
     ct, st = math.cos(theta), math.sin(theta)
@@ -187,7 +192,7 @@ def beamsplitter(theta, phi=0.0):
             [st * sp, 0.0, -st * cp, ct],
         ]
     )
-    return SymplecticTransform(matrix, 2)
+    return _unchecked_transform(matrix, 2)
 
 
 def phase_shift(phi):
@@ -201,12 +206,13 @@ def phase_shift(phi):
         phi (float): rotation angle in radians
 
     Returns:
-        SymplecticTransform: 2x2 transform on one mode
+        SymplecticTransform: 2x2 transform on one mode, built without the
+        public check
     """
     phi = _real("phi", phi)
     c, s = math.cos(phi), math.sin(phi)
     matrix = np.array([[c, s], [-s, c]])
-    return SymplecticTransform(matrix, 1)
+    return _unchecked_transform(matrix, 1)
 
 
 def loss_channel(state, mode, eta):

@@ -313,6 +313,14 @@ class SymplecticTransform:
             entries moves ``S Omega S^T`` by about ``eps |S|^2``: a squeezer
             of strength ``r`` has ``|S|^2 ~ e^{2r}``. A matrix whose
             ``|S|_F^2`` overflows is rejected as too large to check.
+
+    A transform built from a caller's matrix is checked, and stores a copy
+    of it. A transform the library builds skips both: the element factories of
+    :mod:`~modecomb.elements` and the passive factors of
+    :func:`~modecomb.blochmessiah.decompose` are symplectic by
+    construction, and the test suite checks that each passes. A composed
+    network file and :func:`~modecomb.blochmessiah.recompose`'s product are
+    checked.
     """
 
     matrix: np.ndarray
@@ -327,9 +335,16 @@ class SymplecticTransform:
                 f"matrix must be {dim}x{dim} for {n_modes} modes, "
                 f"got {matrix.shape}"
             )
-        omega = symplectic_form(n_modes)
+        # S Omega is S with its column halves swapped and its p half negated:
+        # each entry is +-1 times one entry of S, as the product with a
+        # formed Omega gives it, so S Omega S^T is one product.
+        turned = np.concatenate((-matrix[:, n_modes:], matrix[:, :n_modes]),
+                                axis=1)
+        diagonal = np.arange(n_modes)
         with np.errstate(over="ignore", invalid="ignore"):
-            gap = matrix @ omega @ matrix.T - omega
+            gap = turned @ matrix.T
+            gap[diagonal, n_modes + diagonal] -= 1.0  # minus Omega
+            gap[n_modes + diagonal, diagonal] += 1.0
         # np.linalg.norm's square sums, by np.vdot, which neither warns on
         # overflow nor pays norm's overhead. Huge finite entries overflow the
         # scale to inf, against which any defect would pass: it is rejected.
@@ -344,6 +359,15 @@ class SymplecticTransform:
             )
         object.__setattr__(self, "n_modes", n_modes)
         object.__setattr__(self, "matrix", matrix)
+
+
+def _unchecked_transform(matrix, n_modes):
+    """The transform of ``matrix``, a float64 array the library has just
+    built as a symplectic matrix, built without checking it or copying
+    it: the transform counterpart of :func:`_unchecked_state`."""
+    transform = object.__new__(SymplecticTransform)
+    transform.__dict__.update(matrix=matrix, n_modes=n_modes)
+    return transform
 
 
 def _scattered(witness):

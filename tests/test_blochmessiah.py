@@ -1,6 +1,7 @@
 """Tests for the passive-squeeze-passive factorization."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,13 @@ from modecomb import (
     phase_shift,
     recompose,
     two_mode_squeezer,
+)
+
+from modecomb.blochmessiah import (
+    SQUEEZE_CLAMP,
+    _complex_blocks,
+    _degenerate_groups,
+    _real_orthogonal,
 )
 
 from conftest import embed, random_network, random_passive
@@ -199,3 +207,135 @@ def test_recompose_equals_the_dense_diagonal_product_bit_for_bit():
         assert error.tobytes() == (
             np.linalg.norm(dense - transform.matrix).tobytes()
         )
+
+
+def test_recompose_of_an_overflowing_squeeze_raises_the_checks_error():
+    # e^800 overflows and inf * 0 is NaN: the product is rejected by the
+    # public check, with no numpy warning on the way.
+    eye = SymplecticTransform(np.eye(2), 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(
+            ValueError,
+            match=r"^matrix is (too large to check|not symplectic)",
+        ):
+            recompose(Decomposition(eye, [800.0], eye))
+
+
+def _oracle_unitary_sqrt(x):
+    """The square root of one symmetric unitary at a time: the reference
+    that each matrix of a stacked ``_unitary_sqrt`` must equal bit for
+    bit."""
+    angles = np.sort(np.angle(np.linalg.eigvals(x)))
+    gaps = np.diff(angles, append=angles[0] + 2 * np.pi)
+    widest = np.argmax(gaps)
+    alpha = angles[widest] + 0.5 * gaps[widest] - np.pi
+    u, _, vh = np.linalg.svd(np.eye(len(x)) + np.exp(-1j * alpha) * x)
+    return np.exp(0.5j * alpha) * (u @ vh)
+
+
+def _oracle_takagi(block):
+    """The Takagi factorization of one block, one group at a time."""
+    if block.shape == (1, 1):
+        value = block[0, 0]
+        unitary = np.array([[np.exp(0.5j * np.angle(value))]])
+        return unitary, np.array([abs(value)])
+    v, svals, wh = np.linalg.svd(block)
+    w = wh.conj().T
+    root = np.zeros(block.shape, dtype=complex)
+    for start, count in _degenerate_groups(svals):
+        sub = slice(start, start + count)
+        root[sub, sub] = _oracle_unitary_sqrt(v[:, sub].T @ w[:, sub])
+    return v @ np.conj(root), svals
+
+
+def _oracle_decompose(transform):
+    """(passive_out, squeeze, passive_in) of ``transform``, an active
+    network, with one Takagi call per degenerate group."""
+    n = transform.n_modes
+    e_block, f_block = _complex_blocks(transform.matrix)
+    a_mat, e_svals, bh_mat = np.linalg.svd(e_block)
+    b_mat = bh_mat.conj().T
+    coupling = a_mat.conj().T @ f_block @ b_mat.conj()
+    sinh_vals = np.zeros(n)
+    gauge = np.zeros((n, n), dtype=complex)
+    for start, count in _degenerate_groups(e_svals):
+        sub = slice(start, start + count)
+        block = coupling[sub, sub]
+        gauge[sub, sub], sinh_vals[sub] = _oracle_takagi(
+            0.5 * (block + block.T)
+        )
+    squeeze = np.arcsinh(sinh_vals)
+    squeeze[squeeze < SQUEEZE_CLAMP] = 0.0
+    return (_real_orthogonal(a_mat @ gauge), squeeze,
+            _real_orthogonal((b_mat @ gauge).conj().T))
+
+
+def _squeezer_bank(n_modes, rs, rng, mixed):
+    """Two-mode squeezers of strengths ``rs`` on modes (0, 1), (2, 3), ...,
+    at random pump phases, between random interferometers if ``mixed``."""
+    full = np.eye(2 * n_modes)
+    for k, r in enumerate(rs):
+        squeezer = two_mode_squeezer(r, float(rng.uniform(0, 2 * np.pi)))
+        full = embed(n_modes, squeezer, (2 * k, 2 * k + 1)) @ full
+    if mixed:
+        left = random_passive(rng, n_modes, 3 * n_modes)
+        right = random_passive(rng, n_modes, 3 * n_modes)
+        full = left.matrix @ full @ right.matrix
+    return SymplecticTransform(full, n_modes)
+
+
+def _degenerate_networks():
+    rng = np.random.default_rng(23)
+    banks = [
+        (7, [0.5, 0.5, 0.9]),  # groups of 4, 2 and 1
+        (9, [0.4, 0.4, 0.7, 0.7]),  # two groups of 4 and one of 1
+        (12, [0.5, 0.5, 0.5, 0.2, 0.2, 0.9]),  # groups of 6, 4 and 2
+        (12, [0.2, 0.35, 0.5, 0.65, 0.8, 0.95]),  # six groups of 2
+        (10, [0.4, 0.4, 1e-7]),  # zeros and 1e-7 share a group of 6
+        (96, [0.8] * 48),  # one group of 96
+    ]
+    for n, rs in banks:
+        for mixed in (False, True):
+            yield _squeezer_bank(n, rs, rng, mixed)
+
+
+def _random_networks():
+    rng = np.random.default_rng(29)
+    for _ in range(12):
+        n = int(rng.integers(2, 9))
+        yield random_network(rng, n, 4 * n, r_max=2.0)
+
+
+@pytest.mark.parametrize(
+    "transform", [*_degenerate_networks(), *_random_networks()]
+)
+def test_stacked_takagi_equals_the_per_group_loop_bit_for_bit(transform):
+    result = decompose(transform)
+    passive_out, squeeze, passive_in = _oracle_decompose(transform)
+    assert result.squeeze.tobytes() == squeeze.tobytes()
+    assert result.passive_out.matrix.tobytes() == passive_out.tobytes()
+    assert result.passive_in.matrix.tobytes() == passive_in.tobytes()
+
+
+def test_the_oracle_networks_hold_groups_of_every_tested_size():
+    sizes = set()
+    for transform in _degenerate_networks():
+        e_block, _ = _complex_blocks(transform.matrix)
+        e_svals = np.linalg.svd(e_block, compute_uv=False)
+        sizes.update(count for _, count in _degenerate_groups(e_svals))
+    assert {1, 2, 4, 96} <= sizes
+
+
+@pytest.mark.parametrize(
+    "transform",
+    [*_degenerate_networks(), *_random_networks(), beamsplitter(0.3, 2.0),
+     SymplecticTransform(np.eye(6), 3)],
+)
+def test_passive_factors_pass_the_public_check(transform):
+    # decompose builds its factors without the symplectic check;
+    # Decomposition checks that they are orthogonal.
+    result = decompose(transform)
+    for factor in (result.passive_out, result.passive_in):
+        checked = SymplecticTransform(factor.matrix, factor.n_modes)
+        assert checked.matrix.tobytes() == factor.matrix.tobytes()

@@ -91,7 +91,7 @@ def _symmetric_unitaries():
 
 @pytest.mark.parametrize("x", list(_symmetric_unitaries()))
 def test_unitary_sqrt_of_symmetric_unitaries(x):
-    root = _unitary_sqrt(x)
+    root = _unitary_sqrt(x[None])[0]  # a stack of one
     assert np.abs(root @ root - x).max() < 1e-13
     assert np.abs(root - root.T).max() < 1e-13
     assert np.abs(root.conj().T @ root - np.eye(len(x))).max() < 1e-13

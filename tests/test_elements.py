@@ -275,3 +275,33 @@ def test_gain_identity_matches_squeezing_form_on_grid():
             via_gain = 1.0 + 2.0 * eta * (gain - 1.0 - math.sqrt(gain * (gain - 1.0)))
             via_r = 1.0 + eta * (math.exp(-2.0 * r) - 1.0)
             assert via_gain == pytest.approx(via_r, abs=1e-12)
+
+
+#: Angles and pump phases: any finite float, out to +-1e300.
+ANGLES = st.floats(min_value=-1e300, max_value=1e300)
+
+
+def _passes_the_public_check(transform):
+    checked = SymplecticTransform(transform.matrix, transform.n_modes)
+    assert checked.matrix.tobytes() == transform.matrix.tobytes()
+
+
+@settings(deadline=None, max_examples=200)
+@given(r=st.floats(min_value=0.0, max_value=MAX_SQUEEZING), phase=ANGLES,
+       theta=ANGLES, phi=ANGLES)
+def test_every_factory_matrix_passes_the_public_check(r, phase, theta, phi):
+    # The factories build their transforms without the symplectic check;
+    # this is the check they skip, over every accepted parameter.
+    _passes_the_public_check(two_mode_squeezer(r, phase))
+    _passes_the_public_check(beamsplitter(theta, phi))
+    _passes_the_public_check(phase_shift(phi))
+    _passes_the_public_check(AmplifierSpec.from_squeezing(r).squeezer)
+
+
+@pytest.mark.parametrize("angle", [-1e300, -math.pi, -0.0, 1e-300, 2.5, 1e300])
+@pytest.mark.parametrize("r", [0.0, 1e-12, 3.3, MAX_SQUEEZING])
+def test_factory_matrices_pass_the_public_check_at_the_ends_of_the_grid(
+        r, angle):
+    _passes_the_public_check(two_mode_squeezer(r, angle))
+    _passes_the_public_check(beamsplitter(angle, -angle))
+    _passes_the_public_check(phase_shift(angle))

@@ -35,7 +35,7 @@ from modecomb import (
     witness_variance,
 )
 
-from modecomb.gaussian import MAX_MODES
+from modecomb.gaussian import MAX_MODES, SYMPLECTIC_TOL
 
 from conftest import embed, random_network, random_passive
 
@@ -179,6 +179,73 @@ def test_symplectic_transform_rejects_a_matrix_whose_norm_overflows(
     # |S|_F^2 overflows to inf, against which any defect would pass.
     with pytest.raises(ValueError, match="overflows"):
         SymplecticTransform(np.diag(diagonal), 1)
+
+
+def _reference_check(matrix, n_modes):
+    """The message of the symplectic check on ``matrix`` computed with a
+    formed ``Omega``, as two dense products; None if it would pass."""
+    omega = symplectic_form(n_modes)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gap = matrix @ omega @ matrix.T - omega
+    defect = math.sqrt(np.vdot(gap, gap))
+    scale = max(1.0, float(np.vdot(matrix, matrix)))
+    if not math.isfinite(scale):
+        return "matrix is too large to check: |S|^2 overflows"
+    if not defect <= SYMPLECTIC_TOL * scale:
+        return (f"matrix is not symplectic: |S Omega S^T - Omega| = "
+                f"{defect:.3e} against |S|^2 = {scale:.3e}")
+    return None
+
+
+def _check_message(matrix, n_modes):
+    """The message of ``SymplecticTransform(matrix, n_modes)``; None if it
+    passes."""
+    try:
+        SymplecticTransform(matrix, n_modes)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def test_symplectic_check_decides_as_the_product_with_a_formed_omega():
+    # Random networks perturbed from 1e-14 to 1e-8 relative: the bound of
+    # 1e-10 |S|^2 falls inside the range, so both decisions are seen.
+    rng = np.random.default_rng(41)
+    decisions = set()
+    for _ in range(300):
+        n = int(rng.integers(1, 9))
+        matrix = random_network(rng, n, 3 * n, r_max=3.0).matrix
+        noise = rng.standard_normal(matrix.shape)
+        size = 10.0 ** rng.uniform(-14, -8) * np.linalg.norm(matrix)
+        matrix = matrix + size * noise / np.linalg.norm(noise)
+        expected = _reference_check(matrix, n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert _check_message(matrix, n) == expected
+        decisions.add(expected is None)
+    assert decisions == {True, False}
+
+
+@pytest.mark.parametrize("matrix", [
+    np.diag([1e155, 1e155]),
+    np.diag([1e160, 1e-160]),
+    np.array([[np.nan, 0.0], [0.0, 1.0]]),
+    np.array([[1.0, np.inf], [0.0, 1.0]]),
+    np.array([[1e200, 1e200], [-1e200, 1e200]]),
+    np.array([[1e150, 1e150], [1e150, 1e150]]),
+], ids=["norm 1e310", "determinant 1", "nan", "inf", "entries 1e200",
+        "singular"])
+def test_symplectic_check_keeps_its_messages_on_extreme_matrices(matrix):
+    message = _check_message(matrix, 1)
+    assert message is not None
+    assert message == _reference_check(matrix, 1)
+
+
+def test_symplectic_check_keeps_its_messages_on_malformed_input():
+    assert _check_message(np.eye(2, dtype=complex), 1) == (
+        "matrix must be real, got a complex array")
+    assert _check_message(np.eye(4), 1) == (
+        "matrix must be 2x2 for 1 modes, got (4, 4)")
 
 
 def test_applying_a_product_applies_its_right_factor_first():
