@@ -406,10 +406,6 @@ def run_scenario(config_path, out_dir=".", fmt="csv"):
     return [table, _write_json(out / f"{name}_graph.json", graph)]
 
 
-#: Encodes scalars, flat number lists and float blocks; without ``indent``
-#: it runs the C encoder.
-_ENCODER = json.JSONEncoder(sort_keys=True)
-_NUMBER_TYPES = {float, int}
 #: The sign bit of a float64, as its bits.
 _SIGN_BIT = np.uint64(1 << 63)
 
@@ -432,7 +428,7 @@ def _passive_blocks(array):
 def _row_texts(block, sep):
     """The text of each row of a float matrix, items joined by ``sep``;
     numbers hold no ``", "`` or ``"]"``."""
-    text = _ENCODER.encode(block.tolist())[2:-2].replace(", ", sep)
+    text = json.dumps(block.tolist())[2:-2].replace(", ", sep)
     return text.split(f"]{sep}[")
 
 
@@ -449,66 +445,56 @@ def _json_chunks(obj, chunks, indent="\n"):
     default=np.ndarray.tolist)`` to ``chunks``; ``indent`` is the line break
     before ``obj``'s closing bracket. Dict keys must be strings.
 
-    A numpy array is laid out as its ``tolist()``, except a float64 matrix
-    ``[[X, -Y], [Y, X]]``, the form of every passive factor
-    :mod:`~modecomb.blochmessiah` builds: the C encoder writes ``X`` and
-    ``Y`` once, and the text of ``-Y`` is that of ``Y`` with each item's
-    sign flipped. The blocks are compared as bits, not values: ``0.0 ==
-    -0.0``, but ``json`` writes the two differently. So an identity, whose
-    top-right ``+0.0`` is not ``-(+0.0)``, is laid out as a list.
+    A non-empty float64 matrix is laid out row by row, each row's numbers
+    encoded in C. A matrix ``[[X, -Y], [Y, X]]``, the form of every passive
+    factor :mod:`~modecomb.blochmessiah` builds, has only ``X`` and ``Y``
+    encoded, and the text of ``-Y`` is that of ``Y`` with each item's sign
+    flipped. The blocks are compared as bits, not values: ``0.0 == -0.0``,
+    but ``json`` writes the two differently. So an identity, whose
+    top-right ``+0.0`` is not ``-(+0.0)``, is written from its own rows.
     """
     inner = indent + "  "
-    if isinstance(obj, np.ndarray):
-        blocks = _passive_blocks(obj)
-        if blocks is None:
-            _json_chunks(obj.tolist(), chunks, indent)
-            return
-        sep = f",{inner}  "
-        x_rows, y_rows = (_row_texts(block, sep) for block in blocks)
-        rows = [x + sep + _negated(y, sep) for x, y in zip(x_rows, y_rows)]
-        rows += [y + sep + x for x, y in zip(x_rows, y_rows)]
-        body = f"{inner}],{inner}[{inner}  ".join(rows)
-        chunks.append(f"[{inner}[{inner}  {body}{inner}]{indent}]")
-    elif isinstance(obj, dict) and obj:
+    if isinstance(obj, dict) and obj:
         chunks.append("{")
         sep = inner
         for key, value in sorted(obj.items()):
             if not isinstance(key, str):
                 raise TypeError(f"report keys must be str, not {key!r}")
-            chunks.append(f"{sep}{_ENCODER.encode(key)}: ")
+            chunks.append(f"{sep}{json.dumps(key)}: ")
             _json_chunks(value, chunks, inner)
             sep = "," + inner
         chunks.append(indent + "}")
-    elif isinstance(obj, (list, tuple)) and obj:
-        if set(map(type, obj)) <= _NUMBER_TYPES:
-            # Numbers hold no ", ", so every one in the text is a separator.
-            items = _ENCODER.encode(obj)[1:-1].replace(", ", "," + inner)
-            chunks.append(f"[{inner}{items}{indent}]")
-            return
-        chunks.append("[")
-        sep = inner
-        for item in obj:
-            chunks.append(sep)
-            _json_chunks(item, chunks, inner)
-            sep = "," + inner
-        chunks.append(indent + "]")
+    elif (
+        isinstance(obj, np.ndarray) and obj.ndim == 2 and obj.size
+        and obj.dtype == np.float64
+    ):
+        sep = f",{inner}  "
+        blocks = _passive_blocks(obj)
+        if blocks is None:
+            rows = _row_texts(obj, sep)
+        else:
+            x_rows, y_rows = (_row_texts(block, sep) for block in blocks)
+            rows = [x + sep + _negated(y, sep) for x, y in zip(x_rows, y_rows)]
+            rows += [y + sep + x for x, y in zip(x_rows, y_rows)]
+        body = f"{inner}],{inner}[{inner}  ".join(rows)
+        chunks.append(f"[{inner}[{inner}  {body}{inner}]{indent}]")
     else:
-        chunks.append(_ENCODER.encode(obj))
+        text = json.dumps(
+            obj, indent=2, sort_keys=True, default=np.ndarray.tolist
+        )
+        chunks.append(text.replace("\n", indent))
 
 
 def _write_json(path, obj):
     """Write ``json.dumps(obj, indent=2, sort_keys=True,
     default=np.ndarray.tolist)`` and a newline to ``path``, byte for byte.
 
-    ``json`` runs its C encoder only when ``indent`` is None, and its
-    pure-Python encoder takes most of the time of a large report. So dicts
-    and lists are laid out here, and every scalar, flat number list and
-    float block is encoded in C. A matrix ``[[X, -Y], [Y, X]]`` has only
-    its blocks ``X`` and ``Y`` encoded; they are matched bit for bit, so
-    that each signed zero keeps its own text, and any other array is
-    written as its ``tolist()`` (see :func:`_json_chunks`). The whole text
-    is encoded before the file is opened, so an encoding error leaves no
-    partial report.
+    With ``indent`` set, ``json`` runs its pure-Python encoder, which would
+    take most of the write on a report's float matrices. So dicts are laid
+    out key by key, each non-empty float64 matrix row by row from text the
+    C encoder writes (see :func:`_json_chunks`), and ``json.dumps`` writes
+    every other value. The whole text is encoded before the file is opened,
+    so an encoding error leaves no partial report.
     """
     chunks = []
     _json_chunks(obj, chunks)

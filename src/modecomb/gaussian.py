@@ -161,11 +161,12 @@ def _float_array(what, value, copy):
 _SUM_SAFE = sys.float_info.max / 4
 
 
+@np.errstate(over="ignore")
 def _symmetrized(cov):
     """Return ``(C + C^T) / 2`` for a square ``cov``. Raise ValueError if it
     has a NaN or infinite entry, or if it differs from its transpose by more
-    than ``SYMMETRY_TOL * max(1, max |C|)``; an overflowing difference, which
-    ``GaussianState`` lets through ``np.errstate``, reads as infinite.
+    than ``SYMMETRY_TOL * max(1, max |C|)``; an overflowing difference reads
+    as infinite.
 
     An entry whose sum overflows (both terms beyond ``max / 2``) is averaged
     as ``C/2 + C^T/2``. So every finite input gives a finite average, a new
@@ -179,10 +180,9 @@ def _symmetrized(cov):
         raise ValueError(
             f"covariance is not symmetric: |C - C^T| = {asymmetry:.3e}"
         )
+    average = 0.5 * (cov + cols)
     if largest <= _SUM_SAFE:
-        return 0.5 * (cov + cols)
-    with np.errstate(over="ignore"):
-        average = 0.5 * (cov + cols)
+        return average
     over = np.isinf(average)
     average[over] = 0.5 * cov[over] + 0.5 * cols[over]
     return average
@@ -285,10 +285,8 @@ class GaussianState:
                 f"covariance must be {dim}x{dim} for {n_modes} modes, "
                 f"got {cov.shape}"
             )
-        with np.errstate(over="ignore"):
-            cov = _symmetrized(cov)
         object.__setattr__(self, "n_modes", n_modes)
-        object.__setattr__(self, "cov", cov)
+        object.__setattr__(self, "cov", _symmetrized(cov))
 
     @property
     def dim(self):
@@ -306,8 +304,8 @@ class SymplecticTransform:
             [1, MAX_MODES]
 
     Raises:
-        ValueError: if the matrix is complex, or if ``S Omega S^T``
-            deviates from ``Omega`` by more than
+        ValueError: if the matrix is complex or has a NaN or infinite
+            entry, or if ``S Omega S^T`` deviates from ``Omega`` by more than
             :data:`SYMPLECTIC_TOL` times ``max(1, |S|_F^2)`` in Frobenius
             norm. The bound scales with the matrix because rounding its
             entries moves ``S Omega S^T`` by about ``eps |S|^2``: a squeezer
@@ -335,6 +333,8 @@ class SymplecticTransform:
                 f"matrix must be {dim}x{dim} for {n_modes} modes, "
                 f"got {matrix.shape}"
             )
+        if not np.isfinite(matrix).all():
+            raise ValueError("matrix must be finite")
         # S Omega is S with its column halves swapped and its p half negated:
         # each entry is +-1 times one entry of S, as the product with a
         # formed Omega gives it, so S Omega S^T is one product.

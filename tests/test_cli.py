@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import modecomb.cli
 from modecomb import elements
@@ -1163,9 +1164,36 @@ _JSON_SCALARS = st.one_of(
     st.text(),
     st.sampled_from([", ", "[", "]", '"', "\n", "a, b", '[1, "2"]', "{}"]),
 )
+#: Block entries, with the floats whose text is easiest to get wrong.
+_BLOCK_ENTRIES = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-300, 1e300, -1e300]),
+)
+
+
+def _passive_matrix(x, y):
+    """The form of every passive factor ``blochmessiah`` builds."""
+    return np.block([[x, -y], [y, x]])
+
+
+#: Arrays: float matrices of passive form and of any shape, which the writer
+#: lays out by rows, and others that it leaves to ``json.dumps``.
+_JSON_ARRAYS = st.one_of(
+    hnp.arrays(
+        np.float64, st.integers(1, 3).map(lambda n: (2, n, n)),
+        elements=_BLOCK_ENTRIES,
+    ).map(lambda xy: _passive_matrix(*xy)),
+    hnp.arrays(
+        np.float64, hnp.array_shapes(min_dims=2, max_dims=2, min_side=0),
+        elements=_BLOCK_ENTRIES,
+    ),
+    hnp.arrays(np.float64, st.integers(0, 6), elements=_BLOCK_ENTRIES),
+    hnp.arrays(np.int64, hnp.array_shapes(min_dims=1, max_dims=2, min_side=0)),
+)
 _JSON_VALUES = st.recursive(
     st.one_of(
         _JSON_SCALARS,
+        _JSON_ARRAYS,
         st.lists(st.floats(), max_size=6),
         st.lists(st.one_of(st.integers(), st.floats()), max_size=6).map(tuple),
     ),
@@ -1184,11 +1212,6 @@ def test_json_reports_match_json_dumps_byte_for_byte(tmp_path_factory, obj):
     assert _write_json(path, obj).read_bytes() == _reference_json(obj)
 
 
-def _passive_matrix(x, y):
-    """The form of every passive factor ``blochmessiah`` builds."""
-    return np.block([[x, -y], [y, x]])
-
-
 def _random_unitary(rng, n):
     """A Haar-random n x n unitary: the QR factor of a complex Gaussian
     matrix, with the phases of R's diagonal moved into Q."""
@@ -1202,13 +1225,6 @@ def test_passive_factors_of_random_unitaries_match_json_dumps(tmp_path, n):
     obj = {"factor": factor, "nested": [factor.T, {"again": factor}]}
     path = _write_json(tmp_path / "report.json", obj)
     assert path.read_bytes() == _reference_json(obj)
-
-
-#: Block entries, with the floats whose text is easiest to get wrong.
-_BLOCK_ENTRIES = st.one_of(
-    st.floats(),
-    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-300, 1e300, -1e300]),
-)
 
 
 @settings(deadline=None, max_examples=200)
@@ -1321,32 +1337,70 @@ def test_squeezed_network_factors_skip_the_list_fallback(
     assert _factor_row_lists(laid_out) == []
 
 
-def test_an_already_passive_network_takes_the_list_fallback(
-    tmp_path, monkeypatch
+@pytest.mark.parametrize("network", sorted(_NETWORKS))
+def test_every_network_factor_is_laid_out_from_rows(
+    tmp_path, monkeypatch, network
 ):
-    # Its passive_in is the identity, whose top-right +0.0 is not -(+0.0),
-    # and its passive_out, the network's product, has blocks that agree
-    # only to rounding.
+    # A squeezed network's factors are written from their X and Y blocks.
+    # A passive-only or empty one's passive_in is the identity, whose
+    # top-right +0.0 is not -(+0.0), and its passive_out, the network's
+    # product, has blocks that agree only to rounding: each is written from
+    # its own 192 rows.
+    row_texts, blocks = modecomb.cli._row_texts, []
+
+    def recording_row_texts(block, sep):
+        blocks.append(block.shape)
+        return row_texts(block, sep)
+
+    monkeypatch.setattr(modecomb.cli, "_row_texts", recording_row_texts)
     report, _, laid_out = _decompose_with_spy(
-        tmp_path, monkeypatch, _NETWORKS["passive only"]()
+        tmp_path, monkeypatch, _NETWORKS[network]()
     )
-    assert max(report["squeeze"]) == 0.0
-    assert len(_factor_row_lists(laid_out)) == 2
+    arrays = [obj for obj in laid_out if isinstance(obj, np.ndarray)]
+    assert len(arrays) == 2
+    assert _factor_row_lists(laid_out) == []
+    passive = max(report["squeeze"]) == 0.0
+    assert passive == (network != "squeezed")
+    assert blocks == ([(192, 192)] * 2 if passive else [(96, 96)] * 4)
 
 
-def test_json_reports_do_not_run_the_pure_python_encoder(
+def _holds_array(obj):
+    """Whether ``obj`` is, or a list, tuple or dict in it holds, an array."""
+    if isinstance(obj, dict):
+        return any(map(_holds_array, obj.values()))
+    if isinstance(obj, (list, tuple)):
+        return any(map(_holds_array, obj))
+    return isinstance(obj, np.ndarray)
+
+
+def test_json_reports_pass_no_array_to_the_pure_python_encoder(
     tmp_path, monkeypatch
 ):
-    def pure_python_encoder(*args, **kwargs):
-        raise AssertionError("pure-Python JSON encoder used")
+    # With indent set, json.dumps runs this encoder on lists and scalars
+    # by design; a report's matrices are written from C-encoded rows.
+    make_iterencode = json.encoder._make_iterencode
 
-    monkeypatch.setattr(json.encoder, "_make_iterencode", pure_python_encoder)
+    def checked_make_iterencode(*args, **kwargs):
+        iterencode = make_iterencode(*args, **kwargs)
+
+        def checked_iterencode(obj, *rest):
+            if _holds_array(obj):
+                raise AssertionError("array passed to the pure-Python encoder")
+            return iterencode(obj, *rest)
+
+        return checked_iterencode
+
+    monkeypatch.setattr(
+        json.encoder, "_make_iterencode", checked_make_iterencode
+    )
+    assert json.dumps([1.0], indent=2) == "[\n  1.0\n]"
     with pytest.raises(AssertionError):
-        json.dumps([1.0], indent=2)
-    raw, _ = _random_network(np.random.default_rng(8), 8, 40)
-    network = write_config(tmp_path / "net.json", {"version": "v1", **raw})
+        json.dumps([np.ones(1)], indent=2, default=np.ndarray.tolist)
+    for i, kinds in enumerate([tuple(_DRAWS), ("beamsplitter", "phase_shift")]):
+        raw, _ = _random_network(np.random.default_rng(8), 8, 40, kinds)
+        network = write_config(tmp_path / f"net{i}.json", {"version": "v1", **raw})
+        assert cmd_decompose(network, tmp_path).exists()
     config = write_config(tmp_path / "scenario.json", MINIMAL)
-    assert cmd_decompose(network, tmp_path).exists()
     assert all(
         path.exists() for path in run_scenario(config, tmp_path, fmt="json")
     )

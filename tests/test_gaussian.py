@@ -184,6 +184,8 @@ def test_symplectic_transform_rejects_a_matrix_whose_norm_overflows(
 def _reference_check(matrix, n_modes):
     """The message of the symplectic check on ``matrix`` computed with a
     formed ``Omega``, as two dense products; None if it would pass."""
+    if not np.isfinite(matrix).all():
+        return "matrix must be finite"
     omega = symplectic_form(n_modes)
     with np.errstate(over="ignore", invalid="ignore"):
         gap = matrix @ omega @ matrix.T - omega
